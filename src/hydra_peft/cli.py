@@ -180,7 +180,10 @@ def _bench_one(job) -> dict:
 def cmd_bench(args) -> int:
     seeds = list(range(args.seeds))
     jobs = [(args.suite, s) for s in seeds]
-    workers = int(os.environ.get("HYDRA_PEFT_THREADS", "1"))
+    raw = os.environ.get("HYDRA_PEFT_THREADS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"HYDRA_PEFT_THREADS must be an integer >= 1, got {raw!r}")
+    workers = int(raw)
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             rows = pool.map(_bench_one, jobs)

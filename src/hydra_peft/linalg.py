@@ -1,9 +1,11 @@
 """Deterministic dense linear algebra and seeded random draws.
 
 All numeric state is float64. Matrix products accumulate in a fixed order
-(row-by-row over the contraction index, left to right) so that repeated runs
-and different platforms produce bit-identical results; nothing here calls
-into BLAS.
+(each entry sums its products over the contraction index, ascending, from
++0.0) so that repeated runs and different platforms produce bit-identical
+results; nothing here calls into BLAS. `matmul` picks one of two kernels by
+shape, a broadcast-and-reduce for small products and a loop over the
+contraction index for the rest, and both give the same bytes.
 
 Randomness comes from a counter-based splitmix64 generator: draw i under
 seed s is a pure integer hash of (s, i), which makes seeds portable across
@@ -100,16 +102,41 @@ def _check_matrix(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+# Largest m*k*n product buffer the broadcast kernel builds. Above it the
+# buffer costs more in memory traffic and peak RSS than the k-loop saves.
+_BROADCAST_MAX_ELEMS = 1 << 16
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with fixed accumulation order over the shared index."""
+    """Matrix product with fixed accumulation order over the shared index.
+
+    Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ..., k
+    ascending, whichever of two kernels runs:
+
+    - small products (m*n >= 2, m*k*n <= _BROADCAST_MAX_ELEMS): all
+      products go into one C-contiguous (k, m, n) buffer, which is reduced
+      over axis 0. With k the outermost axis numpy adds whole m*n slices in
+      k order. A buffer laid out any other way (or m*n == 1) can put k on
+      the inner loop, where numpy switches to pairwise summation and the
+      bytes change. The trailing + 0.0 turns the -0.0 a reduce can return
+      into the +0.0 the loop's zero start gives.
+    - everything else: a loop over k adding rank-1 updates into zeros.
+    """
     a = _check_matrix(a, "a")
     b = _check_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b, np.float64))
+    (m, k), n = a.shape, b.shape[1]
+    dtype = np.result_type(a, b, np.float64)
     with np.errstate(all="ignore"):  # finiteness is checked explicitly below
-        for k in range(a.shape[1]):
-            out += a[:, k : k + 1] * b[k : k + 1, :]
+        if m * n >= 2 and m * k * n <= _BROADCAST_MAX_ELEMS:
+            prods = np.multiply(a.T[:, :, None], b[:, None, :],
+                                out=np.empty((k, m, n), dtype=dtype))
+            out = np.add.reduce(prods, axis=0) + 0.0
+        else:
+            out = np.zeros((m, n), dtype=dtype)
+            for i in range(k):
+                out += a[:, i : i + 1] * b[i : i + 1, :]
     if not np.isfinite(out).all():
         raise InvariantError("matmul produced non-finite entries")
     return out
@@ -121,13 +148,7 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"matvec shape mismatch: {m.shape} x {v.shape}")
-    out = np.zeros(m.shape[0], dtype=np.result_type(m, v, np.float64))
-    with np.errstate(all="ignore"):
-        for k in range(m.shape[1]):
-            out += m[:, k] * v[k]
-    if not np.isfinite(out).all():
-        raise InvariantError("matvec produced non-finite entries")
-    return out
+    return matmul(m, v[:, None])[:, 0]
 
 
 def kaiming_uniform(rows: int, cols: int, rng: SeededRng) -> np.ndarray:

@@ -77,6 +77,8 @@ class TrainConfig:
             raise UsageError(f"rank must be >= 1, got {self.rank}")
         if self.experts < 1:
             raise UsageError(f"experts must be >= 1, got {self.experts}")
+        if self.eval_interval < 1:
+            raise UsageError(f"eval_interval must be >= 1, got {self.eval_interval}")
         return self
 
     @classmethod

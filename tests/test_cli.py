@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +114,32 @@ def test_train_rejects_zero_steps(tmp_path, corpus_file, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_train_cfg(corpus_file, steps=0)))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+
+
+def _run_cli(args, **env):
+    """Run the CLI in a fresh interpreter, so an uncaught error prints a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full_env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run([sys.executable, "-m", "hydra_peft.cli", *args],
+                          env=full_env, capture_output=True, text=True, timeout=120)
+
+
+def test_train_rejects_zero_eval_interval(tmp_path, corpus_file):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_train_cfg(corpus_file, eval_interval=0)))
+    proc = _run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert proc.returncode == 1
+    assert "eval_interval" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["x", "0", "-2", "1.5"])
+def test_bench_rejects_bad_thread_count(threads):
+    proc = _run_cli(["bench", "--suite", "het", "--seeds", "1"],
+                    HYDRA_PEFT_THREADS=threads)
+    assert proc.returncode == 1
+    assert "HYDRA_PEFT_THREADS" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_train_zero_lr_flat_curve(tmp_path, corpus_file, capsys):

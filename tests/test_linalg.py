@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hydra_peft.errors import ContractError, ShapeError
+from hydra_peft import linalg
+from hydra_peft.errors import ContractError, InvariantError, ShapeError
 from hydra_peft.linalg import (SeededRng, frobenius_distance, kaiming_uniform,
                                matmul, matvec, softmax)
 
@@ -86,6 +89,73 @@ def test_matmul_associative_within_tolerance():
         right = matmul(a, matmul(b, c))
         denom = max(np.abs(left).max(), 1e-30)
         assert np.abs(left - right).max() / denom < 1e-9
+
+
+def _loop_matmul(a, b):
+    """Oracle: rank-1 updates into zeros, k ascending (matmul's reference order)."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b, np.float64))
+    with np.errstate(all="ignore"):
+        for k in range(a.shape[1]):
+            out += a[:, k : k + 1] * b[k : k + 1, :]
+    if not np.isfinite(out).all():
+        raise InvariantError("oracle produced non-finite entries")
+    return out
+
+
+def _assert_identical(got, want):
+    # values plus sign of zero; tobytes() would also compare longdouble padding
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_SPECIALS = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, 1.0, -1.0])
+_CAP = linalg._BROADCAST_MAX_ELEMS
+# the cap is m*k*n: 16 x k x 16 sits exactly on it at k = _CAP // 256
+_GRID = list(itertools.product([1, 2, 3, 8, 24, 33], [1, 7, 8, 9, 24, 65],
+                               [1, 2, 3, 8, 24, 33]))
+_GRID += [(16, _CAP // 256, 16), (16, _CAP // 256 + 1, 16), (64, 24, 48), (0, 3, 4),
+          (3, 0, 4)]
+
+
+def _operands(rng, m, k, n, variant):
+    if variant == "specials":
+        # 1e300 only on the left, so the sums stay finite
+        finite = _SPECIALS[_SPECIALS != 1e300]
+        a = _SPECIALS[rng.integers(m * k, len(_SPECIALS))].reshape(m, k)
+        b = finite[rng.integers(k * n, len(finite))].reshape(k, n)
+        return a, b
+    # entries spread over 12 decades, so a change of summation order shows
+    a = (rng.normal(m * k) * 10.0 ** (rng.integers(m * k, 12) - 6)).reshape(m, k)
+    b = rng.normal(k * n).reshape(k, n)
+    if variant == "transposed":
+        a, b = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
+    elif variant == "longdouble":
+        a = a.astype(np.longdouble)
+    return a, b
+
+
+@pytest.mark.parametrize("variant", ["float64", "transposed", "longdouble", "specials"])
+def test_matmul_identical_to_loop_oracle(variant):
+    rng = SeededRng(17).derive(variant)
+    for m, k, n in _GRID:
+        a, b = _operands(rng, m, k, n, variant)
+        _assert_identical(matmul(a, b), _loop_matmul(a, b))
+
+
+def test_matmul_all_negative_zero_products_give_positive_zero():
+    out = matmul(np.full((3, 9), -0.0), np.ones((9, 2)))
+    _assert_identical(out, _loop_matmul(np.full((3, 9), -0.0), np.ones((9, 2))))
+    assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("m, k, n", [(2, 2, 2), (16, _CAP // 256 + 1, 16), (1, 3, 1)])
+def test_matmul_overflow_raises_like_oracle(m, k, n):
+    a, b = np.full((m, k), 1e300), np.full((k, n), 1e300)
+    with pytest.raises(InvariantError):
+        _loop_matmul(a, b)
+    with pytest.raises(InvariantError):
+        matmul(a, b)
 
 
 def test_matvec_consistent_with_matmul():
