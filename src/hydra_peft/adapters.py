@@ -31,6 +31,41 @@ def _check_rank(d: int, k: int, r: int) -> None:
         raise InvariantError(f"rank {r} outside [1, min({d}, {k})]")
 
 
+# -- parameter names -------------------------------------------------------
+#
+# An adapter on projection `proj` names its tensors `proj.<Role><index>`:
+# role A, B or Wg, index empty or a head/expert number. Tape leaves, optimizer
+# refs and checkpoints all take names and order from each scheme's named_params.
+
+_NAME_RE = re.compile(r"^([^.]+)\.(A|B|Wg)(\d*)$")
+
+
+def param_name(proj: str, role: str, index="") -> str:
+    return f"{proj}.{role}{index}"
+
+
+def parse_param_name(name: str) -> tuple[str, str, str] | None:
+    """(proj, role, index) of an adapter tensor name; None for any other name."""
+    m = _NAME_RE.match(name)
+    return m.groups() if m else None
+
+
+def all_params(adapters: dict[str, "Adapter"]) -> list[tuple[str, np.ndarray]]:
+    """Every adapter's named_params, projections in sorted order."""
+    return [p for proj in sorted(adapters) for p in adapters[proj].named_params(proj)]
+
+
+def _take(tensors: dict[str, np.ndarray], proj: str, role: str, index="") -> np.ndarray:
+    name = param_name(proj, role, index)
+    if name not in tensors:
+        raise CheckpointError(f"missing tensor {name}")
+    return tensors[name]
+
+
+def _leaves(tape, named: list[tuple[str, np.ndarray]], trainable: bool) -> list[int]:
+    return [tape.input(arr, name=name, trainable=trainable) for name, arr in named]
+
+
 @dataclass
 class LoraAdapter:
     a: np.ndarray          # (r, k), down-projection
@@ -50,11 +85,22 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def out_dim(self) -> int:
-        return self.b.shape[0]
+    def named_params(self, prefix: str, index="") -> list[tuple[str, np.ndarray]]:
+        """(name, live array) in checkpoint order: A, B. Split heads pass their index."""
+        return [(param_name(prefix, "A", index), self.a), (param_name(prefix, "B", index), self.b)]
 
-    def in_dim(self) -> int:
-        return self.a.shape[1]
+    @classmethod
+    def from_params(cls, prefix: str, tensors: dict[str, np.ndarray], rank: int,
+                    alpha: float, index="") -> "LoraAdapter":
+        return cls(a=_take(tensors, prefix, "A", index), b=_take(tensors, prefix, "B", index),
+                   rank=rank, alpha=alpha)
+
+    def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
+                    active_head: int | None = None, index="") -> tuple[int, int | None]:
+        """Emit the update for the rows at slot x: (update slot, gate slot or None)."""
+        a, b = _leaves(tape, self.named_params(prefix, index), trainable)
+        delta = tape.matmul(tape.matmul(x, tape.transpose(a)), tape.transpose(b))
+        return tape.scale(delta, self.scaling), None
 
 
 @dataclass
@@ -71,9 +117,9 @@ class SplitAdapter:
         return cls(heads=heads)
 
     def __post_init__(self):
-        dims = {(h.out_dim(), h.in_dim(), h.rank) for h in self.heads}
+        dims = {(h.b.shape[0], h.a.shape[1], h.rank, h.alpha) for h in self.heads}
         if len(self.heads) < 1 or len(dims) != 1:
-            raise InvariantError("split heads must share (d, k, r)")
+            raise InvariantError("split heads must share (d, k, r, alpha)")
 
     @property
     def rank(self) -> int:
@@ -82,6 +128,29 @@ class SplitAdapter:
     @property
     def alpha(self) -> float:
         return self.heads[0].alpha
+
+    def named_params(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """(name, live array) in checkpoint order: A0, B0, A1, B1, ..."""
+        return [p for i, h in enumerate(self.heads) for p in h.named_params(prefix, i)]
+
+    @classmethod
+    def from_params(cls, prefix: str, tensors: dict[str, np.ndarray], rank: int,
+                    alpha: float) -> "SplitAdapter":
+        n = 1  # heads 0 .. n-1; a missing A0 is reported by from_params
+        while param_name(prefix, "A", n) in tensors:
+            n += 1
+        return cls(heads=[LoraAdapter.from_params(prefix, tensors, rank, alpha, i)
+                          for i in range(n)])
+
+    def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
+                    active_head: int | None = None) -> tuple[int, int | None]:
+        """Sum of the heads' updates, or only `active_head`'s leaves and update."""
+        heads = range(len(self.heads)) if active_head is None else (active_head,)
+        acc = None
+        for i in heads:
+            d, _ = self.heads[i].tape_branch(tape, x, prefix, trainable, index=i)
+            acc = d if acc is None else tape.add(acc, d)
+        return acc, None
 
 
 @dataclass
@@ -105,12 +174,39 @@ class HydraAdapter:
                    alpha=float(alpha if alpha is not None else r))
 
     @property
-    def n_experts(self) -> int:
-        return len(self.experts)
-
-    @property
     def scaling(self) -> float:
         return self.alpha / self.rank
+
+    def named_params(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """(name, live array) in checkpoint order: A, B0 .. B{N-1}, Wg."""
+        return ([(param_name(prefix, "A"), self.a_shared)]
+                + [(param_name(prefix, "B", i), e) for i, e in enumerate(self.experts)]
+                + [(param_name(prefix, "Wg"), self.w_gate)])
+
+    @classmethod
+    def from_params(cls, prefix: str, tensors: dict[str, np.ndarray], rank: int,
+                    alpha: float) -> "HydraAdapter":
+        w_gate = _take(tensors, prefix, "Wg")  # (r, N): one column per expert
+        return cls(a_shared=_take(tensors, prefix, "A"),
+                   experts=[_take(tensors, prefix, "B", i) for i in range(w_gate.shape[1])],
+                   w_gate=w_gate, rank=rank, alpha=alpha)
+
+    def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
+                    active_head: int | None = None) -> tuple[int, int | None]:
+        """Gate-weighted expert sum; the gate slot holds one softmax row per input row."""
+        a, *experts, wg = _leaves(tape, self.named_params(prefix), trainable)
+        z = tape.matmul(x, tape.transpose(a))
+        gate = tape.softmax_rows(tape.matmul(z, wg))
+        acc = None
+        for i, b in enumerate(experts):
+            y_i = tape.matmul(z, tape.transpose(b))
+            term = tape.mul(tape.slice_cols(gate, i, i + 1), y_i)
+            acc = term if acc is None else tape.add(acc, term)
+        return tape.scale(acc, self.scaling), gate
+
+
+ADAPTERS = {"lora": LoraAdapter, "split": SplitAdapter, "hydra": HydraAdapter}
+Adapter = LoraAdapter | SplitAdapter | HydraAdapter
 
 
 @dataclass
@@ -183,7 +279,7 @@ def merge_infer(x: np.ndarray, w0: np.ndarray, ad: HydraAdapter) -> np.ndarray:
 
 # -- parameter accounting --------------------------------------------------
 
-SCHEMES = ("lora", "split", "hydra")
+SCHEMES = tuple(ADAPTERS)
 
 
 def params_per_matrix(scheme: str, d: int, k: int, r: int, n: int = 1) -> int:
@@ -223,12 +319,14 @@ def param_count(scheme: str, d: int, k: int, r: int, n: int,
 # Plain-text container, lossless for float64:
 #
 #   hydra-peft-checkpoint v1
-#   key: value            (any number of metadata lines)
+#   key: value            (metadata lines; scheme, rank and alpha are required)
 #   tensor <name> <rows> <cols>
 #   <rows*cols little-endian float64 values, hex-encoded, one line>
 #   ...
 #
-# Hex encoding is byte-exact, so save/load round trips are bitwise.
+# Adapter tensors come first, projections sorted, each in named_params
+# order; base weights follow as base.<name>. Hex encoding is byte-exact, so
+# write/read round trips are bitwise.
 
 FORMAT_TAG = "hydra-peft-checkpoint"
 FORMAT_VERSION = "v1"
@@ -236,8 +334,10 @@ FORMAT_VERSION = "v1"
 _TENSOR_RE = re.compile(r"^tensor (\S+) (\d+) (\d+)$")
 
 
-def write_checkpoint(path, meta: dict[str, str],
-                     tensors: list[tuple[str, np.ndarray]]) -> None:
+def write_checkpoint(path, meta: dict[str, str], adapters: dict[str, Adapter],
+                     base: dict[str, np.ndarray] | None = None) -> None:
+    """Write metadata, every adapter on its projection, then base weights."""
+    tensors = all_params(adapters) + [(f"base.{n}", w) for n, w in (base or {}).items()]
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
     for key, value in meta.items():
         lines.append(f"{key}: {value}")
@@ -251,7 +351,29 @@ def write_checkpoint(path, meta: dict[str, str],
         f.write("\n".join(lines) + "\n")
 
 
-def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def read_checkpoint(path) -> tuple[dict[str, str], dict[str, Adapter], dict[str, np.ndarray]]:
+    """(metadata, {projection: adapter}, {base weight name: array}); a CheckpointError
+    if the file is malformed or its tensors do not form the metadata's scheme."""
+    meta, tensors = _parse(path)
+    try:
+        scheme, rank, alpha = meta["scheme"], int(meta["rank"]), float(meta["alpha"])
+    except KeyError as e:
+        raise CheckpointError(f"missing metadata line {e.args[0]!r}") from None
+    except ValueError as e:
+        raise CheckpointError(f"bad rank or alpha metadata: {e}") from None
+    base = {n[len("base."):]: t for n, t in tensors.items() if n.startswith("base.")}
+    names = {n for n in tensors if not n.startswith("base.")}
+    projs = sorted({parsed[0] for parsed in map(parse_param_name, names) if parsed})
+    if projs and scheme not in ADAPTERS:
+        raise CheckpointError(f"adapter tensors under unknown scheme {scheme!r}")
+    adapters = {p: ADAPTERS[scheme].from_params(p, tensors, rank, alpha) for p in projs}
+    extra = names - {name for name, _ in all_params(adapters)}
+    if extra:
+        raise CheckpointError(f"tensor {min(extra)!r} is not part of a {scheme} adapter")
+    return meta, adapters, base
+
+
+def _parse(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         raw = f.read()
     try:
@@ -306,61 +428,3 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         else:
             raise CheckpointError(f"unparseable line {line!r}", off)
     return meta, tensors
-
-
-def adapter_tensors(name: str, ad) -> list[tuple[str, np.ndarray]]:
-    """Flatten an adapter into named 2-D tensors for checkpointing."""
-    if isinstance(ad, LoraAdapter):
-        return [(f"{name}.A", ad.a), (f"{name}.B", ad.b)]
-    if isinstance(ad, SplitAdapter):
-        out = []
-        for i, h in enumerate(ad.heads):
-            out += [(f"{name}.A{i}", h.a), (f"{name}.B{i}", h.b)]
-        return out
-    if isinstance(ad, HydraAdapter):
-        out = [(f"{name}.A", ad.a_shared)]
-        out += [(f"{name}.B{i}", e) for i, e in enumerate(ad.experts)]
-        out.append((f"{name}.Wg", ad.w_gate))
-        return out
-    raise UsageError(f"not an adapter: {type(ad).__name__}")
-
-
-def adapter_from_tensors(scheme: str, name: str, tensors: dict[str, np.ndarray],
-                         rank: int, alpha: float):
-    """Rebuild one adapter from checkpoint tensors (inverse of adapter_tensors)."""
-    if scheme == "lora":
-        return LoraAdapter(a=tensors[f"{name}.A"], b=tensors[f"{name}.B"],
-                           rank=rank, alpha=alpha)
-    if scheme == "split":
-        heads = []
-        i = 0
-        while f"{name}.A{i}" in tensors:
-            heads.append(LoraAdapter(a=tensors[f"{name}.A{i}"], b=tensors[f"{name}.B{i}"],
-                                     rank=rank, alpha=alpha))
-            i += 1
-        return SplitAdapter(heads=heads)
-    if scheme == "hydra":
-        experts = []
-        i = 0
-        while f"{name}.B{i}" in tensors:
-            experts.append(tensors[f"{name}.B{i}"])
-            i += 1
-        return HydraAdapter(a_shared=tensors[f"{name}.A"], experts=experts,
-                            w_gate=tensors[f"{name}.Wg"], rank=rank, alpha=alpha)
-    raise UsageError(f"unknown scheme {scheme!r}")
-
-
-def save_adapter(path, ad, seed: int | None = None) -> None:
-    scheme = {LoraAdapter: "lora", SplitAdapter: "split", HydraAdapter: "hydra"}.get(type(ad))
-    if scheme is None:
-        raise UsageError(f"cannot checkpoint {type(ad).__name__}")
-    meta = {"scheme": scheme, "rank": str(ad.rank), "alpha": repr(ad.alpha)}
-    if seed is not None:
-        meta["seed"] = str(seed)
-    write_checkpoint(path, meta, adapter_tensors("adapter", ad))
-
-
-def load_adapter(path):
-    meta, tensors = read_checkpoint(path)
-    return adapter_from_tensors(meta["scheme"], "adapter", tensors,
-                                rank=int(meta["rank"]), alpha=float(meta["alpha"]))

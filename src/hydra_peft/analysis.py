@@ -15,7 +15,6 @@ ratio against a reference configuration.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,6 @@ import numpy as np
 from . import adapters as ad_mod
 from .errors import UsageError
 from .linalg import SeededRng
-
-_SUBMODULE_RE = re.compile(r"^(?P<proj>[^.]+)\.(?P<role>[AB])(?P<idx>\d*)$")
-
 
 @dataclass
 class Submodule:
@@ -116,18 +112,17 @@ def parse_checkpoint_submodules(adapter_id: str,
     weights are not part of the A-vs-B story and are skipped)."""
     subs = []
     for name, arr in tensors.items():
-        m = _SUBMODULE_RE.match(name)
-        if m:
-            subs.append(Submodule(adapter_id, m.group("proj"), m.group("role"),
-                                  m.group("idx"), arr))
+        parsed = ad_mod.parse_param_name(name)
+        if parsed and parsed[1] in ("A", "B"):
+            subs.append(Submodule(adapter_id, *parsed, arr))
     return subs
 
 
 def breakdown(checkpoints: list[tuple[str, dict[str, np.ndarray]]]) -> EmbeddingReport:
     """Distance/embedding analysis across >= 2 adapter checkpoints.
 
-    `checkpoints` pairs an id with the tensor dict of a saved adapter (see
-    adapters.read_checkpoint). All submodules must flatten to one common
+    `checkpoints` pairs an id with a dict of named adapter tensors (see
+    adapters.all_params). All submodules must flatten to one common
     length (true whenever the adapted matrices are square, as here).
     """
     if len(checkpoints) < 2:
@@ -193,10 +188,6 @@ class CostReport:
     macs_forward: int            # per token, per adapted matrix
     macs_backward: int           # 2x forward for the trainable branch
     relative_params: float | None
-
-    def csv_row(self) -> str:
-        ratio = "" if self.relative_params is None else repr(self.relative_params)
-        return f"{self.scheme},{self.trainable_params},{self.macs_forward},{ratio}"
 
 
 def cost(scheme: str, d: int, k: int, r: int, n: int = 1,

@@ -29,7 +29,6 @@ from . import analysis
 from . import clustering
 from . import corpus as corpus_mod
 from . import trainer
-from .adapters import HydraAdapter
 from .errors import (CheckpointError, ContractError, InvariantError, ParseError,
                      ShapeError, TrainingAborted, UsageError)
 from .linalg import SeededRng
@@ -68,8 +67,15 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _config(path) -> trainer.TrainConfig:
+    try:
+        return trainer.TrainConfig.from_json(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise UsageError(f"config {path} is not UTF-8 text") from e
+
+
 def cmd_train(args) -> int:
-    cfg = trainer.TrainConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _note(f"training scheme={cfg.scheme} rank={cfg.rank} steps={cfg.steps} seed={cfg.seed}")
@@ -84,10 +90,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = trainer.TrainConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _config(args.config)
+    checkpoint = ad_mod.read_checkpoint(args.checkpoint)
     model, data = trainer.build_from_config(cfg)
-    _, tensors = ad_mod.read_checkpoint(args.checkpoint)
-    trainer.restore_into_model(model, cfg, tensors)
+    trainer.restore_into_model(model, cfg, *checkpoint)
     loss, acc, gates = trainer.evaluate(model, data)
     _out({"loss": loss, "acc": acc,
           "gates": {k: list(map(float, v)) for k, v in gates.items()}})
@@ -104,25 +110,27 @@ def cmd_params(args) -> int:
 
 
 def cmd_merge_infer(args) -> int:
-    ad = ad_mod.load_adapter(args.checkpoint)
-    if not isinstance(ad, HydraAdapter):
+    meta, adapters, _ = ad_mod.read_checkpoint(args.checkpoint)
+    if meta["scheme"] != "hydra" or not adapters:
         raise UsageError("merge-infer needs a multi-expert (hydra) checkpoint")
-    d = ad.experts[0].shape[0]
-    k = ad.a_shared.shape[1]
-    rng = SeededRng(args.seed).derive("merge-infer")
+    given = None
     if args.input is not None:
-        xs = [np.asarray(json.loads(Path(args.input).read_text(encoding="utf-8")),
-                         dtype=np.float64)]
-        if xs[0].shape != (k,):
-            raise UsageError(f"input vector must have length {k}")
-    else:
-        xs = [rng.normal(k) for _ in range(args.trials)]
+        try:
+            given = np.asarray(json.loads(Path(args.input).read_text(encoding="utf-8")),
+                               dtype=np.float64)
+        except (ValueError, TypeError) as e:
+            raise ParseError(f"{args.input}: not a JSON list of numbers ({e})") from e
+    rng = SeededRng(args.seed).derive("merge-infer")
     worst = 0.0
-    for x in xs:
-        w0 = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
-        moe, _ = ad_mod.hydra_forward(x, w0, ad)
-        merged = ad_mod.merge_infer(x, w0, ad)
-        worst = max(worst, float(np.abs(moe - merged).max()))
+    for proj, ad in sorted(adapters.items()):
+        d, k = ad.experts[0].shape[0], ad.a_shared.shape[1]
+        if given is not None and given.shape != (k,):
+            raise UsageError(f"input vector must have length {k}")
+        for x in [given] if given is not None else [rng.normal(k) for _ in range(args.trials)]:
+            w0 = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
+            moe, _ = ad_mod.hydra_forward(x, w0, ad)
+            merged = ad_mod.merge_infer(x, w0, ad)
+            worst = max(worst, float(np.abs(moe - merged).max()))
     sys.stdout.write(f"max |merge - moe|: {worst:.3e}\n")
     if worst > 1e-12:
         raise InvariantError(
@@ -133,8 +141,8 @@ def cmd_merge_infer(args) -> int:
 def cmd_analyze(args) -> int:
     loaded = []
     for path in args.checkpoints:
-        _, tensors = ad_mod.read_checkpoint(path)
-        loaded.append((Path(path).stem, tensors))
+        _, adapters, _ = ad_mod.read_checkpoint(path)
+        loaded.append((Path(path).stem, dict(ad_mod.all_params(adapters))))
     report = analysis.breakdown(loaded)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

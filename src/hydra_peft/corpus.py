@@ -48,18 +48,22 @@ def validate_corpus(docs: list[Document]) -> list[Document]:
 def load_jsonl(path) -> list[Document]:
     """One JSON object per line with fields id, text, optional task."""
     docs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ParseError(f"{path}: line {lineno}: need 'id' and 'text' fields")
-            docs.append(Document(id=str(obj["id"]), text=str(obj["text"]),
-                                 task=None if obj.get("task") is None else str(obj["task"])))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise ParseError(f"{path}: line {lineno}: need 'id' and 'text' fields")
+        docs.append(Document(id=str(obj["id"]), text=str(obj["text"]),
+                             task=None if obj.get("task") is None else str(obj["task"])))
     return validate_corpus(docs)
 
 

@@ -34,8 +34,8 @@ class TrainingAborted(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file could not be parsed. Carries the byte offset."""
+    """Checkpoint file could not be parsed. Carries the byte offset, if any."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset

@@ -18,12 +18,13 @@ head, or everything for the full-fine-tuning baseline) ever receive updates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .adapters import HydraAdapter, LoraAdapter, SplitAdapter
+from .adapters import ADAPTERS, Adapter
 from .autodiff import Tape
 from .errors import ContractError, ShapeError, UsageError
 
@@ -52,9 +53,6 @@ class Batch:
                     f"labels shape {self.labels.shape} does not match batch "
                     f"size {self.inputs.shape[0]}")
 
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
 
 @dataclass
 class ToyModel:
@@ -64,13 +62,10 @@ class ToyModel:
     n_classes: int
     hidden: int
     weights: dict[str, np.ndarray]
-    adapters: dict[str, LoraAdapter | SplitAdapter | HydraAdapter] = field(default_factory=dict)
+    adapters: dict[str, Adapter] = field(default_factory=dict)
 
     def attachment_points(self) -> tuple[str, ...]:
         return ATTACH_POINTS[self.mode]
-
-    def out_dim(self) -> int:
-        return self.n_classes if self.mode != "linear" else self.weights["proj"].shape[0]
 
 
 def _trunk_uniform(rows: int, cols: int, rng: linalg.SeededRng) -> np.ndarray:
@@ -112,20 +107,7 @@ def linear_model(input_dim: int, output_dim: int, seed: int) -> ToyModel:
 
 def clone_model(model: ToyModel) -> ToyModel:
     """Independent copy: weights and any installed adapters are deep-copied."""
-    weights = {k: v.copy() for k, v in model.weights.items()}
-    out = ToyModel(model.mode, model.d_model, model.input_dim, model.n_classes,
-                   model.hidden, weights)
-    for proj, ad in model.adapters.items():
-        if isinstance(ad, LoraAdapter):
-            out.adapters[proj] = LoraAdapter(ad.a.copy(), ad.b.copy(), ad.rank, ad.alpha)
-        elif isinstance(ad, SplitAdapter):
-            out.adapters[proj] = SplitAdapter(
-                [LoraAdapter(h.a.copy(), h.b.copy(), h.rank, h.alpha) for h in ad.heads])
-        elif isinstance(ad, HydraAdapter):
-            out.adapters[proj] = HydraAdapter(ad.a_shared.copy(),
-                                              [e.copy() for e in ad.experts],
-                                              ad.w_gate.copy(), ad.rank, ad.alpha)
-    return out
+    return copy.deepcopy(model)
 
 
 def attach(model: ToyModel, projection: str, scheme: str, rank: int, seed: int,
@@ -137,15 +119,10 @@ def attach(model: ToyModel, projection: str, scheme: str, rank: int, seed: int,
             f"{model.attachment_points()}")
     d, k = model.weights[projection].shape
     rng = linalg.SeededRng(seed).derive("attach", projection)
-    if scheme == "lora":
-        ad = LoraAdapter.init(d, k, rank, rng, alpha)
-    elif scheme == "split":
-        ad = SplitAdapter.init(d, k, rank, n, rng, alpha)
-    elif scheme == "hydra":
-        ad = HydraAdapter.init(d, k, rank, n, rng, alpha)
-    else:
+    if scheme not in ADAPTERS:
         raise UsageError(f"unknown scheme {scheme!r}")
-    model.adapters[projection] = ad
+    width = () if scheme == "lora" else (n,)  # heads (split) or experts (hydra)
+    model.adapters[projection] = ADAPTERS[scheme].init(d, k, rank, *width, rng, alpha)
     return model
 
 
@@ -168,71 +145,6 @@ class ModelGraph:
         return out
 
 
-def _adapter_branch(tape: Tape, x_slot: int, ad, proj: str, trainable: bool,
-                    gates: list[int], active_head: int | None):
-    """Emit the adapter update for one projection; returns the scaled slot."""
-    if isinstance(ad, LoraAdapter):
-        a = tape.input(ad.a, name=f"{proj}.A", trainable=trainable)
-        b = tape.input(ad.b, name=f"{proj}.B", trainable=trainable)
-        delta = tape.matmul(tape.matmul(x_slot, tape.transpose(a)), tape.transpose(b))
-        return tape.scale(delta, ad.scaling)
-    if isinstance(ad, SplitAdapter):
-        heads = list(enumerate(ad.heads))
-        if active_head is not None:
-            heads = [(active_head, ad.heads[active_head])]
-        acc = None
-        for i, h in heads:
-            a = tape.input(h.a, name=f"{proj}.A{i}", trainable=trainable)
-            b = tape.input(h.b, name=f"{proj}.B{i}", trainable=trainable)
-            d = tape.matmul(tape.matmul(x_slot, tape.transpose(a)), tape.transpose(b))
-            d = tape.scale(d, h.scaling)
-            acc = d if acc is None else tape.add(acc, d)
-        return acc
-    if isinstance(ad, HydraAdapter):
-        a = tape.input(ad.a_shared, name=f"{proj}.A", trainable=trainable)
-        wg = tape.input(ad.w_gate, name=f"{proj}.Wg", trainable=trainable)
-        z = tape.matmul(x_slot, tape.transpose(a))
-        gate = tape.softmax_rows(tape.matmul(z, wg))
-        gates.append(gate)
-        acc = None
-        for i, b_i in enumerate(ad.experts):
-            b = tape.input(b_i, name=f"{proj}.B{i}", trainable=trainable)
-            y_i = tape.matmul(z, tape.transpose(b))
-            term = tape.mul(tape.slice_cols(gate, i, i + 1), y_i)
-            acc = term if acc is None else tape.add(acc, term)
-        return tape.scale(acc, ad.scaling)
-    raise UsageError(f"not an adapter: {type(ad).__name__}")
-
-
-class _WeightSlots:
-    """Lazily registers base-weight leaves so each appears once per tape."""
-
-    def __init__(self, tape: Tape, model: ToyModel, trainable: str):
-        self.tape = tape
-        self.model = model
-        self.trainable = trainable
-        self._slots: dict[str, int] = {}
-
-    def slot(self, name: str) -> int:
-        if name not in self._slots:
-            train = (self.trainable == "all"
-                     or (self.trainable == "adapters+head" and name == "head"))
-            self._slots[name] = self.tape.input(
-                self.model.weights[name], name=f"base.{name}", trainable=train)
-        return self._slots[name]
-
-
-def _projection(tape, ws, model, x_slot, name, trainable_adapters, gates, active_head):
-    base = tape.matmul(x_slot, tape.transpose(ws.slot(name)))
-    ad = model.adapters.get(name)
-    if ad is None:
-        return base
-    branch = _adapter_branch(tape, x_slot, ad, name, trainable_adapters,
-                             gates.setdefault(name, []) if isinstance(ad, HydraAdapter) else [],
-                             active_head)
-    return tape.add(base, branch)
-
-
 def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
                 trainable: str = "adapters+head",
                 active_split_head: int | None = None) -> ModelGraph:
@@ -242,54 +154,55 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
     """
     if trainable not in ("adapters", "adapters+head", "all", "none"):
         raise UsageError(f"unknown trainable spec {trainable!r}")
-    ad_trainable = trainable != "none"
     tape = Tape()
-    ws = _WeightSlots(tape, model, trainable)
+    slots: dict[str, int] = {}
     gates: dict[str, list[int]] = {}
 
+    def weight(name: str) -> int:
+        """The leaf of a base weight, registered once per tape on first use."""
+        if name not in slots:
+            train = trainable == "all" or (trainable == "adapters+head" and name == "head")
+            slots[name] = tape.input(model.weights[name], name=f"base.{name}", trainable=train)
+        return slots[name]
+
+    def linear(x: int, name: str) -> int:
+        """x W^T for a base weight, plus the update of an adapter attached there."""
+        out = tape.matmul(x, tape.transpose(weight(name)))
+        ad = model.adapters.get(name)
+        if ad is None:
+            return out
+        branch, gate = ad.tape_branch(tape, x, name, trainable != "none", active_split_head)
+        if gate is not None:
+            gates.setdefault(name, []).append(gate)
+        return tape.add(out, branch)
+
     if model.mode == "linear":
-        x = tape.input(np.asarray(batch.inputs, dtype=np.float64))
-        logits = _projection(tape, ws, model, x, "proj", ad_trainable, gates,
-                             active_split_head)
+        logits = linear(tape.input(np.asarray(batch.inputs, dtype=np.float64)), "proj")
     elif model.mode == "dense":
-        x = tape.input(np.asarray(batch.inputs, dtype=np.float64))
-        xe = tape.matmul(x, tape.transpose(ws.slot("embed")))
+        xe = linear(tape.input(np.asarray(batch.inputs, dtype=np.float64)), "embed")
         # length-1 attention: softmax over one position is exactly 1, so the
         # block's output equals the (adapted) value projection
-        v = _projection(tape, ws, model, xe, "v_proj", ad_trainable, gates,
-                        active_split_head)
-        o = tape.matmul(v, tape.transpose(ws.slot("o_proj")))
-        x2 = tape.add(xe, o)
-        m = tape.matmul(tape.relu(tape.matmul(x2, tape.transpose(ws.slot("mlp_in")))),
-                        tape.transpose(ws.slot("mlp_out")))
-        x3 = tape.add(x2, m)
-        logits = tape.matmul(x3, tape.transpose(ws.slot("head")))
+        x2 = tape.add(xe, linear(linear(xe, "v_proj"), "o_proj"))
+        x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
+        logits = linear(x3, "head")
     elif model.mode == "tokens":
         tokens = np.asarray(batch.inputs, dtype=np.int64)
         if tokens.ndim != 2:
             raise ShapeError(f"token batches must be (B, T), got {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= model.input_dim:
             raise ContractError("token id out of vocabulary range")
-        embed = ws.slot("embed")
         scale = 1.0 / np.sqrt(model.d_model)
         pooled_rows = []
         for s in range(tokens.shape[0]):
-            xs = tape.gather_rows(embed, tokens[s])
-            q = _projection(tape, ws, model, xs, "q_proj", ad_trainable, gates,
-                            active_split_head)
-            kk = tape.matmul(xs, tape.transpose(ws.slot("k_proj")))
-            v = _projection(tape, ws, model, xs, "v_proj", ad_trainable, gates,
-                            active_split_head)
+            xs = tape.gather_rows(weight("embed"), tokens[s])
+            q = linear(xs, "q_proj")
+            kk = linear(xs, "k_proj")
+            v = linear(xs, "v_proj")
             attn = tape.softmax_rows(tape.scale(tape.matmul(q, tape.transpose(kk)), scale))
-            h = tape.matmul(attn, v)
-            o = tape.matmul(h, tape.transpose(ws.slot("o_proj")))
-            x2 = tape.add(xs, o)
-            m = tape.matmul(tape.relu(tape.matmul(x2, tape.transpose(ws.slot("mlp_in")))),
-                            tape.transpose(ws.slot("mlp_out")))
-            x3 = tape.add(x2, m)
+            x2 = tape.add(xs, linear(tape.matmul(attn, v), "o_proj"))
+            x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
             pooled_rows.append(tape.mean_rows(x3))
-        pooled = tape.concat_rows(pooled_rows)
-        logits = tape.matmul(pooled, tape.transpose(ws.slot("head")))
+        logits = linear(tape.concat_rows(pooled_rows), "head")
     else:
         raise UsageError(f"unknown model mode {model.mode!r}")
 
@@ -311,27 +224,13 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
                       gate_slots=gates)
 
 
-def param_refs(model: ToyModel, trainable: str = "adapters+head",
-               active_split_head: int | None = None) -> dict[str, np.ndarray]:
+def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, np.ndarray]:
     """Live arrays behind each trainable leaf name; updates mutate in place."""
     refs: dict[str, np.ndarray] = {}
     if trainable == "none":
         return refs
     for proj, ad in model.adapters.items():
-        if isinstance(ad, LoraAdapter):
-            refs[f"{proj}.A"] = ad.a
-            refs[f"{proj}.B"] = ad.b
-        elif isinstance(ad, SplitAdapter):
-            heads = (enumerate(ad.heads) if active_split_head is None
-                     else [(active_split_head, ad.heads[active_split_head])])
-            for i, h in heads:
-                refs[f"{proj}.A{i}"] = h.a
-                refs[f"{proj}.B{i}"] = h.b
-        elif isinstance(ad, HydraAdapter):
-            refs[f"{proj}.A"] = ad.a_shared
-            refs[f"{proj}.Wg"] = ad.w_gate
-            for i in range(ad.n_experts):
-                refs[f"{proj}.B{i}"] = ad.experts[i]
+        refs.update(ad.named_params(proj))
     if trainable == "all":
         for name, w in model.weights.items():
             refs[f"base.{name}"] = w

@@ -21,7 +21,9 @@ The harnesses replicate, at desk scale and as seed-majority statistics:
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +42,12 @@ OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# numeric TrainConfig fields and their lower bounds (None: unbounded)
+_INT_FIELDS = {"rank": 1, "experts": 1, "steps": 1, "batch_size": 1, "seed": None,
+               "eval_interval": 1, "d_model": 1, "hidden": 1, "seq_len": 1,
+               "pretrain_steps": 0}
+_FLOAT_FIELDS = {"learning_rate": 0, "pretrain_lr": 0, "alpha": None}
 
 
 @dataclass
@@ -67,18 +75,21 @@ class TrainConfig:
             raise UsageError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.optimizer not in OPTIMIZERS:
             raise UsageError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.steps < 1:
-            raise UsageError(f"steps must be >= 1, got {self.steps}")
-        if self.learning_rate < 0:
-            raise UsageError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.rank < 1:
-            raise UsageError(f"rank must be >= 1, got {self.rank}")
-        if self.experts < 1:
-            raise UsageError(f"experts must be >= 1, got {self.experts}")
-        if self.eval_interval < 1:
-            raise UsageError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        for name, lo in {**_INT_FIELDS, **_FLOAT_FIELDS}.items():
+            v = getattr(self, name)
+            if v is None and name in ("hidden", "alpha"):
+                continue
+            integer = name in _INT_FIELDS
+            if (isinstance(v, bool) or not isinstance(v, int if integer else (int, float))
+                    or not (integer or math.isfinite(v))):
+                kind = "an integer" if integer else "a finite number"
+                raise UsageError(f"{name} must be {kind}, got {v!r}")
+            if lo is not None and v < lo:
+                raise UsageError(f"{name} must be >= {lo}, got {v}")
+        if not isinstance(self.train_head, bool):
+            raise UsageError(f"train_head must be true or false, got {self.train_head!r}")
+        if self.scheme != "full" and self.rank > self.d_model:
+            raise UsageError(f"rank must be <= d_model ({self.d_model}), got {self.rank}")
         return self
 
     @classmethod
@@ -224,7 +235,6 @@ def _adapter_flops(model: ToyModel, cfg: TrainConfig, tokens_processed: int) -> 
 
 
 def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
-          active_split_head: int | None = None,
           task_schedule: bool = False) -> TrainReport:
     """Optimize the model's trainable parameters on the dataset.
 
@@ -256,10 +266,10 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
             task = task_ids[(step - 1) % len(task_ids)]
             pool = np.flatnonzero(data.train_tasks == task)
             idx = pool[rng.integers(cfg.batch_size, pool.size)]
-            head = task if cfg.scheme == "split" else active_split_head
+            head = task if cfg.scheme == "split" else None
         else:
             idx = rng.integers(cfg.batch_size, data.n_train())
-            head = active_split_head
+            head = None
         batch = data.train_batch(idx)
         try:
             # divergence shows up as non-finite values below; numpy's own
@@ -286,19 +296,29 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
                        flop_tally=_adapter_flops(model, cfg, tokens), seed=cfg.seed)
 
 
-def model_checkpoint(path, model: ToyModel, cfg: TrainConfig) -> None:
-    meta = {"scheme": cfg.scheme, "rank": str(cfg.rank), "alpha": repr(
-        float(cfg.alpha if cfg.alpha is not None else cfg.rank)),
-        "seed": str(cfg.seed)}
-    tensors: list[tuple[str, np.ndarray]] = []
-    for proj in sorted(model.adapters):
-        tensors += ad_mod.adapter_tensors(proj, model.adapters[proj])
+def _checkpoint_meta(cfg: TrainConfig) -> dict[str, str]:
+    alpha = float(cfg.alpha if cfg.alpha is not None else cfg.rank)
+    return {"scheme": cfg.scheme, "rank": str(cfg.rank), "alpha": repr(alpha),
+            "seed": str(cfg.seed)}
+
+
+def _checkpoint_base(model: ToyModel, cfg: TrainConfig) -> dict[str, np.ndarray]:
+    """The base weights a run under cfg trains, so its checkpoint carries them."""
     if cfg.scheme == "full":
-        for name in sorted(model.weights):
-            tensors.append((f"base.{name}", model.weights[name]))
-    elif cfg.train_head and model.mode != "linear":
-        tensors.append(("base.head", model.weights["head"]))
-    ad_mod.write_checkpoint(path, meta, tensors)
+        return {name: model.weights[name] for name in sorted(model.weights)}
+    if cfg.train_head and model.mode != "linear":
+        return {"head": model.weights["head"]}
+    return {}
+
+
+def _shapes(adapters, base: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
+    named = ad_mod.all_params(adapters) + [(f"base.{n}", w) for n, w in base.items()]
+    return {name: arr.shape for name, arr in named}
+
+
+def model_checkpoint(path, model: ToyModel, cfg: TrainConfig) -> None:
+    ad_mod.write_checkpoint(path, _checkpoint_meta(cfg), model.adapters,
+                            _checkpoint_base(model, cfg))
 
 
 # -- corpus-backed training --------------------------------------------------
@@ -354,6 +374,8 @@ def build_from_config(cfg: TrainConfig):
         raise UsageError("config needs dataset: a corpus path or a synthetic spec")
 
     if "corpus" in spec:
+        if not isinstance(spec["corpus"], str):
+            raise UsageError(f"dataset corpus must be a path, got {spec['corpus']!r}")
         docs = corpus_mod.load_jsonl(spec["corpus"])
         data, vocab, classes = token_dataset_from_corpus(docs, cfg.seq_len, cfg.seed)
         model = tm.token_model(len(vocab) + 1, cfg.d_model, len(classes),
@@ -364,10 +386,14 @@ def build_from_config(cfg: TrainConfig):
         opts = {k: v for k, v in spec.items() if k != "synthetic"}
         makers = {"interference": interference_data, "components": component_data,
                   "xor-components": xor_component_data}
-        if kind not in makers:
+        if not isinstance(kind, str) or kind not in makers:
             raise UsageError(f"unknown synthetic dataset {kind!r}; "
                              f"expected one of {sorted(makers)}")
-        data = makers[kind](seed=cfg.seed, **opts)
+        try:
+            call = inspect.signature(makers[kind]).bind(seed=cfg.seed, **opts)
+        except TypeError as e:
+            raise UsageError(f"synthetic dataset {kind!r}: {e}") from e
+        data = makers[kind](*call.args, **call.kwargs)
         classes = sorted(set(int(v) for v in data.train_labels))
         model = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, len(classes),
                                seed=SeededRng(cfg.seed).derive("model").seed,
@@ -390,17 +416,25 @@ def run_from_config(cfg: TrainConfig):
     return model, data, report
 
 
-def restore_into_model(model: ToyModel, cfg: TrainConfig,
-                       tensors: dict[str, np.ndarray]) -> None:
-    """Load checkpoint tensors back into a freshly built model."""
-    projs = sorted({name.split(".")[0] for name in tensors if not name.startswith("base.")})
-    for proj in projs:
-        alpha = float(cfg.alpha if cfg.alpha is not None else cfg.rank)
-        model.adapters[proj] = ad_mod.adapter_from_tensors(
-            cfg.scheme, proj, tensors, rank=cfg.rank, alpha=alpha)
-    for name, arr in tensors.items():
-        if name.startswith("base."):
-            model.weights[name.split(".", 1)[1]][:] = arr
+def restore_into_model(model: ToyModel, cfg: TrainConfig, meta: dict[str, str],
+                       adapters: dict, base: dict[str, np.ndarray]) -> None:
+    """Install what adapters.read_checkpoint returned into a model freshly
+    built from cfg. A checkpoint written under a different scheme, rank,
+    alpha, seed, expert/head count or model shape is a UsageError."""
+    want_meta = _checkpoint_meta(cfg)
+    for key, parse in (("scheme", str), ("rank", int), ("alpha", float), ("seed", str)):
+        if key not in meta or parse(meta[key]) != parse(want_meta[key]):
+            raise UsageError(f"checkpoint has {key} {meta.get(key)}, the config "
+                             f"{want_meta[key]}")
+    want = _shapes(model.adapters, _checkpoint_base(model, cfg))
+    got = _shapes(adapters, base)
+    differ = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    if differ:
+        raise UsageError(f"checkpoint and config (experts={cfg.experts}, d_model="
+                         f"{cfg.d_model}) disagree on the presence or shape of {differ}")
+    model.adapters.update(adapters)
+    for name, arr in base.items():
+        model.weights[name][:] = arr
 
 
 # -- synthetic task fixtures ------------------------------------------------
@@ -556,9 +590,6 @@ class Obs1Report:
     rows: list[dict]        # per seed: losses for both arms, win flag
     wins: int
     seeds: list[int]
-
-    def win_rate(self) -> float:
-        return self.wins / len(self.rows) if self.rows else 0.0
 
 
 def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: TrainConfig,

@@ -235,6 +235,12 @@ def test_adapter_branch_macs_match_formula(monkeypatch):
 # -- checkpoints --------------------------------------------------------------
 
 
+def _save(path, scheme, adapter, proj="adapter", **base):
+    meta = {"scheme": scheme, "rank": str(adapter.rank), "alpha": repr(adapter.alpha),
+            "seed": "42"}
+    ad.write_checkpoint(path, meta, {proj: adapter}, base)
+
+
 @pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
 def test_checkpoint_round_trip_bitwise(tmp_path, scheme):
     adapter = _fresh(scheme, 5, 4, 2, 3, seed=13)
@@ -243,35 +249,61 @@ def test_checkpoint_round_trip_bitwise(tmp_path, scheme):
     for i, m in enumerate(mats):
         m[:] = SeededRng(100 + i).normal(m.size).reshape(m.shape)
     path = tmp_path / "ck.txt"
-    ad.save_adapter(path, adapter, seed=42)
-    loaded = ad.load_adapter(path)
-    for (n1, t1), (n2, t2) in zip(ad.adapter_tensors("adapter", adapter),
-                                  ad.adapter_tensors("adapter", loaded)):
+    head = SeededRng(7).normal(6).reshape(2, 3)
+    _save(path, scheme, adapter, proj="v_proj", head=head)
+    meta, loaded, base = ad.read_checkpoint(path)
+    assert meta == {"scheme": scheme, "rank": "2", "alpha": "2.0", "seed": "42"}
+    assert list(loaded) == ["v_proj"]
+    assert type(loaded["v_proj"]) is type(adapter)
+    pairs = list(zip(adapter.named_params("v_proj"), loaded["v_proj"].named_params("v_proj")))
+    assert len(pairs) == len(adapter.named_params("v_proj"))
+    for (n1, t1), (n2, t2) in pairs:
         assert n1 == n2
         assert t1.tobytes() == t2.tobytes()
+    assert list(base) == ["head"] and base["head"].tobytes() == head.tobytes()
+    # writing what was read gives the same bytes
+    again = tmp_path / "again.txt"
+    ad.write_checkpoint(again, meta, loaded, base)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("scheme,names", [
+    ("lora", ["p.A", "p.B"]),
+    ("split", ["p.A0", "p.B0", "p.A1", "p.B1", "p.A2", "p.B2"]),
+    ("hydra", ["p.A", "p.B0", "p.B1", "p.B2", "p.Wg"]),
+])
+def test_named_params_order_and_liveness(scheme, names):
+    adapter = _fresh(scheme, 5, 4, 2, 3, seed=1)
+    named = adapter.named_params("p")
+    assert [n for n, _ in named] == names
+    named[-1][1][0, 0] = 123.0   # the arrays are the adapter's own, not copies
+    assert adapter.named_params("p")[-1][1][0, 0] == 123.0
+    for n, _ in named:
+        assert ad.parse_param_name(n)[0] == "p"
+    assert ad.parse_param_name("base.head") is None
 
 
 def test_checkpoint_truncated_file(tmp_path):
     path = tmp_path / "ck.txt"
-    ad.save_adapter(path, _fresh("lora", 3, 3, 1, 1, 0))
+    _save(path, "lora", _fresh("lora", 3, 3, 1, 1, 0))
     raw = path.read_text()
     path.write_text(raw[: len(raw) - 20])
     with pytest.raises(CheckpointError) as exc:
-        ad.load_adapter(path)
+        ad.read_checkpoint(path)
     assert exc.value.offset > 0
 
 
 def test_checkpoint_version_mismatch(tmp_path):
     path = tmp_path / "ck.txt"
-    ad.save_adapter(path, _fresh("lora", 3, 3, 1, 1, 0))
+    _save(path, "lora", _fresh("lora", 3, 3, 1, 1, 0))
     path.write_text(path.read_text().replace("v1", "v9", 1))
     with pytest.raises(CheckpointError, match="version"):
-        ad.load_adapter(path)
+        ad.read_checkpoint(path)
 
 
 def test_checkpoint_bad_hex(tmp_path):
     path = tmp_path / "ck.txt"
-    ad.save_adapter(path, _fresh("lora", 3, 3, 1, 1, 0))
+    _save(path, "lora", _fresh("lora", 3, 3, 1, 1, 0))
     lines = path.read_text().split("\n")
     for i, line in enumerate(lines):
         if line.startswith("tensor "):
@@ -279,4 +311,24 @@ def test_checkpoint_bad_hex(tmp_path):
             break
     path.write_text("\n".join(lines))
     with pytest.raises(CheckpointError, match="hex"):
-        ad.load_adapter(path)
+        ad.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda t: t.replace("scheme: hydra\n", ""), "missing metadata line 'scheme'"),
+    (lambda t: t.replace("rank: 2\n", "rank: two\n"), "rank"),
+    (lambda t: t.replace("scheme: hydra", "scheme: lora"), "missing tensor adapter.B"),
+    (lambda t: t.replace("scheme: hydra", "scheme: split"), "missing tensor adapter.A0"),
+    (lambda t: t.replace("scheme: hydra", "scheme: dense"), "unknown scheme"),
+    (lambda t: t.replace("tensor adapter.Wg", "tensor adapter.Wx"), "missing tensor adapter.Wg"),
+    (lambda t: t.replace("tensor adapter.B2", "tensor adapter.B7"), "missing tensor adapter.B2"),
+    (lambda t: t + "tensor adapter.B3 1 1\n" + "00" * 8 + "\n", "'adapter.B3' is not part"),
+    (lambda t: t.replace("tensor base.head", "tensor head"), "'head' is not part"),
+])
+def test_checkpoint_reader_rejects_inconsistent_files(tmp_path, edit, match):
+    path = tmp_path / "ck.txt"
+    _save(path, "hydra", _fresh("hydra", 3, 3, 2, 3, 0), head=np.zeros((2, 3)))
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(CheckpointError, match=match):
+        ad.read_checkpoint(path)
+

@@ -109,6 +109,26 @@ def test_train_end_to_end_from_cluster_output(tmp_path, corpus_file, capsys):
     evald = json.loads(capsys.readouterr().out)
     assert evald["loss"] == summary["final_loss"]
 
+    # every adapted projection of the token model is checked
+    assert main(["merge-infer", "--checkpoint", str(out_dir / "checkpoint.txt")]) == 0
+    assert capsys.readouterr().out.startswith("max |merge - moe|:")
+
+
+def test_train_checkpoint_round_trip(tmp_path, corpus_file, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_train_cfg(corpus_file, steps=5, pretrain_steps=2)))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    path = tmp_path / "run" / "checkpoint.txt"
+    meta, adapters, base = ad.read_checkpoint(path)
+    assert meta == {"scheme": "hydra", "rank": "3", "alpha": "3.0", "seed": "5"}
+    assert sorted(adapters) == ["q_proj", "v_proj"]
+    assert all(len(a.experts) == 3 for a in adapters.values())
+    assert list(base) == ["head"]
+    again = tmp_path / "again.txt"
+    ad.write_checkpoint(again, meta, adapters, base)
+    assert again.read_bytes() == path.read_bytes()
+
 
 def test_train_rejects_zero_steps(tmp_path, corpus_file, capsys):
     cfg_path = tmp_path / "cfg.json"
@@ -153,6 +173,11 @@ def test_train_zero_lr_flat_curve(tmp_path, corpus_file, capsys):
     assert len(losses) == 1
 
 
+def _save(path, scheme, adapter):
+    ad.write_checkpoint(path, {"scheme": scheme, "rank": str(adapter.rank),
+                               "alpha": repr(adapter.alpha)}, {"adapter": adapter})
+
+
 def test_merge_infer_on_trained_checkpoint(tmp_path, capsys):
     hy = ad.HydraAdapter.init(6, 5, 2, 3, SeededRng(1))
     rng = SeededRng(2)
@@ -160,7 +185,7 @@ def test_merge_infer_on_trained_checkpoint(tmp_path, capsys):
         e[:] = rng.normal(e.size).reshape(e.shape)
     hy.w_gate[:] = rng.normal(hy.w_gate.size).reshape(hy.w_gate.shape)
     path = tmp_path / "hydra.txt"
-    ad.save_adapter(path, hy)
+    _save(path, "hydra", hy)
     assert main(["merge-infer", "--checkpoint", str(path), "--trials", "32",
                  "--seed", "4"]) == 0
     out = capsys.readouterr().out
@@ -170,14 +195,14 @@ def test_merge_infer_on_trained_checkpoint(tmp_path, capsys):
 def test_merge_infer_rejects_plain_adapter(tmp_path):
     lora = ad.LoraAdapter.init(4, 4, 2, SeededRng(0))
     path = tmp_path / "lora.txt"
-    ad.save_adapter(path, lora)
+    _save(path, "lora", lora)
     assert main(["merge-infer", "--checkpoint", str(path)]) == 1
 
 
 def test_analyze_requires_two_checkpoints(tmp_path):
     lora = ad.LoraAdapter.init(4, 4, 2, SeededRng(0))
     path = tmp_path / "one.txt"
-    ad.save_adapter(path, lora)
+    _save(path, "lora", lora)
     assert main(["analyze", "--checkpoints", str(path),
                  "--out", str(tmp_path / "a")]) == 1
 
@@ -188,7 +213,7 @@ def test_analyze_writes_reports(tmp_path, capsys):
         lora = ad.LoraAdapter.init(4, 4, 2, SeededRng(i))
         lora.b[:] = SeededRng(10 + i).normal(8).reshape(4, 2)
         p = tmp_path / f"task{i}.txt"
-        ad.save_adapter(p, lora)
+        _save(p, "lora", lora)
         paths.append(str(p))
     out_dir = tmp_path / "analysis"
     assert main(["analyze", "--checkpoints", *paths, "--out", str(out_dir),
@@ -216,3 +241,140 @@ def test_cluster_rerun_is_byte_identical(tmp_path, corpus_file, capsys):
               "--seed", "3", "--out", str(out)])
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _readme_walkthrough() -> str:
+    """The first bash block of the README's "CLI walkthrough" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1]
+    return section.split("```bash\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path):
+    bin_dir, work = tmp_path / "bin", tmp_path / "work"
+    bin_dir.mkdir()
+    work.mkdir()
+    log = tmp_path / "exits.log"
+    # `hydra-peft` and `python3` on PATH run this interpreter on this checkout
+    (bin_dir / "hydra-peft").write_text(
+        f'#!/bin/sh\n"{sys.executable}" -m hydra_peft.cli "$@"\n'
+        f'code=$?\necho "$1 $code" >> "{log}"\nexit $code\n')
+    (bin_dir / "python3").write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    for shim in bin_dir.iterdir():
+        shim.chmod(0o755)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=src)
+    proc = subprocess.run(["bash", "-e", "-c", _readme_walkthrough()], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=600)
+    steps = [line.split() for line in log.read_text().splitlines()]
+    assert steps == [["cluster", "0"], ["train", "0"], ["train", "0"], ["eval", "0"],
+                     ["merge-infer", "0"], ["analyze", "0"]], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "k_selected: 3" in proc.stdout
+    assert (work / "analysis" / "embedding.svg").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small token-mode hydra run: (dir, config dict, checkpoint path)."""
+    root = tmp_path_factory.mktemp("trained")
+    corpus_path = root / "corpus.jsonl"
+    cp.save_jsonl(corpus_path, cp.synth_corpus(3, 30, 0.8, seed=7))
+    cfg = _train_cfg(corpus_path, steps=4, pretrain_steps=2)
+    (root / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(root / "cfg.json"), "--out", str(root / "run")]) == 0
+    return root, cfg, root / "run" / "checkpoint.txt"
+
+
+def _bad_config(field, value):
+    def make(root, cfg, ckpt):
+        path = root / f"bad_{field}.json"
+        if field == "dataset" and value == "latin-1":
+            corpus = root / "latin1.jsonl"
+            corpus.write_bytes('{"id": "a", "text": "café", "task": "t"}\n'.encode("latin-1"))
+            value_ = {"corpus": str(corpus)}
+        else:
+            value_ = value
+        path.write_text(json.dumps({**cfg, field: value_}))
+        return ["train", "--config", str(path), "--out", str(root / f"out_{field}")]
+    return make
+
+
+def _eval_with(**overrides):
+    def make(root, cfg, ckpt):
+        path = root / "eval_cfg.json"
+        path.write_text(json.dumps({**cfg, **overrides}))
+        return ["eval", "--config", str(path), "--checkpoint", str(ckpt)]
+    return make
+
+
+def _edited_checkpoint(command, edit):
+    def make(root, cfg, ckpt):
+        path = root / "edited.txt"
+        path.write_text(edit(ckpt.read_text()))
+        if command == "eval":
+            (root / "cfg_ok.json").write_text(json.dumps(cfg))
+            return ["eval", "--config", str(root / "cfg_ok.json"), "--checkpoint", str(path)]
+        return ["merge-infer", "--checkpoint", str(path)]
+    return make
+
+
+def _drop_tensor(text, name):
+    lines = text.split("\n")
+    i = lines.index(next(line for line in lines if line.startswith(f"tensor {name} ")))
+    return "\n".join(lines[:i] + lines[i + 2:])
+
+
+def _non_utf8_config(root, cfg, ckpt):
+    path = root / "latin1_cfg.json"
+    path.write_bytes(b'{"scheme": "caf\xe9"}')
+    return ["train", "--config", str(path), "--out", str(root / "x")]
+
+
+def _merge_bad_input(root, cfg, ckpt):
+    path = root / "input.json"
+    path.write_text("[1, 2,")
+    return ["merge-infer", "--checkpoint", str(ckpt), "--input", str(path)]
+
+
+MALFORMED = [
+    ("rank as a string", _bad_config("rank", "4"), 1, "rank must be an integer"),
+    ("rank above d_model", _bad_config("rank", 40), 1, "rank must be <= d_model"),
+    ("fractional steps", _bad_config("steps", 2.5), 1, "steps must be an integer"),
+    ("NaN learning rate", _bad_config("learning_rate", float("nan")), 1, "learning_rate"),
+    ("train_head as a string", _bad_config("train_head", "yes"), 1, "train_head"),
+    ("unknown synthetic option",
+     _bad_config("dataset", {"synthetic": "interference", "bogus": 1}), 1, "bogus"),
+    ("missing synthetic option", _bad_config("dataset", {"synthetic": "components"}), 1,
+     "level"),
+    ("corpus path not a string", _bad_config("dataset", {"corpus": 3}), 1, "corpus"),
+    ("corpus not UTF-8", _bad_config("dataset", "latin-1"), 2, "not UTF-8"),
+    ("config not UTF-8", _non_utf8_config, 1, "not UTF-8"),
+    ("eval: other alpha", _eval_with(alpha=30), 1, "alpha"),
+    ("eval: other expert count", _eval_with(experts=2), 1, "experts=2"),
+    ("eval: other scheme", _eval_with(scheme="lora"), 1, "scheme"),
+    ("eval: other rank", _eval_with(rank=2), 1, "rank"),
+    ("eval: other seed", _eval_with(seed=6), 1, "seed"),
+    ("eval: other width", _eval_with(d_model=16), 1, "shape"),
+    ("eval: no scheme line",
+     _edited_checkpoint("eval", lambda t: t.replace("scheme: hydra\n", "")), 2,
+     "missing metadata line 'scheme'"),
+    ("merge-infer: no scheme line",
+     _edited_checkpoint("merge-infer", lambda t: t.replace("scheme: hydra\n", "")), 2,
+     "missing metadata line 'scheme'"),
+    ("eval: missing tensor",
+     _edited_checkpoint("eval", lambda t: _drop_tensor(t, "v_proj.B1")), 2,
+     "missing tensor v_proj.B1"),
+    ("merge-infer: unparseable input", _merge_bad_input, 2, "input.json"),
+]
+
+
+@pytest.mark.parametrize("make,code,message", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exit_codes(trained, make, code, message):
+    proc = _run_cli(make(*trained))
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

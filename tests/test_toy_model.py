@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hydra_peft import adapters as ad
 from hydra_peft import toy_model as tm
 from hydra_peft.autodiff import grad_check
 from hydra_peft.errors import ContractError, InvariantError, UsageError
@@ -125,3 +126,58 @@ def test_clone_is_independent():
     clone.adapters["v_proj"].b[0, 0] += 1.0
     assert model.weights["head"][0, 0] != clone.weights["head"][0, 0]
     assert model.adapters["v_proj"].b[0, 0] == 0.0
+
+
+def _linear_with_live_adapter(scheme):
+    """A linear model whose adapter has every parameter nonzero, plus a batch."""
+    model = tm.linear_model(5, 4, seed=3)
+    tm.attach(model, "proj", scheme, rank=2, seed=4, n=3, alpha=3.0)
+    rng = SeededRng(21)
+    for _, arr in model.adapters["proj"].named_params("proj"):
+        arr[:] = rng.normal(arr.size).reshape(arr.shape)
+    x = rng.normal(6 * 5).reshape(6, 5)
+    return model, tm.Batch(inputs=x, targets=np.zeros((6, 4)))
+
+
+@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+def test_tape_branch_matches_numpy_forward(scheme):
+    model, batch = _linear_with_live_adapter(scheme)
+    w0, adapter = model.weights["proj"], model.adapters["proj"]
+    logits, _, gates = tm.forward(model, batch, loss="mse")
+    rows = []
+    for i, x in enumerate(batch.inputs):
+        if scheme == "lora":
+            want = ad.lora_forward(x, w0, adapter)
+        elif scheme == "split":
+            want = ad.split_forward(x, w0, adapter)
+        else:
+            want, gate = ad.hydra_forward(x, w0, adapter)
+            rows.append(gate.weights)
+        assert np.abs(logits[i] - want).max() <= 1e-12
+        assert np.abs(want - w0 @ x).max() > 1e-3  # the adapter is really live
+    if scheme == "hydra":
+        assert np.abs(gates["proj"] - np.mean(rows, axis=0)).max() <= 1e-12
+    else:
+        assert gates == {}
+
+
+def test_split_active_head_emits_only_that_head():
+    model, batch = _linear_with_live_adapter("split")
+    w0, split = model.weights["proj"], model.adapters["proj"]
+    graph = tm.build_graph(model, batch, loss="mse", trainable="adapters",
+                           active_split_head=1)
+    assert sorted(graph.tape.trainable_slots()) == ["proj.A1", "proj.B1"]
+    logits = graph.tape.value(graph.logits_slot)
+    for i, x in enumerate(batch.inputs):
+        want = ad.lora_forward(x, w0, split.heads[1])
+        assert np.abs(logits[i] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+def test_param_refs_are_the_tape_leaves(scheme):
+    model, batch = _linear_with_live_adapter(scheme)
+    graph = tm.build_graph(model, batch, loss="mse", trainable="adapters")
+    refs = tm.param_refs(model, "adapters")
+    assert sorted(refs) == sorted(graph.tape.trainable_slots())
+    for name, arr in refs.items():
+        assert arr is dict(model.adapters["proj"].named_params("proj"))[name]

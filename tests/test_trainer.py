@@ -256,8 +256,7 @@ def test_run_from_config_synthetic_and_checkpoint(tmp_path):
     tr.model_checkpoint(path, model, cfg)
     fresh, _ = tr.build_from_config(cfg)
     from hydra_peft.adapters import read_checkpoint
-    _, tensors = read_checkpoint(path)
-    tr.restore_into_model(fresh, cfg, tensors)
+    tr.restore_into_model(fresh, cfg, *read_checkpoint(path))
     l1, a1, _ = tr.evaluate(model, data)
     l2, a2, _ = tr.evaluate(fresh, data)
     assert l1 == l2 and a1 == a2
