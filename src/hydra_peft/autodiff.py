@@ -30,6 +30,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _group_matmul(a, b, groups: int, ta: bool = False, tb: bool = False) -> np.ndarray:
+    """Row block s of a times row block s of b, each transposed if asked, stacked."""
+    a, b = (x.reshape(groups, -1, x.shape[1]) for x in (a, b))
+    out = linalg.matmul(a.transpose(0, 2, 1) if ta else a, b.transpose(0, 2, 1) if tb else b)
+    return out.reshape(-1, out.shape[2])
+
+
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -51,10 +58,15 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._trainable_names: set[str] = set()
 
     # -- construction ----------------------------------------------------
 
     def input(self, value, name: str | None = None, trainable: bool = False) -> int:
+        if trainable and name is not None:  # gradients are keyed by name
+            if name in self._trainable_names:
+                raise ContractError(f"trainable leaf {name!r} is already on the tape")
+            self._trainable_names.add(name)
         value = np.asarray(value)
         if value.dtype.kind == "f":
             value = value.astype(np.float64)
@@ -93,14 +105,16 @@ class Tape:
     def softmax_rows(self, a: int) -> int:
         return self._emit("softmax_rows", (a,))
 
-    def mean_rows(self, a: int) -> int:
-        return self._emit("mean_rows", (a,))
+    def group_matmul(self, a: int, b: int, groups: int, transpose_b: bool = False) -> int:
+        """Per row block: a_s b_s, or a_s b_s^T with transpose_b (see _group_matmul)."""
+        return self._emit("group_matmul", (a, b), (groups, transpose_b))
+
+    def group_mean(self, a: int, mask: np.ndarray) -> int:
+        """Per row block s, the mean of the rows that mask[s] (0 or 1 per row) keeps."""
+        return self._emit("group_mean", (a,), np.asarray(mask, dtype=np.float64))
 
     def slice_cols(self, a: int, j0: int, j1: int) -> int:
         return self._emit("slice_cols", (a,), (j0, j1))
-
-    def concat_rows(self, slots: list[int]) -> int:
-        return self._emit("concat_rows", tuple(slots))
 
     def gather_rows(self, a: int, indices) -> int:
         idx = np.asarray(indices, dtype=np.int64)
@@ -132,13 +146,15 @@ class Tape:
             return np.maximum(vals[0], 0.0)
         if op == "softmax_rows":
             return _softmax_rows(vals[0])
-        if op == "mean_rows":
-            return vals[0].mean(axis=0, keepdims=True)
+        if op == "group_matmul":
+            return _group_matmul(*vals, aux[0], tb=aux[1])
+        if op == "group_mean":
+            w = aux[:, :, None]
+            # sum, then divide: the bytes of mean() when no row is masked
+            return np.add.reduce(vals[0].reshape(*aux.shape, -1) * w, axis=1) / w.sum(axis=1)
         if op == "slice_cols":
             j0, j1 = aux
             return vals[0][:, j0:j1].copy()
-        if op == "concat_rows":
-            return np.concatenate(vals, axis=0)
         if op == "gather_rows":
             return vals[0][aux]
         if op == "cross_entropy":
@@ -266,19 +282,22 @@ class Tape:
         elif op == "softmax_rows":
             p = node.value
             put(ins[0], p * (g - (g * p).sum(axis=1, keepdims=True)))
-        elif op == "mean_rows":
-            n = vals[0].shape[0]
-            put(ins[0], np.broadcast_to(g / n, vals[0].shape).copy())
+        elif op == "group_matmul":
+            (groups, tb), (a, b) = aux, vals  # per block: out = a b, or a b^T with tb
+            if self._nodes[ins[0]].needs_grad:
+                put(ins[0], _group_matmul(g, b, groups, tb=not tb))
+            if self._nodes[ins[1]].needs_grad:  # g^T a with tb, else a^T g
+                put(ins[1], _group_matmul(g, a, groups, ta=True) if tb
+                            else _group_matmul(a, g, groups, ta=True))
+        elif op == "group_mean":
+            w = aux[:, :, None]
+            rows = g[:, None, :] * w / w.sum(axis=1, keepdims=True)
+            put(ins[0], rows.reshape(vals[0].shape))
         elif op == "slice_cols":
             j0, j1 = aux
             full = np.zeros_like(vals[0])
             full[:, j0:j1] = g
             put(ins[0], full)
-        elif op == "concat_rows":
-            r = 0
-            for slot, v in zip(ins, vals):
-                put(slot, g[r : r + v.shape[0]])
-                r += v.shape[0]
         elif op == "gather_rows":
             full = np.zeros_like(vals[0])
             np.add.at(full, aux, g)

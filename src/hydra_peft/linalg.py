@@ -15,6 +15,8 @@ the sequence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, InvariantError, ShapeError
@@ -110,33 +112,38 @@ _BROADCAST_MAX_ELEMS = 1 << 16
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with fixed accumulation order over the shared index.
 
-    Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ..., k
-    ascending, whichever of two kernels runs:
+    Operands are matrices or equal-length stacks of them, (G, m, k) x
+    (G, k, n). Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j])
+    + ..., k ascending, whichever of two kernels runs and whatever G is:
 
-    - small products (m*n >= 2, m*k*n <= _BROADCAST_MAX_ELEMS): all
-      products go into one C-contiguous (k, m, n) buffer, which is reduced
-      over axis 0. With k the outermost axis numpy adds whole m*n slices in
-      k order. A buffer laid out any other way (or m*n == 1) can put k on
+    - small products (output size >= 2, times k <= _BROADCAST_MAX_ELEMS):
+      all products go into one C-contiguous (k, [G,] m, n) buffer, reduced
+      over axis 0. With k the outermost axis numpy adds whole output-sized
+      slices in k order. Any other layout (or a 1-entry output) can put k on
       the inner loop, where numpy switches to pairwise summation and the
       bytes change. The trailing + 0.0 turns the -0.0 a reduce can return
       into the +0.0 the loop's zero start gives.
     - everything else: a loop over k adding rank-1 updates into zeros.
     """
-    a = _check_matrix(a, "a")
-    b = _check_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
+    a, b = np.asarray(a), np.asarray(b)
+    if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    (m, k), n = a.shape, b.shape[1]
+    k, n = b.shape[-2:]
+    out_shape = a.shape[:-1] + (n,)
+    size = math.prod(out_shape)
     dtype = np.result_type(a, b, np.float64)
     with np.errstate(all="ignore"):  # finiteness is checked explicitly below
-        if m * n >= 2 and m * k * n <= _BROADCAST_MAX_ELEMS:
-            prods = np.multiply(a.T[:, :, None], b[:, None, :],
-                                out=np.empty((k, m, n), dtype=dtype))
+        if size >= 2 and size * k <= _BROADCAST_MAX_ELEMS:
+            # (k, [G,] m) and (k, [G,] n) views of the operands
+            at, bt = (a.transpose(2, 0, 1), b.transpose(1, 0, 2)) if a.ndim == 3 else (a.T, b)
+            prods = np.multiply(at[..., None], bt[..., None, :],
+                                out=np.empty((k, *out_shape), dtype=dtype))
             out = np.add.reduce(prods, axis=0) + 0.0
         else:
-            out = np.zeros((m, n), dtype=dtype)
+            out = np.zeros(out_shape, dtype=dtype)
             for i in range(k):
-                out += a[:, i : i + 1] * b[i : i + 1, :]
+                out += a[..., i : i + 1] * b[..., i : i + 1, :]
     if not np.isfinite(out).all():
         raise InvariantError("matmul produced non-finite entries")
     return out

@@ -9,7 +9,8 @@ Three variants share one weight layout:
 * "tokens" -- token-id sequences through an embedding table and a full
               single-head attention block (softmax(Q K^T / sqrt(d)) V) with
               adapters available on q_proj and v_proj, mean-pooled into the
-              classifier head.
+              classifier head. Id 0 is padding: no position attends to it
+              and the pool leaves it out.
 * "linear" -- a single projection, used by the least-squares harness.
 
 Base weights are frozen; only adapters (plus, configurably, the classifier
@@ -134,15 +135,13 @@ class ModelGraph:
     tape: Tape
     loss_slot: int
     logits_slot: int
-    gate_slots: dict[str, list[int]]
+    gate_slots: dict[str, int]
+    kept_rows: np.ndarray  # rows of the gate slots that are not padding
 
     def gate_means(self) -> dict[str, np.ndarray]:
-        """Mean router weights per expert, averaged over tokens and samples."""
-        out = {}
-        for proj, slots in self.gate_slots.items():
-            rows = np.concatenate([self.tape.value(s) for s in slots], axis=0)
-            out[proj] = rows.mean(axis=0)
-        return out
+        """Mean router weights per expert, averaged over the kept rows."""
+        return {proj: self.tape.value(s)[self.kept_rows].mean(axis=0)
+                for proj, s in self.gate_slots.items()}
 
 
 def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
@@ -156,7 +155,8 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
         raise UsageError(f"unknown trainable spec {trainable!r}")
     tape = Tape()
     slots: dict[str, int] = {}
-    gates: dict[str, list[int]] = {}
+    gates: dict[str, int] = {}
+    kept_rows = np.ones(len(batch.inputs), dtype=bool)
 
     def weight(name: str) -> int:
         """The leaf of a base weight, registered once per tape on first use."""
@@ -173,7 +173,7 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
             return out
         branch, gate = ad.tape_branch(tape, x, name, trainable != "none", active_split_head)
         if gate is not None:
-            gates.setdefault(name, []).append(gate)
+            gates[name] = gate
         return tape.add(out, branch)
 
     if model.mode == "linear":
@@ -191,18 +191,21 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
             raise ShapeError(f"token batches must be (B, T), got {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= model.input_dim:
             raise ContractError("token id out of vocabulary range")
-        scale = 1.0 / np.sqrt(model.d_model)
-        pooled_rows = []
-        for s in range(tokens.shape[0]):
-            xs = tape.gather_rows(weight("embed"), tokens[s])
-            q = linear(xs, "q_proj")
-            kk = linear(xs, "k_proj")
-            v = linear(xs, "v_proj")
-            attn = tape.softmax_rows(tape.scale(tape.matmul(q, tape.transpose(kk)), scale))
-            x2 = tape.add(xs, linear(tape.matmul(attn, v), "o_proj"))
-            x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
-            pooled_rows.append(tape.mean_rows(x3))
-        logits = linear(tape.concat_rows(pooled_rows), "head")
+        keep = tokens != 0
+        if not keep.any(axis=1).all():
+            raise ContractError("a token sample is all padding")
+        # one graph over all B*T rows; attention and pooling act per sample
+        n, t = tokens.shape
+        x = tape.gather_rows(weight("embed"), tokens.reshape(-1))
+        q, kk, v = (linear(x, name) for name in ("q_proj", "k_proj", "v_proj"))
+        scores = tape.scale(tape.group_matmul(q, kk, n, transpose_b=True),
+                            1.0 / np.sqrt(model.d_model))
+        if not keep.all():  # -inf on pad keys; without padding nothing is added
+            scores = tape.add(scores, tape.input(np.where(np.repeat(keep, t, 0), 0, -np.inf)))
+        x2 = tape.add(x, linear(tape.group_matmul(tape.softmax_rows(scores), v, n), "o_proj"))
+        x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
+        logits = linear(tape.group_mean(x3, keep), "head")
+        kept_rows = keep.reshape(-1)
     else:
         raise UsageError(f"unknown model mode {model.mode!r}")
 
@@ -221,7 +224,7 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
     else:
         raise UsageError(f"unknown loss {loss!r}")
     return ModelGraph(tape=tape, loss_slot=loss_slot, logits_slot=logits,
-                      gate_slots=gates)
+                      gate_slots=gates, kept_rows=kept_rows)
 
 
 def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, np.ndarray]:

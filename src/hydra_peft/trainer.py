@@ -345,6 +345,8 @@ def token_dataset_from_corpus(docs, seq_len: int, seed: int,
     labels = np.zeros(len(docs), dtype=np.int64)
     for i, d in enumerate(docs):
         toks = [vocab[t] for t in corpus_mod.tokenize(d.text)][:seq_len]
+        if not toks:
+            raise UsageError(f"document {d.id!r} has no tokens")
         seqs[i, : len(toks)] = toks
         labels[i] = class_id[d.task]
     order = np.asarray(SeededRng(seed).derive("split").shuffle(list(range(len(docs)))))
@@ -393,6 +395,11 @@ def build_from_config(cfg: TrainConfig):
             call = inspect.signature(makers[kind]).bind(seed=cfg.seed, **opts)
         except TypeError as e:
             raise UsageError(f"synthetic dataset {kind!r}: {e}") from e
+        for name, v in opts.items():
+            want = call.signature.parameters[name].annotation  # "int", "float" or "bool"
+            if isinstance(v, bool) != (want == "bool") or not isinstance(
+                    v, int if want == "int" else (int, float)):
+                raise UsageError(f"synthetic dataset {kind!r}: {name} must be {want}, got {v!r}")
         data = makers[kind](*call.args, **call.kwargs)
         classes = sorted(set(int(v) for v in data.train_labels))
         model = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, len(classes),

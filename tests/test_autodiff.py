@@ -68,8 +68,12 @@ def _random_graph(seed: int):
     e1 = t.matmul(h, t.transpose(w2))
     e2 = t.scale(t.matmul(h, w2), 0.5)
     mix = t.add(t.mul(t.slice_cols(g, 0, 1), e1), t.mul(t.slice_cols(g, 1, 2), e2))
-    pooled = t.mean_rows(t.concat_rows([mix, h]))
-    labels = t.input(np.array([1]))
+    # two groups of two rows: per-group attention of mix over h, then a
+    # masked per-group mean that drops the last row
+    att = t.softmax_rows(t.group_matmul(mix, h, 2, transpose_b=True))
+    ctx = t.group_matmul(att, h, 2)
+    pooled = t.group_mean(t.add(mix, ctx), np.array([[1.0, 1.0], [1.0, 0.0]]))
+    labels = t.input(np.array([1, 2]))
     loss = t.cross_entropy(pooled, labels)
     return t, loss
 
@@ -150,3 +154,26 @@ def test_forward_recomputes_after_set_value():
     t.set_value(x, np.array([[2.0, 2.0]]))
     t.forward()
     assert float(t.value(loss)) == 4.0
+
+
+def test_second_trainable_leaf_with_a_taken_name_rejected():
+    # gradients and grad_check key by name, so a second leaf would shadow the first
+    t = Tape()
+    t.input(np.ones((2, 2)), name="w", trainable=True)
+    t.input(np.ones((2, 2)), name="w")  # frozen leaves may share a name
+    t.input(np.ones((2, 2)), name="v", trainable=True)
+    with pytest.raises(ContractError, match="'w'"):
+        t.input(np.ones((2, 2)), name="w", trainable=True)
+
+
+def test_group_ops_act_per_block():
+    rng = SeededRng(8)
+    a, b = rng.normal(12).reshape(4, 3), rng.normal(12).reshape(4, 3)
+    t = Tape()
+    ab = t.group_matmul(t.input(a), t.input(b), 2, transpose_b=True)
+    assert t.value(ab).shape == (4, 2)
+    for s in range(2):
+        blk = slice(2 * s, 2 * s + 2)
+        assert np.allclose(t.value(ab)[blk], a[blk] @ b[blk].T, atol=1e-15)
+    mean = t.group_mean(t.input(a), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert np.array_equal(t.value(mean), np.stack([a[:2].mean(axis=0), a[3]]))

@@ -327,6 +327,13 @@ def _drop_tensor(text, name):
     return "\n".join(lines[:i] + lines[i + 2:])
 
 
+def _corpus_with_empty_doc(root, cfg, ckpt):
+    corpus = root / "empty_doc.jsonl"
+    corpus.write_text(Path(cfg["dataset"]["corpus"]).read_text()
+                      + '{"id": "blank", "text": "?!", "task": "t0"}\n')
+    return _bad_config("dataset", {"corpus": str(corpus)})(root, cfg, ckpt)
+
+
 def _non_utf8_config(root, cfg, ckpt):
     path = root / "latin1_cfg.json"
     path.write_bytes(b'{"scheme": "caf\xe9"}')
@@ -349,6 +356,13 @@ MALFORMED = [
      _bad_config("dataset", {"synthetic": "interference", "bogus": 1}), 1, "bogus"),
     ("missing synthetic option", _bad_config("dataset", {"synthetic": "components"}), 1,
      "level"),
+    ("synthetic option of the wrong type",
+     _bad_config("dataset", {"synthetic": "interference", "train_per_task": "x"}), 1,
+     "train_per_task must be int"),
+    ("synthetic flag as a number",
+     _bad_config("dataset", {"synthetic": "interference", "identical_tasks": 1}), 1,
+     "identical_tasks must be bool"),
+    ("corpus document without tokens", _corpus_with_empty_doc, 1, "'blank' has no tokens"),
     ("corpus path not a string", _bad_config("dataset", {"corpus": 3}), 1, "corpus"),
     ("corpus not UTF-8", _bad_config("dataset", "latin-1"), 2, "not UTF-8"),
     ("config not UTF-8", _non_utf8_config, 1, "not UTF-8"),

@@ -158,6 +158,44 @@ def test_matmul_overflow_raises_like_oracle(m, k, n):
         matmul(a, b)
 
 
+# (G, m, k, n): m = n = 1 stacks, a product on the cap and one just over it,
+# and shapes whose single group is under the cap while the stack is over it
+_GROUPED = [(g, m, k, n) for g in (2, 3, 5) for m, k, n in
+            [(1, 1, 1), (1, 9, 1), (1, 7, 3), (10, 8, 10), (10, 10, 8), (3, 65, 2)]]
+_GROUPED += [(4, 16, _CAP // 1024, 16), (4, 16, _CAP // 1024 + 1, 16), (37, 16, 16, 16),
+             (2, 0, 3, 4), (2, 3, 0, 4)]
+
+
+@pytest.mark.parametrize("variant", ["float64", "transposed", "longdouble", "specials"])
+def test_grouped_matmul_identical_to_loop_oracle_per_group(variant):
+    rng = SeededRng(23).derive(variant)
+    for g, m, k, n in _GROUPED:
+        pairs = [_operands(rng, m, k, n, variant) for _ in range(g)]
+        a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+        if variant == "transposed":
+            a, b = (np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1) for x in (a, b))
+        got = matmul(a, b)
+        assert got.shape == (g, m, n)
+        for i in range(g):
+            _assert_identical(got[i], _loop_matmul(a[i], b[i]))
+
+
+@pytest.mark.parametrize("g, m, k, n", [(3, 2, 2, 2), (4, 16, _CAP // 1024 + 1, 16),
+                                        (2, 1, 3, 1)])
+def test_grouped_matmul_overflow_raises(g, m, k, n):
+    a, b = np.ones((g, m, k)), np.ones((g, k, n))
+    a[-1] = b[-1] = 1e300  # only the last group overflows
+    with pytest.raises(InvariantError):
+        matmul(a, b)
+
+
+def test_grouped_matmul_shape_errors():
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+    with pytest.raises(ShapeError):
+        matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
+
+
 def test_matvec_consistent_with_matmul():
     rng = SeededRng(4)
     m = rng.normal(12).reshape(3, 4)

@@ -181,3 +181,101 @@ def test_param_refs_are_the_tape_leaves(scheme):
     assert sorted(refs) == sorted(graph.tape.trainable_slots())
     for name, arr in refs.items():
         assert arr is dict(model.adapters["proj"].named_params("proj"))[name]
+
+
+def _live_token_model(scheme, vocab=13, d=8, seed=0):
+    """A token model with adapters on q_proj and v_proj, every parameter nonzero."""
+    model = tm.token_model(vocab, d, 3, seed=40 + seed)
+    for proj in ("q_proj", "v_proj"):
+        tm.attach(model, proj, scheme, rank=2, seed=7 + seed, n=3, alpha=3.0)
+        rng = SeededRng(60 + seed).derive(proj)
+        for name, arr in model.adapters[proj].named_params(proj):
+            arr[:] = 0.5 * rng.derive(name).normal(arr.size).reshape(arr.shape)
+    return model
+
+
+def _live_token_batch(model, n, t, seed, pad_tail=0):
+    """n samples of t ids from 1 .. vocab-1; the first sample's last pad_tail ids are padding."""
+    rng = SeededRng(seed)
+    toks = 1 + rng.integers(n * t, model.input_dim - 1).reshape(n, t)
+    toks[0, t - pad_tail:] = 0
+    return tm.Batch(inputs=toks, labels=rng.integers(n, model.n_classes))
+
+
+@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("n,pad_tail", [(2, 0), (3, 2)])
+def test_token_adapter_gradients_match_central_differences(scheme, n, pad_tail):
+    # every sample of the batch reaches every adapter tensor's gradient
+    model = _live_token_model(scheme)
+    batch = _live_token_batch(model, n, 5, seed=n, pad_tail=pad_tail)
+    graph = tm.build_graph(model, batch, trainable="adapters")
+    grads = graph.tape.backward(graph.loss_slot)
+    eps = 1e-5
+    for proj, adapter in model.adapters.items():
+        for name, arr in adapter.named_params(proj):
+            fd = np.zeros_like(arr)
+            for idx in np.ndindex(arr.shape):
+                keep = arr[idx]
+                arr[idx] = keep + eps
+                plus = tm.forward(model, batch)[1]
+                arr[idx] = keep - eps
+                minus = tm.forward(model, batch)[1]
+                arr[idx] = keep
+                fd[idx] = (plus - minus) / (2 * eps)
+            rel = np.abs(grads[name] - fd).max() / np.abs(fd).max()
+            assert rel <= 1e-3, (name, rel)
+    report = grad_check(graph.tape, graph.loss_slot, SeededRng(5))
+    assert report.max_rel_error <= 1e-6, report.per_param
+
+
+@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("n,t,d", [(2, 10, 8), (8, 10, 8), (37, 10, 8), (37, 16, 16)])
+def test_token_batch_forward_equals_single_sample_forwards(scheme, n, t, d):
+    # (37, 16, 16) puts the batched products over the broadcast kernel's cap,
+    # so the k-loop runs where single samples take the broadcast kernel
+    model = _live_token_model(scheme, vocab=20, d=d)
+    batch = _live_token_batch(model, n, t, seed=t + n, pad_tail=3)
+    graph = tm.build_graph(model, batch, trainable="none")
+    logits, gates = graph.tape.value(graph.logits_slot), graph.gate_slots
+    for s in range(n):
+        one = tm.build_graph(model, tm.Batch(inputs=batch.inputs[s:s + 1],
+                                             labels=batch.labels[s:s + 1]), trainable="none")
+        assert one.tape.value(one.logits_slot).tobytes() == logits[s:s + 1].tobytes()
+        for proj, slot in one.gate_slots.items():
+            rows = graph.tape.value(gates[proj])[s * t:(s + 1) * t]
+            assert one.tape.value(slot).tobytes() == rows.tobytes()
+    assert sorted(gates) == (["q_proj", "v_proj"] if scheme == "hydra" else [])
+
+
+@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+def test_padding_does_not_change_a_document(scheme):
+    model = _live_token_model(scheme, vocab=20)
+    docs = _live_token_batch(model, 4, 16, seed=3).inputs
+    lengths = [5, 9, 16, 12]
+    padded = np.zeros_like(docs)
+    for i, n in enumerate(lengths):
+        padded[i, :n] = docs[i, :n]
+    labels = np.array([0, 1, 2, 1])
+    logits, _, gates = tm.forward(model, tm.Batch(inputs=padded, labels=labels))
+    gate_rows = []
+    for i, n in enumerate(lengths):
+        one = tm.build_graph(model, tm.Batch(inputs=docs[i:i + 1, :n], labels=labels[i:i + 1]),
+                             trainable="none")
+        assert np.abs(one.tape.value(one.logits_slot)[0] - logits[i]).max() <= 1e-12
+        gate_rows += [one.tape.value(s) for s in one.gate_slots.values()]
+    if scheme == "hydra":  # pad rows are left out of the gate means too
+        q_rows = np.concatenate(gate_rows[0::2])
+        assert np.abs(gates["q_proj"] - q_rows.mean(axis=0)).max() <= 1e-12
+
+
+def test_token_batch_with_an_all_padding_sample_rejected():
+    model = tm.token_model(9, 6, 3, seed=2)
+    with pytest.raises(ContractError):
+        tm.forward(model, tm.Batch(inputs=np.array([[3, 4], [0, 0]]), labels=np.array([0, 1])))
+
+
+def test_token_graph_size_does_not_grow_with_batch():
+    model = _live_token_model("hydra")
+    sizes = {len(tm.build_graph(model, _live_token_batch(model, n, 6, seed=n)).tape._nodes)
+             for n in (1, 4, 32)}
+    assert len(sizes) == 1 and sizes.pop() <= 90
