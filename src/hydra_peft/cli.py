@@ -139,10 +139,13 @@ def cmd_merge_infer(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    labels = [Path(path).stem for path in args.checkpoints]
+    if len(set(labels)) < len(labels):  # run/checkpoint.txt vs run_b/checkpoint.txt
+        labels = [str(Path(path).with_suffix("")) for path in args.checkpoints]
     loaded = []
-    for path in args.checkpoints:
+    for label, path in zip(labels, args.checkpoints):
         _, adapters, _ = ad_mod.read_checkpoint(path)
-        loaded.append((Path(path).stem, dict(ad_mod.all_params(adapters))))
+        loaded.append((label, dict(ad_mod.all_params(adapters))))
     report = analysis.breakdown(loaded)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,12 @@
 
 All numeric state is float64. Matrix products accumulate in a fixed order
 (each entry sums its products over the contraction index, ascending, from
-+0.0) so that repeated runs and different platforms produce bit-identical
-results; nothing here calls into BLAS. `matmul` picks one of two kernels by
-shape, a broadcast-and-reduce for small products and a loop over the
-contraction index for the rest, and both give the same bytes.
++0.0) so that repeated runs produce bit-identical results; nothing here
+calls into BLAS. `matmul` picks one of two kernels by shape and both give the
+same bytes: a broadcast-and-reduce, run in passes of a bounded buffer and
+laid out so numpy's inner loop runs over the longer side of the output, and a
+loop over the contraction index for outputs too large for a pass to hold
+enough of it.
 
 Randomness comes from a counter-based splitmix64 generator: draw i under
 seed s is a pure integer hash of (s, i), which makes seeds portable across
@@ -104,9 +106,15 @@ def _check_matrix(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-# Largest m*k*n product buffer the broadcast kernel builds. Above it the
-# buffer costs more in memory traffic and peak RSS than the k-loop saves.
+# Largest product buffer, in elements, one pass of the broadcast kernel
+# builds. Above it the buffer costs more in memory traffic and peak RSS than
+# the k-loop saves.
 _BROADCAST_MAX_ELEMS = 1 << 16
+# Fewest products per output entry a pass must hold when k needs more than
+# one pass. Measured on shapes with k >= 2 passes: at 8 per pass the k-loop
+# was as fast or up to 35 % faster (512x16, 256x32, 128x64 outputs); from 10
+# per pass the passes tied or won, 2-5x at 16x16 outputs (256 per pass).
+_MIN_PASS_SLICES = 10
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,14 +124,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (G, k, n). Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j])
     + ..., k ascending, whichever of two kernels runs and whatever G is:
 
-    - small products (output size >= 2, times k <= _BROADCAST_MAX_ELEMS):
-      all products go into one C-contiguous (k, [G,] m, n) buffer, reduced
-      over axis 0. With k the outermost axis numpy adds whole output-sized
-      slices in k order. Any other layout (or a 1-entry output) can put k on
-      the inner loop, where numpy switches to pairwise summation and the
-      bytes change. The trailing + 0.0 turns the -0.0 a reduce can return
-      into the +0.0 the loop's zero start gives.
-    - everything else: a loop over k adding rank-1 updates into zeros.
+    - broadcast-and-reduce, when the output has size >= 2 entries and either
+      all of k fits one pass or a pass holds c = _BROADCAST_MAX_ELEMS // size
+      >= _MIN_PASS_SLICES products per entry. Each pass writes its products
+      to slices 1.. of a C-contiguous (c + 1, [G,] m, n) buffer. The first
+      pass reduces them over axis 0 from +0.0; each later pass puts the
+      running sum (never -0.0) in slice 0 and reduces from there. With that
+      axis outermost numpy adds whole output-sized slices one after another.
+      Any other layout (or a 1-entry output) can put k on the inner loop,
+      where numpy switches to pairwise summation and the bytes change. When
+      n < m the buffer holds out^T, as (c + 1, [G,] n, m), so numpy's inner
+      loop runs over the longer side; the result is copied back to C order,
+      because row reductions downstream can sum in another order on other
+      layouts.
+    - everything else (k == 0, a 1-entry output, or outputs too large for
+      _MIN_PASS_SLICES per pass): a loop over k adding rank-1 updates into
+      zeros.
     """
     a, b = np.asarray(a), np.asarray(b)
     if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
@@ -133,13 +149,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out_shape = a.shape[:-1] + (n,)
     size = math.prod(out_shape)
     dtype = np.result_type(a, b, np.float64)
+    c = k if size * k <= _BROADCAST_MAX_ELEMS else _BROADCAST_MAX_ELEMS // size
     with np.errstate(all="ignore"):  # finiteness is checked explicitly below
-        if size >= 2 and size * k <= _BROADCAST_MAX_ELEMS:
+        if size >= 2 and k >= 1 and (c == k or c >= _MIN_PASS_SLICES):
             # (k, [G,] m) and (k, [G,] n) views of the operands
-            at, bt = (a.transpose(2, 0, 1), b.transpose(1, 0, 2)) if a.ndim == 3 else (a.T, b)
-            prods = np.multiply(at[..., None], bt[..., None, :],
-                                out=np.empty((k, *out_shape), dtype=dtype))
-            out = np.add.reduce(prods, axis=0) + 0.0
+            rows, cols = (a.transpose(2, 0, 1), b.transpose(1, 0, 2)) if a.ndim == 3 else (a.T, b)
+            shape, flip = out_shape, n < out_shape[-2]
+            if flip:
+                rows, cols, shape = cols, rows, out_shape[:-2] + (n, out_shape[-2])
+            rows, cols = rows[..., None], cols[..., None, :]
+            buf = np.empty((c + 1, *shape), dtype)
+            out = np.add.reduce(np.multiply(rows[:c], cols[:c], out=buf[1:]), axis=0, initial=0.0)
+            for k0 in range(c, k, c):
+                w = min(c, k - k0)
+                buf[0] = out
+                np.multiply(rows[k0 : k0 + w], cols[k0 : k0 + w], out=buf[1 : w + 1])
+                out = np.add.reduce(buf[: w + 1], axis=0)
+            if flip:
+                out = np.ascontiguousarray(out.swapaxes(-1, -2))
         else:
             out = np.zeros(out_shape, dtype=dtype)
             for i in range(k):

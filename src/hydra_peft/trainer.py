@@ -400,6 +400,9 @@ def build_from_config(cfg: TrainConfig):
             if isinstance(v, bool) != (want == "bool") or not isinstance(
                     v, int if want == "int" else (int, float)):
                 raise UsageError(f"synthetic dataset {kind!r}: {name} must be {want}, got {v!r}")
+            low = 0 if name == "shared" else 1  # counts and sizes; shared features may be none
+            if want == "int" and v < low:
+                raise UsageError(f"synthetic dataset {kind!r}: {name} must be >= {low}, got {v!r}")
         data = makers[kind](*call.args, **call.kwargs)
         classes = sorted(set(int(v) for v in data.train_labels))
         model = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, len(classes),

@@ -225,6 +225,24 @@ def test_analyze_writes_reports(tmp_path, capsys):
     assert (out_dir / "embedding.svg").exists()
 
 
+def test_analyze_labels_colliding_stems_by_path(tmp_path, capsys):
+    paths = []
+    for i, run in enumerate(["run", "run_b"]):
+        lora = ad.LoraAdapter.init(4, 4, 2, SeededRng(i))
+        lora.b[:] = SeededRng(10 + i).normal(8).reshape(4, 2)
+        (tmp_path / run).mkdir()
+        _save(tmp_path / run / "checkpoint.txt", "lora", lora)
+        paths.append(str(tmp_path / run / "checkpoint.txt"))
+    out_dir = tmp_path / "analysis"
+    assert main(["analyze", "--checkpoints", *paths, "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    rows = (out_dir / "embedding.csv").read_text().splitlines()[1:]
+    ids = sorted({row.split(",")[0].rsplit(":", 1)[0] for row in rows})
+    assert ids == [str(tmp_path / "run" / "checkpoint"), str(tmp_path / "run_b" / "checkpoint")]
+    pair = (out_dir / "distances.csv").read_text().splitlines()[1].split(",")
+    assert {p.rsplit(":", 1)[0] for p in pair[:2]} <= set(ids)
+
+
 def test_bench_obs1_single_seed(tmp_path, capsys):
     out = tmp_path / "bench.json"
     assert main(["bench", "--suite", "obs1", "--seeds", "1", "--out", str(out)]) == 0
@@ -362,6 +380,20 @@ MALFORMED = [
     ("synthetic flag as a number",
      _bad_config("dataset", {"synthetic": "interference", "identical_tasks": 1}), 1,
      "identical_tasks must be bool"),
+    ("no synthetic tasks", _bad_config("dataset", {"synthetic": "interference", "n_tasks": 0}),
+     1, "n_tasks must be >= 1"),
+    ("negative synthetic count",
+     _bad_config("dataset", {"synthetic": "interference", "train_per_task": -3}), 1,
+     "train_per_task must be >= 1"),
+    ("zero synthetic train rows",
+     _bad_config("dataset", {"synthetic": "interference", "train_per_task": 0}), 1,
+     "train_per_task must be >= 1"),
+    ("zero synthetic eval rows",
+     _bad_config("dataset", {"synthetic": "components", "level": 1, "eval_per_comp": 0}), 1,
+     "eval_per_comp must be >= 1"),
+    ("negative shared features",
+     _bad_config("dataset", {"synthetic": "components", "level": 1, "shared": -1}), 1,
+     "shared must be >= 0"),
     ("corpus document without tokens", _corpus_with_empty_doc, 1, "'blank' has no tokens"),
     ("corpus path not a string", _bad_config("dataset", {"corpus": 3}), 1, "corpus"),
     ("corpus not UTF-8", _bad_config("dataset", "latin-1"), 2, "not UTF-8"),

@@ -105,17 +105,28 @@ def _loop_matmul(a, b):
 def _assert_identical(got, want):
     # values plus sign of zero; tobytes() would also compare longdouble padding
     assert got.dtype == want.dtype and got.shape == want.shape
+    # row reductions downstream can sum in another order on other layouts
+    assert got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 _SPECIALS = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, 1.0, -1.0])
 _CAP = linalg._BROADCAST_MAX_ELEMS
-# the cap is m*k*n: 16 x k x 16 sits exactly on it at k = _CAP // 256
+_MIN_PASS = linalg._MIN_PASS_SLICES
+# A pass holds _CAP // (m*n) products per entry: for a 16 x 16 output k = 256
+# fills one pass exactly, 257 needs a second, 512 fills two and 513 a third.
 _GRID = list(itertools.product([1, 2, 3, 8, 24, 33], [1, 7, 8, 9, 24, 65],
                                [1, 2, 3, 8, 24, 33]))
-_GRID += [(16, _CAP // 256, 16), (16, _CAP // 256 + 1, 16), (64, 24, 48), (0, 3, 4),
-          (3, 0, 4)]
+_GRID += [(16, 256, 16), (16, 257, 16), (16, 512, 16), (16, 513, 16), (64, 24, 48),
+          (0, 3, 4), (3, 0, 4)]
+# thin outputs, n < m (out^T is formed) and n > m, in one pass and in several
+_GRID += [(80, 16, 4), (4, 16, 80), (768, 24, 4), (4, 24, 768), (320, 40, 16),
+          (16, 40, 320), (48, 7, 24), (24, 7, 48)]
+# the k-loop: outputs too large for _MIN_PASS products per pass, just below
+# and on the width where passes take over
+_GRID += [(_CAP // (_MIN_PASS - 1) // 16 + 1, 30, 16),
+          (16, 30, _CAP // (_MIN_PASS - 1) // 16 + 1), (_CAP // _MIN_PASS // 16, 30, 16)]
 
 
 def _operands(rng, m, k, n, variant):
@@ -149,9 +160,24 @@ def test_matmul_all_negative_zero_products_give_positive_zero():
     assert not np.signbit(out).any()
 
 
-@pytest.mark.parametrize("m, k, n", [(2, 2, 2), (16, _CAP // 256 + 1, 16), (1, 3, 1)])
+# runs of -0.0 products across pass boundaries, both orientations, 2-D and stacked
+@pytest.mark.parametrize("m, k, n", [(16, 300, 16), (16, 600, 8), (8, 600, 16)])
+def test_matmul_negative_zero_run_across_passes_gives_positive_zero(m, k, n):
+    a, b = np.full((m, k), -0.0), np.ones((k, n))
+    out = matmul(a, b)
+    _assert_identical(out, _loop_matmul(a, b))
+    assert not np.signbit(out).any()
+    stacked = matmul(np.stack([a, a]), np.stack([b, b]))
+    assert stacked.flags.c_contiguous and not np.signbit(stacked).any()
+
+
+# only the last product overflows: in the last of 2 or 3 passes for the
+# 16 x 16, 32 x 8 and 8 x 32 outputs
+@pytest.mark.parametrize("m, k, n", [(2, 2, 2), (16, _CAP // 256 + 1, 16), (16, 513, 16),
+                                     (32, 300, 8), (8, 300, 32), (1, 3, 1)])
 def test_matmul_overflow_raises_like_oracle(m, k, n):
-    a, b = np.full((m, k), 1e300), np.full((k, n), 1e300)
+    a, b = np.ones((m, k)), np.ones((k, n))
+    a[:, -1] = b[-1, :] = 1e300
     with pytest.raises(InvariantError):
         _loop_matmul(a, b)
     with pytest.raises(InvariantError):
@@ -164,6 +190,10 @@ _GROUPED = [(g, m, k, n) for g in (2, 3, 5) for m, k, n in
             [(1, 1, 1), (1, 9, 1), (1, 7, 3), (10, 8, 10), (10, 10, 8), (3, 65, 2)]]
 _GROUPED += [(4, 16, _CAP // 1024, 16), (4, 16, _CAP // 1024 + 1, 16), (37, 16, 16, 16),
              (2, 0, 3, 4), (2, 3, 0, 4)]
+# several passes (64 products per pass at 4 x 16 x 16), and thin outputs
+# either way round, in one pass and in several
+_GROUPED += [(4, 16, 200, 16), (3, 40, 30, 4), (3, 4, 30, 40), (4, 64, 40, 8),
+             (4, 8, 40, 64), (8, 16, 10, 10)]
 
 
 @pytest.mark.parametrize("variant", ["float64", "transposed", "longdouble", "specials"])
@@ -181,10 +211,14 @@ def test_grouped_matmul_identical_to_loop_oracle_per_group(variant):
 
 
 @pytest.mark.parametrize("g, m, k, n", [(3, 2, 2, 2), (4, 16, _CAP // 1024 + 1, 16),
-                                        (2, 1, 3, 1)])
+                                        (2, 1, 3, 1), (4, 64, 40, 8)])
 def test_grouped_matmul_overflow_raises(g, m, k, n):
     a, b = np.ones((g, m, k)), np.ones((g, k, n))
     a[-1] = b[-1] = 1e300  # only the last group overflows
+    with pytest.raises(InvariantError):
+        matmul(a, b)
+    a, b = np.ones((g, m, k)), np.ones((g, k, n))
+    a[..., -1] = b[..., -1, :] = 1e300  # only the last product, in the last pass
     with pytest.raises(InvariantError):
         matmul(a, b)
 
