@@ -99,7 +99,7 @@ class LoraAdapter:
                     active_head: int | None = None, index="") -> tuple[int, int | None]:
         """Emit the update for the rows at slot x: (update slot, gate slot or None)."""
         a, b = _leaves(tape, self.named_params(prefix, index), trainable)
-        delta = tape.matmul(tape.matmul(x, tape.transpose(a)), tape.transpose(b))
+        delta = tape.matmul(tape.matmul(x, a, transpose_b=True), b, transpose_b=True)
         return tape.scale(delta, self.scaling), None
 
 
@@ -195,14 +195,10 @@ class HydraAdapter:
                     active_head: int | None = None) -> tuple[int, int | None]:
         """Gate-weighted expert sum; the gate slot holds one softmax row per input row."""
         a, *experts, wg = _leaves(tape, self.named_params(prefix), trainable)
-        z = tape.matmul(x, tape.transpose(a))
+        z = tape.matmul(x, a, transpose_b=True)
         gate = tape.softmax_rows(tape.matmul(z, wg))
-        acc = None
-        for i, b in enumerate(experts):
-            y_i = tape.matmul(z, tape.transpose(b))
-            term = tape.mul(tape.slice_cols(gate, i, i + 1), y_i)
-            acc = term if acc is None else tape.add(acc, term)
-        return tape.scale(acc, self.scaling), gate
+        ys = [tape.matmul(z, b, transpose_b=True) for b in experts]
+        return tape.scale(tape.expert_mix(gate, *ys), self.scaling), gate
 
 
 ADAPTERS = {"lora": LoraAdapter, "split": SplitAdapter, "hydra": HydraAdapter}

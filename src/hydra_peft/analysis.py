@@ -51,13 +51,13 @@ class EmbeddingReport:
         n = len(self.labels)
         for i in range(n):
             for j in range(i + 1, n):
-                lines.append(f"{self.labels[i]},{self.labels[j]},{self.distances[i, j]!r}")
+                lines.append(f"{self.labels[i]},{self.labels[j]},{float(self.distances[i, j])!r}")
         return "\n".join(lines) + "\n"
 
     def embedding_csv(self) -> str:
         lines = ["id,role,layer,x,y"]
         for label, role, (x, y) in zip(self.labels, self.roles, self.coords):
-            lines.append(f"{label},{role},0,{x!r},{y!r}")
+            lines.append(f"{label},{role},0,{float(x)!r},{float(y)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -3,8 +3,12 @@
 A Tape is a re-runnable straight-line program: building an op computes it
 immediately, `forward()` recomputes every node from the current leaf values,
 and `backward()` walks the node list in exact reverse. The op set is closed
-on purpose (linear maps, softmax, relu, gating products, fused softmax
-cross-entropy, mean-squared error) so every backward rule is hand-auditable.
+on purpose, so every backward rule is hand-auditable: matmul (a b or a b^T,
+per row block if grouped), expert_mix (gate-weighted expert sum), add, scale,
+relu, softmax_rows, group_mean, gather_rows, transpose, and the losses
+cross_entropy (fused with softmax) and mse. tests/test_autodiff.py's
+test_random_graph_covers_every_node_builder fails on a builder that its
+grad-checked tape does not use.
 
 Gradients are only accumulated along paths that reach a trainable leaf;
 frozen leaves never appear in the returned gradient map.
@@ -20,18 +24,10 @@ from . import linalg
 from .errors import ContractError, ShapeError
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of numpy broadcasting in mul)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 def _group_matmul(a, b, groups: int, ta: bool = False, tb: bool = False) -> np.ndarray:
-    """Row block s of a times row block s of b, each transposed if asked, stacked."""
+    """Row block s of a times row block s of b, each transposed (a view) if asked, stacked."""
+    if groups == 1:
+        return linalg.matmul(a.T if ta else a, b.T if tb else b)
     a, b = (x.reshape(groups, -1, x.shape[1]) for x in (a, b))
     out = linalg.matmul(a.transpose(0, 2, 1) if ta else a, b.transpose(0, 2, 1) if tb else b)
     return out.reshape(-1, out.shape[2])
@@ -80,8 +76,11 @@ class Tape:
         self._nodes.append(_Node(op, inputs, aux, value, False, needs))
         return len(self._nodes) - 1
 
-    def matmul(self, a: int, b: int) -> int:
-        return self._emit("matmul", (a, b))
+    def matmul(self, a: int, b: int, groups: int = 1, transpose_b: bool = False) -> int:
+        """a b, or a b^T with transpose_b; with groups > 1, that per row block, stacked."""
+        if groups < 1 or any(len(self._nodes[s].value) % groups for s in (a, b)):
+            raise ShapeError(f"matmul operand rows do not split into {groups} blocks")
+        return self._emit("matmul", (a, b), (groups, transpose_b))
 
     def transpose(self, a: int) -> int:
         return self._emit("transpose", (a,))
@@ -96,25 +95,23 @@ class Tape:
     def scale(self, a: int, c: float) -> int:
         return self._emit("scale", (a,), float(c))
 
-    def mul(self, a: int, b: int) -> int:
-        return self._emit("mul", (a, b))
-
     def relu(self, a: int) -> int:
         return self._emit("relu", (a,))
 
     def softmax_rows(self, a: int) -> int:
         return self._emit("softmax_rows", (a,))
 
-    def group_matmul(self, a: int, b: int, groups: int, transpose_b: bool = False) -> int:
-        """Per row block: a_s b_s, or a_s b_s^T with transpose_b (see _group_matmul)."""
-        return self._emit("group_matmul", (a, b), (groups, transpose_b))
-
     def group_mean(self, a: int, mask: np.ndarray) -> int:
         """Per row block s, the mean of the rows that mask[s] (0 or 1 per row) keeps."""
         return self._emit("group_mean", (a,), np.asarray(mask, dtype=np.float64))
 
-    def slice_cols(self, a: int, j0: int, j1: int) -> int:
-        return self._emit("slice_cols", (a,), (j0, j1))
+    def expert_mix(self, gate: int, *ys: int) -> int:
+        """Sum over i of gate[:, i:i+1] * ys[i], added in index order."""
+        shapes = [self._nodes[s].value.shape for s in (gate, *ys)]
+        if (len(set(shapes[1:])) != 1 or len(shapes[1]) != 2
+                or shapes[0] != (shapes[1][0], len(ys))):
+            raise ShapeError(f"expert_mix needs a gate column per equal expert, got {shapes}")
+        return self._emit("expert_mix", (gate, *ys))
 
     def gather_rows(self, a: int, indices) -> int:
         idx = np.asarray(indices, dtype=np.int64)
@@ -133,28 +130,27 @@ class Tape:
     @staticmethod
     def _compute(op: str, vals: list, aux):
         if op == "matmul":
-            return linalg.matmul(vals[0], vals[1])
+            return _group_matmul(*vals, aux[0], tb=aux[1])
+        if op == "expert_mix":
+            gate, *ys = vals
+            out = gate[:, :1] * ys[0]
+            for i in range(1, len(ys)):
+                out = out + gate[:, i : i + 1] * ys[i]
+            return out
         if op == "transpose":
             return vals[0].T.copy()
         if op == "add":
             return vals[0] + vals[1]
         if op == "scale":
             return vals[0] * aux
-        if op == "mul":
-            return vals[0] * vals[1]
         if op == "relu":
             return np.maximum(vals[0], 0.0)
         if op == "softmax_rows":
             return _softmax_rows(vals[0])
-        if op == "group_matmul":
-            return _group_matmul(*vals, aux[0], tb=aux[1])
         if op == "group_mean":
             w = aux[:, :, None]
             # sum, then divide: the bytes of mean() when no row is masked
             return np.add.reduce(vals[0].reshape(*aux.shape, -1) * w, axis=1) / w.sum(axis=1)
-        if op == "slice_cols":
-            j0, j1 = aux
-            return vals[0][:, j0:j1].copy()
         if op == "gather_rows":
             return vals[0][aux]
         if op == "cross_entropy":
@@ -245,11 +241,8 @@ class Tape:
             if g is None:
                 continue
             self._accumulate(node, g, grads)
-        out = {}
-        for i, node in enumerate(self._nodes):
-            if node.op == "input" and node.trainable:
-                out[node.name or f"slot{i}"] = grads.get(i, np.zeros_like(node.value))
-        return out
+        return {name: grads.get(i, np.zeros_like(self._nodes[i].value))
+                for name, i in self.trainable_slots().items()}
 
     def _accumulate(self, node: _Node, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
         def put(slot: int, contribution: np.ndarray) -> None:
@@ -263,10 +256,21 @@ class Tape:
         op, ins, aux = node.op, node.inputs, node.aux
         vals = [self._nodes[i].value for i in ins]
         if op == "matmul":
+            (groups, tb), (a, b) = aux, vals  # per block: out = a b, or a b^T with tb
             if self._nodes[ins[0]].needs_grad:
-                put(ins[0], linalg.matmul(g, vals[1].T))
-            if self._nodes[ins[1]].needs_grad:
-                put(ins[1], linalg.matmul(vals[0].T, g))
+                put(ins[0], _group_matmul(g, b, groups, tb=not tb))
+            if self._nodes[ins[1]].needs_grad:  # g^T a with tb, else a^T g
+                put(ins[1], _group_matmul(g, a, groups, ta=True) if tb
+                            else _group_matmul(a, g, groups, ta=True))
+        elif op == "expert_mix":
+            gate, *ys = vals
+            # row sums of g * y_i (a 1-wide one is its own); with N > 1 experts,
+            # + 0.0 gives each column the bytes of its sum with the others' zeros
+            cols = np.concatenate([g * y if g.shape[1] == 1 else (g * y).sum(axis=1, keepdims=True)
+                                   for y in ys], axis=1)
+            put(ins[0], cols + 0.0 if len(ys) > 1 else cols)
+            for i, slot in enumerate(ins[1:]):
+                put(slot, g * gate[:, i : i + 1])
         elif op == "transpose":
             put(ins[0], g.T)
         elif op == "add":
@@ -274,30 +278,15 @@ class Tape:
             put(ins[1], g)
         elif op == "scale":
             put(ins[0], g * aux)
-        elif op == "mul":
-            put(ins[0], _unbroadcast(g * vals[1], vals[0].shape))
-            put(ins[1], _unbroadcast(g * vals[0], vals[1].shape))
         elif op == "relu":
             put(ins[0], g * (vals[0] > 0))
         elif op == "softmax_rows":
             p = node.value
             put(ins[0], p * (g - (g * p).sum(axis=1, keepdims=True)))
-        elif op == "group_matmul":
-            (groups, tb), (a, b) = aux, vals  # per block: out = a b, or a b^T with tb
-            if self._nodes[ins[0]].needs_grad:
-                put(ins[0], _group_matmul(g, b, groups, tb=not tb))
-            if self._nodes[ins[1]].needs_grad:  # g^T a with tb, else a^T g
-                put(ins[1], _group_matmul(g, a, groups, ta=True) if tb
-                            else _group_matmul(a, g, groups, ta=True))
         elif op == "group_mean":
             w = aux[:, :, None]
             rows = g[:, None, :] * w / w.sum(axis=1, keepdims=True)
             put(ins[0], rows.reshape(vals[0].shape))
-        elif op == "slice_cols":
-            j0, j1 = aux
-            full = np.zeros_like(vals[0])
-            full[:, j0:j1] = g
-            put(ins[0], full)
         elif op == "gather_rows":
             full = np.zeros_like(vals[0])
             np.add.at(full, aux, g)

@@ -110,6 +110,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_merge_infer(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     meta, adapters, _ = ad_mod.read_checkpoint(args.checkpoint)
     if meta["scheme"] != "hydra" or not adapters:
         raise UsageError("merge-infer needs a multi-expert (hydra) checkpoint")
@@ -189,6 +191,8 @@ def _bench_one(job) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = list(range(args.seeds))
     jobs = [(args.suite, s) for s in seeds]
     raw = os.environ.get("HYDRA_PEFT_THREADS", "1")
@@ -200,12 +204,7 @@ def cmd_bench(args) -> int:
             rows = pool.map(_bench_one, jobs)
     else:
         rows = [_bench_one(j) for j in jobs]
-    if args.suite == "obs1":
-        wins = sum(r["win"] for r in rows)
-    elif args.suite == "obs2":
-        wins = sum(r["ratio"] > 1.0 for r in rows)
-    else:
-        wins = sum(r["win"] for r in rows)
+    wins = sum(r["ratio"] > 1.0 if args.suite == "obs2" else r["win"] for r in rows)
     payload = {"suite": args.suite, "seeds": seeds, "wins": wins, "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n",

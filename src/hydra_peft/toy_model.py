@@ -167,7 +167,7 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
 
     def linear(x: int, name: str) -> int:
         """x W^T for a base weight, plus the update of an adapter attached there."""
-        out = tape.matmul(x, tape.transpose(weight(name)))
+        out = tape.matmul(x, weight(name), transpose_b=True)
         ad = model.adapters.get(name)
         if ad is None:
             return out
@@ -198,11 +198,11 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
         n, t = tokens.shape
         x = tape.gather_rows(weight("embed"), tokens.reshape(-1))
         q, kk, v = (linear(x, name) for name in ("q_proj", "k_proj", "v_proj"))
-        scores = tape.scale(tape.group_matmul(q, kk, n, transpose_b=True),
+        scores = tape.scale(tape.matmul(q, kk, groups=n, transpose_b=True),
                             1.0 / np.sqrt(model.d_model))
         if not keep.all():  # -inf on pad keys; without padding nothing is added
             scores = tape.add(scores, tape.input(np.where(np.repeat(keep, t, 0), 0, -np.inf)))
-        x2 = tape.add(x, linear(tape.group_matmul(tape.softmax_rows(scores), v, n), "o_proj"))
+        x2 = tape.add(x, linear(tape.matmul(tape.softmax_rows(scores), v, groups=n), "o_proj"))
         x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
         logits = linear(tape.group_mean(x3, keep), "head")
         kept_rows = keep.reshape(-1)

@@ -120,3 +120,13 @@ def test_csv_outputs_shape():
     emb_lines = report.embedding_csv().strip().split("\n")
     assert emb_lines[0] == "id,role,layer,x,y"
     assert len(emb_lines) == 1 + n
+
+
+def test_csv_numeric_cells_parse_as_floats():
+    report = analysis.breakdown([("a", _lora_tensors(1)), ("b", _lora_tensors(2)),
+                                 ("c", _lora_tensors(3))])
+    dists = [float(row.split(",")[2]) for row in report.distance_csv().splitlines()[1:]]
+    n = len(report.labels)
+    assert dists == [report.distances[i, j] for i in range(n) for j in range(i + 1, n)]
+    cells = [row.split(",")[2:] for row in report.embedding_csv().splitlines()[1:]]
+    assert [tuple(map(float, c)) for c in cells] == [(0.0, x, y) for x, y in report.coords]

@@ -364,6 +364,10 @@ def _merge_bad_input(root, cfg, ckpt):
     return ["merge-infer", "--checkpoint", str(ckpt), "--input", str(path)]
 
 
+def _argv(*argv):
+    return lambda root, cfg, ckpt: [str(ckpt) if a is None else a for a in argv]
+
+
 MALFORMED = [
     ("rank as a string", _bad_config("rank", "4"), 1, "rank must be an integer"),
     ("rank above d_model", _bad_config("rank", 40), 1, "rank must be <= d_model"),
@@ -414,6 +418,12 @@ MALFORMED = [
      _edited_checkpoint("eval", lambda t: _drop_tensor(t, "v_proj.B1")), 2,
      "missing tensor v_proj.B1"),
     ("merge-infer: unparseable input", _merge_bad_input, 2, "input.json"),
+    ("merge-infer: zero trials", _argv("merge-infer", "--checkpoint", None, "--trials", "0"), 1,
+     "--trials must be >= 1, got 0"),
+    ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,
+     "--seeds must be >= 1, got 0"),
+    ("bench: negative seeds", _argv("bench", "--suite", "het", "--seeds", "-2"), 1,
+     "--seeds must be >= 1, got -2"),
 ]
 
 
