@@ -2,11 +2,15 @@
 
 A Tape is a re-runnable straight-line program: building an op computes it
 immediately, `forward()` recomputes every node from the current leaf values,
-and `backward()` walks the node list in exact reverse. The op set is closed
-on purpose, so every backward rule is hand-auditable: matmul (a b or a b^T,
-per row block if grouped), expert_mix (gate-weighted expert sum), add, scale,
-relu, softmax_rows, group_mean, gather_rows, transpose, and the losses
-cross_entropy (fused with softmax) and mse. tests/test_autodiff.py's
+and `backward()` walks the node list in exact reverse. A float64 leaf aliases
+the array it was given, so trainer.train re-runs one tape per batch
+signature: parameter leaves see the optimizer's in-place updates and
+`set_value` writes each batch into its leaves. The op set is closed on
+purpose, so every backward rule is hand-auditable: matmul (a b or a b^T, per
+row block if grouped), expert_mix (gate-weighted expert sum), add, scale,
+relu, softmax_rows, group_mean (row mask operand), gather_rows (row id
+operand), transpose, and the losses cross_entropy (fused with softmax) and
+mse. tests/test_autodiff.py's
 test_random_graph_covers_every_node_builder fails on a builder that its
 grad-checked tape does not use.
 
@@ -33,6 +37,12 @@ def _group_matmul(a, b, groups: int, ta: bool = False, tb: bool = False) -> np.n
     return out.reshape(-1, out.shape[2])
 
 
+def _leaf(value) -> np.ndarray:
+    """value as an array, float kinds as float64 (without copying float64)."""
+    value = np.asarray(value)
+    return value.astype(np.float64, copy=False) if value.dtype.kind == "f" else value
+
+
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -44,9 +54,7 @@ class _Node:
     inputs: tuple[int, ...]
     aux: object
     value: np.ndarray
-    trainable: bool = False
     needs_grad: bool = False
-    name: str | None = None
 
 
 class Tape:
@@ -54,26 +62,25 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._trainable_names: set[str] = set()
+        self._trainable: dict[str, int] = {}  # gradient key -> leaf slot
 
     # -- construction ----------------------------------------------------
 
     def input(self, value, name: str | None = None, trainable: bool = False) -> int:
-        if trainable and name is not None:  # gradients are keyed by name
-            if name in self._trainable_names:
-                raise ContractError(f"trainable leaf {name!r} is already on the tape")
-            self._trainable_names.add(name)
-        value = np.asarray(value)
-        if value.dtype.kind == "f":
-            value = value.astype(np.float64)
-        node = _Node("input", (), None, value, trainable, trainable, name)
-        self._nodes.append(node)
-        return len(self._nodes) - 1
+        """A leaf holding `value` itself when it is a float64 array (no copy)."""
+        slot = len(self._nodes)
+        if trainable:  # gradients are keyed by name
+            key = name if name is not None else f"slot{slot}"
+            if key in self._trainable:
+                raise ContractError(f"trainable leaf {key!r} is already on the tape")
+            self._trainable[key] = slot
+        self._nodes.append(_Node("input", (), None, _leaf(value), trainable))
+        return slot
 
     def _emit(self, op: str, inputs: tuple[int, ...], aux=None) -> int:
         value = self._compute(op, [self._nodes[i].value for i in inputs], aux)
         needs = any(self._nodes[i].needs_grad for i in inputs)
-        self._nodes.append(_Node(op, inputs, aux, value, False, needs))
+        self._nodes.append(_Node(op, inputs, aux, value, needs))
         return len(self._nodes) - 1
 
     def matmul(self, a: int, b: int, groups: int = 1, transpose_b: bool = False) -> int:
@@ -101,9 +108,10 @@ class Tape:
     def softmax_rows(self, a: int) -> int:
         return self._emit("softmax_rows", (a,))
 
-    def group_mean(self, a: int, mask: np.ndarray) -> int:
-        """Per row block s, the mean of the rows that mask[s] (0 or 1 per row) keeps."""
-        return self._emit("group_mean", (a,), np.asarray(mask, dtype=np.float64))
+    def group_mean(self, a: int, mask: int) -> int:
+        """Per row block s, the mean of the rows that row s of the (blocks, rows)
+        float leaf `mask` (0 or 1 per row) keeps."""
+        return self._emit("group_mean", (a, mask))
 
     def expert_mix(self, gate: int, *ys: int) -> int:
         """Sum over i of gate[:, i:i+1] * ys[i], added in index order."""
@@ -113,9 +121,9 @@ class Tape:
             raise ShapeError(f"expert_mix needs a gate column per equal expert, got {shapes}")
         return self._emit("expert_mix", (gate, *ys))
 
-    def gather_rows(self, a: int, indices) -> int:
-        idx = np.asarray(indices, dtype=np.int64)
-        return self._emit("gather_rows", (a,), idx)
+    def gather_rows(self, a: int, indices: int) -> int:
+        """Rows of a picked by the 1-D int leaf `indices`, repeats allowed."""
+        return self._emit("gather_rows", (a, indices))
 
     def cross_entropy(self, logits: int, labels: int) -> int:
         """Mean softmax cross-entropy over rows; labels are an int leaf."""
@@ -148,11 +156,11 @@ class Tape:
         if op == "softmax_rows":
             return _softmax_rows(vals[0])
         if op == "group_mean":
-            w = aux[:, :, None]
+            w = vals[1][:, :, None]
             # sum, then divide: the bytes of mean() when no row is masked
-            return np.add.reduce(vals[0].reshape(*aux.shape, -1) * w, axis=1) / w.sum(axis=1)
+            return np.add.reduce(vals[0].reshape(*vals[1].shape, -1) * w, axis=1) / w.sum(axis=1)
         if op == "gather_rows":
-            return vals[0][aux]
+            return vals[0][vals[1]]
         if op == "cross_entropy":
             logits, labels = vals
             shifted = logits - logits.max(axis=1, keepdims=True)
@@ -168,12 +176,11 @@ class Tape:
         return self._nodes[slot].value
 
     def set_value(self, slot: int, value) -> None:
+        """Point a leaf at a new value of its shape, held as `input` holds it."""
         node = self._nodes[slot]
         if node.op != "input":
             raise ContractError("set_value only applies to input leaves")
-        value = np.asarray(value)
-        if value.dtype.kind == "f":
-            value = value.astype(np.float64)
+        value = _leaf(value)
         if value.shape != node.value.shape:
             raise ShapeError(
                 f"set_value shape mismatch: {value.shape} vs {node.value.shape}")
@@ -220,11 +227,7 @@ class Tape:
     # -- differentiation -------------------------------------------------
 
     def trainable_slots(self) -> dict[str, int]:
-        out = {}
-        for i, node in enumerate(self._nodes):
-            if node.op == "input" and node.trainable:
-                out[node.name or f"slot{i}"] = i
-        return out
+        return dict(self._trainable)
 
     def backward(self, loss_slot: int) -> dict[str, np.ndarray]:
         """Gradients of the scalar at loss_slot w.r.t. every trainable leaf."""
@@ -241,8 +244,8 @@ class Tape:
             if g is None:
                 continue
             self._accumulate(node, g, grads)
-        return {name: grads.get(i, np.zeros_like(self._nodes[i].value))
-                for name, i in self.trainable_slots().items()}
+        return {name: grads[i] if i in grads else np.zeros_like(self._nodes[i].value)
+                for name, i in self._trainable.items()}
 
     def _accumulate(self, node: _Node, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
         def put(slot: int, contribution: np.ndarray) -> None:
@@ -284,12 +287,12 @@ class Tape:
             p = node.value
             put(ins[0], p * (g - (g * p).sum(axis=1, keepdims=True)))
         elif op == "group_mean":
-            w = aux[:, :, None]
+            w = vals[1][:, :, None]
             rows = g[:, None, :] * w / w.sum(axis=1, keepdims=True)
             put(ins[0], rows.reshape(vals[0].shape))
         elif op == "gather_rows":
             full = np.zeros_like(vals[0])
-            np.add.at(full, aux, g)
+            np.add.at(full, vals[1], g)
             put(ins[0], full)
         elif op == "cross_entropy":
             logits, labels = vals

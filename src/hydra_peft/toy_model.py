@@ -136,12 +136,57 @@ class ModelGraph:
     loss_slot: int
     logits_slot: int
     gate_slots: dict[str, int]
-    kept_rows: np.ndarray  # rows of the gate slots that are not padding
+    feeds: dict[str, int]  # batch_leaves role -> the leaf it fills
+
+    @property
+    def kept_rows(self) -> np.ndarray | slice:
+        """Rows of the gate slots that are not padding, from the pool mask leaf."""
+        pool = self.feeds.get("pool")
+        return slice(None) if pool is None else self.tape.value(pool).reshape(-1) > 0
 
     def gate_means(self) -> dict[str, np.ndarray]:
         """Mean router weights per expert, averaged over the kept rows."""
-        return {proj: self.tape.value(s)[self.kept_rows].mean(axis=0)
+        kept = self.kept_rows
+        return {proj: self.tape.value(s)[kept].mean(axis=0)
                 for proj, s in self.gate_slots.items()}
+
+
+def batch_leaves(model: ToyModel, batch: Batch, loss: str = "ce") -> dict[str, np.ndarray]:
+    """The checked values a batch puts into a graph's leaves, by role: "x" or
+    "tokens", "pool" and "pad" (token masks; "pad" only if there is padding),
+    "labels" or "targets". Built and replayed graphs both read batches here."""
+    leaves: dict[str, np.ndarray] = {}
+    if model.mode in ("linear", "dense"):
+        leaves["x"] = np.asarray(batch.inputs, dtype=np.float64)
+    elif model.mode == "tokens":
+        tokens = np.asarray(batch.inputs, dtype=np.int64)
+        if tokens.ndim != 2:
+            raise ShapeError(f"token batches must be (B, T), got {tokens.shape}")
+        if tokens.min() < 0 or tokens.max() >= model.input_dim:
+            raise ContractError("token id out of vocabulary range")
+        keep = tokens != 0
+        if not keep.any(axis=1).all():
+            raise ContractError("a token sample is all padding")
+        leaves["tokens"] = tokens.reshape(-1)
+        leaves["pool"] = keep.astype(np.float64)
+        if not keep.all():  # without padding the graph adds no mask
+            leaves["pad"] = np.where(np.repeat(keep, tokens.shape[1], 0), 0, -np.inf)
+    else:
+        raise UsageError(f"unknown model mode {model.mode!r}")
+
+    if loss == "ce":
+        if batch.labels is None:
+            raise ContractError("cross-entropy needs labels")
+        if batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
+            raise ContractError("label out of class range")
+        leaves["labels"] = batch.labels
+    elif loss == "mse":
+        if batch.targets is None:
+            raise ContractError("mse needs targets")
+        leaves["targets"] = np.asarray(batch.targets, dtype=np.float64)
+    else:
+        raise UsageError(f"unknown loss {loss!r}")
+    return leaves
 
 
 def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
@@ -153,10 +198,11 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
     """
     if trainable not in ("adapters", "adapters+head", "all", "none"):
         raise UsageError(f"unknown trainable spec {trainable!r}")
+    leaves = batch_leaves(model, batch, loss)
     tape = Tape()
+    feeds = {role: tape.input(value) for role, value in leaves.items()}
     slots: dict[str, int] = {}
     gates: dict[str, int] = {}
-    kept_rows = np.ones(len(batch.inputs), dtype=bool)
 
     def weight(name: str) -> int:
         """The leaf of a base weight, registered once per tape on first use."""
@@ -177,54 +223,32 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
         return tape.add(out, branch)
 
     if model.mode == "linear":
-        logits = linear(tape.input(np.asarray(batch.inputs, dtype=np.float64)), "proj")
+        logits = linear(feeds["x"], "proj")
     elif model.mode == "dense":
-        xe = linear(tape.input(np.asarray(batch.inputs, dtype=np.float64)), "embed")
+        xe = linear(feeds["x"], "embed")
         # length-1 attention: softmax over one position is exactly 1, so the
         # block's output equals the (adapted) value projection
         x2 = tape.add(xe, linear(linear(xe, "v_proj"), "o_proj"))
         x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
         logits = linear(x3, "head")
-    elif model.mode == "tokens":
-        tokens = np.asarray(batch.inputs, dtype=np.int64)
-        if tokens.ndim != 2:
-            raise ShapeError(f"token batches must be (B, T), got {tokens.shape}")
-        if tokens.min() < 0 or tokens.max() >= model.input_dim:
-            raise ContractError("token id out of vocabulary range")
-        keep = tokens != 0
-        if not keep.any(axis=1).all():
-            raise ContractError("a token sample is all padding")
-        # one graph over all B*T rows; attention and pooling act per sample
-        n, t = tokens.shape
-        x = tape.gather_rows(weight("embed"), tokens.reshape(-1))
+    else:  # tokens: one graph over all B*T rows; attention and pooling act per sample
+        n = len(batch.inputs)
+        x = tape.gather_rows(weight("embed"), feeds["tokens"])
         q, kk, v = (linear(x, name) for name in ("q_proj", "k_proj", "v_proj"))
         scores = tape.scale(tape.matmul(q, kk, groups=n, transpose_b=True),
                             1.0 / np.sqrt(model.d_model))
-        if not keep.all():  # -inf on pad keys; without padding nothing is added
-            scores = tape.add(scores, tape.input(np.where(np.repeat(keep, t, 0), 0, -np.inf)))
+        if "pad" in feeds:
+            scores = tape.add(scores, feeds["pad"])
         x2 = tape.add(x, linear(tape.matmul(tape.softmax_rows(scores), v, groups=n), "o_proj"))
         x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
-        logits = linear(tape.group_mean(x3, keep), "head")
-        kept_rows = keep.reshape(-1)
-    else:
-        raise UsageError(f"unknown model mode {model.mode!r}")
+        logits = linear(tape.group_mean(x3, feeds["pool"]), "head")
 
     if loss == "ce":
-        if batch.labels is None:
-            raise ContractError("cross-entropy needs labels")
-        if batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
-            raise ContractError("label out of class range")
-        labels = tape.input(batch.labels)
-        loss_slot = tape.cross_entropy(logits, labels)
-    elif loss == "mse":
-        if batch.targets is None:
-            raise ContractError("mse needs targets")
-        targets = tape.input(np.asarray(batch.targets, dtype=np.float64))
-        loss_slot = tape.mse(logits, targets)
+        loss_slot = tape.cross_entropy(logits, feeds["labels"])
     else:
-        raise UsageError(f"unknown loss {loss!r}")
+        loss_slot = tape.mse(logits, feeds["targets"])
     return ModelGraph(tape=tape, loss_slot=loss_slot, logits_slot=logits,
-                      gate_slots=gates, kept_rows=kept_rows)
+                      gate_slots=gates, feeds=feeds)
 
 
 def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, np.ndarray]:

@@ -171,34 +171,58 @@ class Dataset:
 
 
 class _Optimizer:
-    """SGD / Adam over live parameter arrays (updates mutate in place)."""
+    """SGD / Adam over live parameter arrays (updates mutate in place).
+
+    Adam's m and v are flat, in refs order. A step runs the arithmetic once
+    per run of adjacent parameters that got a gradient (one run when all
+    did), so a parameter without one keeps its m and v; each entry sees the
+    operations of a per-array update, so the bytes are the same."""
 
     def __init__(self, refs: dict[str, np.ndarray], lr: float, kind: str):
         self.refs = refs
         self.lr = lr
         self.kind = kind
         self.t = 0
-        self._m = {k: np.zeros_like(v) for k, v in refs.items()} if kind == "adam" else {}
-        self._v = {k: np.zeros_like(v) for k, v in refs.items()} if kind == "adam" else {}
+        size = sum(arr.size for arr in refs.values())
+        self._m = np.zeros(size) if kind == "adam" else None
+        self._v = np.zeros(size) if kind == "adam" else None
+        self._runs: dict[tuple[str, ...], list] = {}
+
+    def _runs_for(self, present) -> list[tuple[slice, list[tuple[str, slice]]]]:
+        """(flat slice, [(name, slice of the run)]) per run of adjacent refs in present."""
+        runs, lo = [], 0  # [start, stop, parts] per run
+        for name, arr in self.refs.items():
+            hi = lo + arr.size
+            if name in present:
+                if not runs or runs[-1][1] != lo:
+                    runs.append([lo, lo, []])
+                runs[-1][1] = hi
+                runs[-1][2].append((name, slice(lo - runs[-1][0], hi - runs[-1][0])))
+            lo = hi
+        return [(slice(start, stop), parts) for start, stop, parts in runs]
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        for name, arr in self.refs.items():
-            g = grads.get(name)
-            if g is None:
-                continue
+        key = tuple(grads)
+        if key not in self._runs:
+            self._runs[key] = self._runs_for(key)
+        for flat, parts in self._runs[key]:
+            g = np.concatenate([grads[name].ravel() for name, _ in parts])
             if self.kind == "sgd":
-                arr -= self.lr * g
+                upd = self.lr * g
             else:
-                m = self._m[name]
-                v = self._v[name]
+                m = self._m[flat]
+                v = self._v[flat]
                 m *= ADAM_BETA1
                 m += (1 - ADAM_BETA1) * g
                 v *= ADAM_BETA2
                 v += (1 - ADAM_BETA2) * g * g
                 m_hat = m / (1 - ADAM_BETA1 ** self.t)
                 v_hat = v / (1 - ADAM_BETA2 ** self.t)
-                arr -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                upd = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            for name, part in parts:
+                arr = self.refs[name]
+                arr -= upd[part].reshape(arr.shape)
 
 
 def evaluate(model: ToyModel, data: Dataset, mask: np.ndarray | None = None):
@@ -234,6 +258,23 @@ def _adapter_flops(model: ToyModel, cfg: TrainConfig, tokens_processed: int) -> 
     return 6 * macs
 
 
+def _step_graph(graphs: dict, model: ToyModel, batch: Batch, loss: str, trainable: str,
+                head: int | None) -> tm.ModelGraph:
+    """The batch's training graph, run forward: built on the first use of its
+    signature (shape, split head, padding), then replayed for later batches."""
+    leaves = tm.batch_leaves(model, batch, loss)
+    key = (batch.inputs.shape, head, "pad" in leaves)
+    graph = graphs.get(key)
+    if graph is None:
+        graph = graphs[key] = tm.build_graph(model, batch, loss=loss, trainable=trainable,
+                                             active_split_head=head)
+    else:
+        for role, slot in graph.feeds.items():
+            graph.tape.set_value(slot, leaves[role])
+        graph.tape.forward()
+    return graph
+
+
 def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
           task_schedule: bool = False) -> TrainReport:
     """Optimize the model's trainable parameters on the dataset.
@@ -261,6 +302,7 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
     refs = tm.param_refs(model, trainable)
     n_params = sum(a.size for a in refs.values())
     opt = _Optimizer(refs, cfg.learning_rate, cfg.optimizer)
+    graphs: dict[tuple, tm.ModelGraph] = {}
     for step in range(1, cfg.steps + 1):
         if task_ids is not None:
             task = task_ids[(step - 1) % len(task_ids)]
@@ -275,16 +317,16 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
             # divergence shows up as non-finite values below; numpy's own
             # overflow warnings on the way there are just noise
             with np.errstate(all="ignore"):
-                graph = tm.build_graph(model, batch, loss=data.loss,
-                                       trainable=trainable, active_split_head=head)
+                graph = _step_graph(graphs, model, batch, data.loss, trainable, head)
+                loss_val = float(graph.tape.value(graph.loss_slot))
+                if not np.isfinite(loss_val):
+                    raise TrainingAborted(step, f"loss became {loss_val}")
+                # only leaves present in this step's graph produce gradients; with
+                # a task-scheduled split adapter that is exactly the dedicated head
+                grads = graph.tape.backward(graph.loss_slot)
         except InvariantError as e:
             raise TrainingAborted(step, str(e)) from e
-        loss_val = float(graph.tape.value(graph.loss_slot))
-        if not np.isfinite(loss_val):
-            raise TrainingAborted(step, f"loss became {loss_val}")
-        # only leaves present in this step's graph produce gradients; with a
-        # task-scheduled split adapter that is exactly the dedicated head
-        opt.step(graph.tape.backward(graph.loss_slot))
+        opt.step(grads)
         if step % cfg.eval_interval == 0 or step == cfg.steps:
             record(step)
 

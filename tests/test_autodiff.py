@@ -76,7 +76,7 @@ def _random_graph(seed: int):
     rng = SeededRng(seed)
     t = Tape()
     emb = t.input(rng.normal(15).reshape(5, 3), name="emb", trainable=True)
-    x = t.gather_rows(emb, np.array([0, 2, 2, 4]))
+    x = t.gather_rows(emb, t.input(np.array([0, 2, 2, 4])))
     w1, w2, w3 = (t.input(rng.normal(9).reshape(3, 3) * 0.6, name=f"w{i}", trainable=True)
                   for i in (1, 2, 3))
     gate_w = t.input(rng.normal(9).reshape(3, 3) * 0.5, name="gate", trainable=True)
@@ -90,7 +90,7 @@ def _random_graph(seed: int):
     # masked per-group mean that drops the last row
     att = t.softmax_rows(t.matmul(mix, h, groups=2, transpose_b=True))
     ctx = t.matmul(att, h, groups=2)
-    pooled = t.group_mean(t.add(mix, ctx), np.array([[1.0, 1.0], [1.0, 0.0]]))
+    pooled = t.group_mean(t.add(mix, ctx), t.input(np.array([[1.0, 1.0], [1.0, 0.0]])))
     labels = t.input(np.array([1, 2]))
     loss = t.cross_entropy(pooled, labels)
     return t, loss
@@ -130,7 +130,7 @@ def test_grad_check_gather_rows():
     rng = SeededRng(31)
     t = Tape()
     table = t.input(rng.normal(15).reshape(5, 3), name="emb", trainable=True)
-    rows = t.gather_rows(table, np.array([0, 2, 2, 4]))
+    rows = t.gather_rows(table, t.input(np.array([0, 2, 2, 4])))
     loss = t.cross_entropy(rows, t.input(np.array([0, 1, 2, 1])))
     report = grad_check(t, loss, SeededRng(1))
     assert report.max_rel_error <= 1e-6
@@ -182,6 +182,12 @@ def test_forward_recomputes_after_set_value():
     t.set_value(x, np.array([[2.0, 2.0]]))
     t.forward()
     assert float(t.value(loss)) == 4.0
+    # a float64 leaf is its source array, so an in-place update reaches it
+    t.value(x)[0, 0] = 0.0
+    t.forward()
+    assert float(t.value(loss)) == 2.0
+    w = np.ones((2, 2))
+    assert t.value(t.input(w)) is w
 
 
 def test_second_trainable_leaf_with_a_taken_name_rejected():
@@ -205,7 +211,7 @@ def test_group_ops_act_per_block():
         blk = slice(2 * s, 2 * s + 2)
         assert np.allclose(t.value(ab_t)[blk], a[blk] @ b[blk].T, atol=1e-15)
         assert np.allclose(t.value(ab_t_b)[blk], t.value(ab_t)[blk] @ b[blk], atol=1e-14)
-    mean = t.group_mean(t.input(a), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    mean = t.group_mean(t.input(a), t.input(np.array([[1.0, 1.0], [0.0, 1.0]])))
     assert np.array_equal(t.value(mean), np.stack([a[:2].mean(axis=0), a[3]]))
 
 

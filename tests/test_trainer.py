@@ -3,7 +3,8 @@ import pytest
 
 from hydra_peft import toy_model as tm
 from hydra_peft import trainer as tr
-from hydra_peft.errors import TrainingAborted, UsageError
+from hydra_peft import corpus as cp
+from hydra_peft.errors import ContractError, TrainingAborted, UsageError
 from hydra_peft.linalg import SeededRng
 
 
@@ -131,6 +132,143 @@ def test_nan_loss_aborts_with_step():
                          batch_size=8, seed=19)
     with pytest.raises(TrainingAborted, match=r"step \d+"):
         tr.train(model, data, cfg)
+
+
+def test_gradient_overflow_aborts_before_any_update():
+    # the loss is finite (4e16), but dW = g^T x overflows in backward
+    model = tm.linear_model(2, 1, seed=0)
+    model.weights["proj"][:] = 1e-300
+    x = np.full((4, 2), 1e308)
+    data = tr.Dataset(train_inputs=x, eval_inputs=x, train_targets=np.zeros((4, 1)),
+                      eval_targets=np.zeros((4, 1)), loss="mse")
+    before = _weight_bytes(model)
+    cfg = tr.TrainConfig(scheme="full", steps=3, learning_rate=0.1, batch_size=4, seed=0)
+    with pytest.raises(TrainingAborted, match="non-finite") as err:
+        tr.train(model, data, cfg)
+    assert err.value.step == 1
+    assert _weight_bytes(model) == before
+
+
+def _rebuilt_train(model, data, cfg, task_schedule=False):
+    """The training loop before graphs were replayed: a fresh graph every
+    step and a per-array optimizer. Returns the report rows."""
+    trainable = "all" if cfg.scheme == "full" else (
+        "adapters+head" if cfg.train_head else "adapters")
+    rng = SeededRng(cfg.seed).derive("train-loop")
+    task_ids = sorted(set(int(t) for t in data.train_tasks)) if task_schedule else None
+    rows = []
+
+    def record(step):
+        loss, acc, gates = tr.evaluate(model, data)
+        rows.append({"step": step, "loss": loss, "acc": acc, "gates": tr._gate_row(gates)})
+
+    record(0)
+    refs = tm.param_refs(model, trainable)
+    ms = {k: np.zeros_like(v) for k, v in refs.items()}
+    vs = {k: np.zeros_like(v) for k, v in refs.items()}
+    for step in range(1, cfg.steps + 1):
+        if task_ids is not None:
+            task = task_ids[(step - 1) % len(task_ids)]
+            pool = np.flatnonzero(data.train_tasks == task)
+            idx = pool[rng.integers(cfg.batch_size, pool.size)]
+            head = task if cfg.scheme == "split" else None
+        else:
+            idx = rng.integers(cfg.batch_size, data.n_train())
+            head = None
+        with np.errstate(all="ignore"):
+            graph = tm.build_graph(model, data.train_batch(idx), loss=data.loss,
+                                   trainable=trainable, active_split_head=head)
+            grads = graph.tape.backward(graph.loss_slot)
+        for name, arr in refs.items():
+            g = grads.get(name)
+            if g is None:
+                continue
+            if cfg.optimizer == "sgd":
+                arr -= cfg.learning_rate * g
+            else:
+                m, v = ms[name], vs[name]
+                m *= tr.ADAM_BETA1
+                m += (1 - tr.ADAM_BETA1) * g
+                v *= tr.ADAM_BETA2
+                v += (1 - tr.ADAM_BETA2) * g * g
+                m_hat = m / (1 - tr.ADAM_BETA1 ** step)
+                v_hat = v / (1 - tr.ADAM_BETA2 ** step)
+                arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+        if step % cfg.eval_interval == 0 or step == cfg.steps:
+            record(step)
+    return rows
+
+
+def _dense_case(scheme, n=1, task_schedule=False):
+    data = _small_data(4)
+    model = tm.dense_model(16, 12, 4, seed=30)
+    if scheme != "full":
+        tm.attach(model, "v_proj", scheme, 2, seed=31, n=n)
+    cfg = tr.TrainConfig(scheme=scheme, rank=2, experts=n, steps=24, learning_rate=0.02,
+                         optimizer="adam", batch_size=8, seed=32, eval_interval=10,
+                         train_head=not task_schedule)
+    return model, data, cfg, task_schedule
+
+
+def _token_case():
+    # every other document is cut to 3 of its 6 tokens, so batches of 2 come
+    # both padded and unpadded: two graph signatures
+    docs = cp.synth_corpus(2, 12, 0.8, seed=5, doc_len=6)
+    docs = [cp.Document(d.id, " ".join(d.text.split()[: 3 if i % 2 else 6]), d.task)
+            for i, d in enumerate(docs)]
+    data, vocab, classes = tr.token_dataset_from_corpus(docs, seq_len=6, seed=5)
+    model = tm.token_model(len(vocab) + 1, 8, len(classes), seed=33)
+    for proj in model.attachment_points():
+        tm.attach(model, proj, "hydra", 2, seed=34, n=3)
+    cfg = tr.TrainConfig(scheme="hydra", rank=2, experts=3, steps=20, learning_rate=0.1,
+                         batch_size=2, seed=35, eval_interval=7)
+    return model, data, cfg, False
+
+
+@pytest.mark.parametrize("case,graphs", [
+    (lambda: _dense_case("lora"), 1),
+    (lambda: _dense_case("hydra", n=3), 1),
+    (lambda: _dense_case("full"), 1),
+    (lambda: _dense_case("split", n=2, task_schedule=True), 2),
+    (_token_case, 2),
+], ids=["lora", "hydra", "full", "split-task-schedule", "tokens-padded-and-not"])
+def test_replayed_training_matches_rebuilding_every_step(case, graphs, monkeypatch):
+    model, data, cfg, task_schedule = case()
+    oracle = tm.clone_model(model)
+    built = []
+    build = tm.build_graph
+    monkeypatch.setattr(tm, "build_graph", lambda *a, **k: built.append(1) or build(*a, **k))
+    rep = tr.train(model, data, cfg, task_schedule=task_schedule)
+    n_evals = len(rep.rows)
+    monkeypatch.setattr(tm, "build_graph", build)
+    rows = _rebuilt_train(oracle, data, cfg, task_schedule)
+    assert len(built) - n_evals == graphs  # one build per signature, the rest replays
+    assert repr(rep.rows) == repr(rows)
+    assert _weight_bytes(model) == _weight_bytes(oracle)
+    names = tm.param_refs(model, "all")
+    assert names.keys() == tm.param_refs(oracle, "all").keys()
+    for name, arr in tm.param_refs(oracle, "all").items():
+        assert names[name].tobytes() == arr.tobytes(), name
+
+
+def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
+    model = tm.token_model(6, 8, 3, seed=0)
+    tm.attach(model, "q_proj", "hydra", 2, seed=1, n=2)
+    graphs = {}
+    good = tm.Batch(inputs=np.array([[1, 2, 0], [3, 4, 5]]), labels=np.array([0, 2]))
+    tr._step_graph(graphs, model, good, "ce", "adapters+head", None)
+    bad = {  # each has the good batch's signature: shape (2, 3), padded
+        "token id out of vocabulary range": ([[1, 2, 0], [3, 4, 6]], [0, 2]),
+        "a token sample is all padding": ([[1, 2, 0], [0, 0, 0]], [0, 2]),
+        "label out of class range": ([[1, 2, 0], [3, 4, 5]], [0, 3]),
+    }
+    for message, (inputs, labels) in bad.items():
+        batch = tm.Batch(inputs=np.array(inputs), labels=np.array(labels))
+        with pytest.raises(ContractError, match=message):
+            tm.build_graph(model, batch)
+        with pytest.raises(ContractError, match=message):
+            tr._step_graph(graphs, model, batch, "ce", "adapters+head", None)
+    assert len(graphs) == 1
 
 
 def test_report_csv_shape():
