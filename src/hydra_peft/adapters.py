@@ -205,72 +205,24 @@ ADAPTERS = {"lora": LoraAdapter, "split": SplitAdapter, "hydra": HydraAdapter}
 Adapter = LoraAdapter | SplitAdapter | HydraAdapter
 
 
-@dataclass
-class GateOutput:
-    """Softmax expert weights for one input; nonnegative, sums to 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ShapeError(f"gate weights must be a nonempty vector, got {w.shape}")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
-            raise InvariantError("gate weights must be a probability vector")
-        self.weights = w
+# -- merged inference ------------------------------------------------------
 
 
-# -- forward passes -------------------------------------------------------
+def merge_infer(x: np.ndarray, w0: np.ndarray, ad: HydraAdapter,
+                gates: np.ndarray) -> np.ndarray:
+    """Rows of W0 x + (alpha/r) B_bar (A x), with B_bar = sum_i w_i B_i per row.
 
-
-def lora_forward(x: np.ndarray, w0: np.ndarray, ad: LoraAdapter) -> np.ndarray:
-    """W0 x + (alpha/r) B (A x)."""
-    base = linalg.matvec(w0, x)
-    mid = linalg.matvec(ad.a, x)
-    return base + ad.scaling * linalg.matvec(ad.b, mid)
-
-
-def split_forward(x: np.ndarray, w0: np.ndarray, ad: SplitAdapter) -> np.ndarray:
-    """W0 x plus the sum of every head's update."""
-    out = linalg.matvec(w0, x)
-    for head in ad.heads:
-        out = out + head.scaling * linalg.matvec(head.b, linalg.matvec(head.a, x))
-    return out
-
-
-def route(z: np.ndarray, w_gate: np.ndarray) -> GateOutput:
-    """Softmax over expert logits W_g^T z for a rank-space input z."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != w_gate.shape[0]:
-        raise ShapeError(f"route shape mismatch: z {z.shape} vs gate {w_gate.shape}")
-    logits = linalg.matvec(w_gate.T, z)
-    return GateOutput(weights=linalg.softmax(logits))
-
-
-def hydra_forward(x: np.ndarray, w0: np.ndarray,
-                  ad: HydraAdapter) -> tuple[np.ndarray, GateOutput]:
-    """W0 x + (alpha/r) sum_i w_i B_i (A x), gates from the rank-r projection."""
-    z = linalg.matvec(ad.a_shared, x)
-    gate = route(z, ad.w_gate)
-    out = linalg.matvec(w0, x)
-    update = np.zeros(w0.shape[0])
-    for w_i, b_i in zip(gate.weights, ad.experts):
-        update = update + w_i * linalg.matvec(b_i, z)
-    return out + ad.scaling * update, gate
-
-
-def merge_infer(x: np.ndarray, w0: np.ndarray, ad: HydraAdapter) -> np.ndarray:
-    """Average the experts first (B_bar = sum_i w_i B_i), then apply once.
-
-    Equal to hydra_forward up to reassociation of float sums, since the
-    experts act linearly on z.
+    `gates` holds one row of router weights per input row, as the gate slot of
+    the graph that ran `ad.tape_branch` on `x` holds them. The experts act
+    linearly on A x, so this equals that graph's expert sum up to the order
+    of the float additions.
     """
-    z = linalg.matvec(ad.a_shared, x)
-    gate = route(z, ad.w_gate)
-    b_bar = np.zeros_like(ad.experts[0])
-    for w_i, b_i in zip(gate.weights, ad.experts):
-        b_bar = b_bar + w_i * b_i
-    return linalg.matvec(w0, x) + ad.scaling * linalg.matvec(b_bar, z)
+    z = linalg.matmul(x, ad.a_shared.T)
+    b_bar = np.zeros((len(x), *ad.experts[0].shape))
+    for i, b_i in enumerate(ad.experts):
+        b_bar = b_bar + gates[:, i, None, None] * b_i
+    update = linalg.matmul(b_bar, z[:, :, None])[:, :, 0]
+    return linalg.matmul(x, w0.T) + ad.scaling * update
 
 
 # -- parameter accounting --------------------------------------------------

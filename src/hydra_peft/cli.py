@@ -28,6 +28,7 @@ from . import adapters as ad_mod
 from . import analysis
 from . import clustering
 from . import corpus as corpus_mod
+from . import toy_model as tm
 from . import trainer
 from .errors import (CheckpointError, ContractError, InvariantError, ParseError,
                      ShapeError, TrainingAborted, UsageError)
@@ -122,17 +123,25 @@ def cmd_merge_infer(args) -> int:
                                dtype=np.float64)
         except (ValueError, TypeError) as e:
             raise ParseError(f"{args.input}: not a JSON list of numbers ({e})") from e
+        if not np.isfinite(given).all():
+            raise ParseError(f"{args.input}: input vector has non-finite entries")
     rng = SeededRng(args.seed).derive("merge-infer")
     worst = 0.0
     for proj, ad in sorted(adapters.items()):
         d, k = ad.experts[0].shape[0], ad.a_shared.shape[1]
         if given is not None and given.shape != (k,):
             raise UsageError(f"input vector must have length {k}")
+        # the expert sum is the tape forward of a one-projection model under a
+        # random base weight; every x is drawn before the trials' base weights
+        model = tm.linear_model(k, d, seed=0)
+        model.adapters["proj"] = ad
         for x in [given] if given is not None else [rng.normal(k) for _ in range(args.trials)]:
-            w0 = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
-            moe, _ = ad_mod.hydra_forward(x, w0, ad)
-            merged = ad_mod.merge_infer(x, w0, ad)
-            worst = max(worst, float(np.abs(moe - merged).max()))
+            w0 = model.weights["proj"] = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
+            graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, d))),
+                                   loss="mse", trainable="none")
+            gates = graph.tape.value(graph.gate_slots["proj"])
+            merged = ad_mod.merge_infer(x[None], w0, ad, gates)
+            worst = max(worst, float(np.abs(graph.tape.value(graph.logits_slot) - merged).max()))
     sys.stdout.write(f"max |merge - moe|: {worst:.3e}\n")
     if worst > 1e-12:
         raise InvariantError(

@@ -99,13 +99,6 @@ class SeededRng:
         return out
 
 
-def _check_matrix(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
 # Largest product buffer, in elements, one pass of the broadcast kernel
 # builds. Above it the buffer costs more in memory traffic and peak RSS than
 # the k-loop saves.
@@ -176,15 +169,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for a 1-D v, same accumulation order as matmul."""
-    m = _check_matrix(m, "m")
-    v = np.asarray(v)
-    if v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec shape mismatch: {m.shape} x {v.shape}")
-    return matmul(m, v[:, None])[:, 0]
-
-
 def kaiming_uniform(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
     """Uniform entries on [-b, b] with b = sqrt(6 / fan_in), fan_in = cols."""
     if rows < 1 or cols < 1:
@@ -192,23 +176,3 @@ def kaiming_uniform(rows: int, cols: int, rng: SeededRng) -> np.ndarray:
     bound = np.sqrt(6.0 / cols)
     u = rng.uniform(rows * cols)
     return ((2.0 * u - 1.0) * bound).reshape(rows, cols)
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Stable softmax of a 1-D vector (max subtracted before exp)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"softmax needs a nonempty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ContractError("softmax input has non-finite entries")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = _check_matrix(a, "a")
-    b = _check_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"frobenius_distance shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sqrt((d * d).sum()))

@@ -19,9 +19,11 @@ from hydra_peft import clustering as cl
 from hydra_peft import corpus as cp
 from hydra_peft import toy_model as tm
 from hydra_peft import trainer as tr
-from hydra_peft.autodiff import grad_check
+from hydra_peft.autodiff import Tape, grad_check
 from hydra_peft.cli import main as cli_main
-from hydra_peft.linalg import SeededRng, matvec
+from hydra_peft.linalg import SeededRng
+
+from adapter_refs import linear_forward
 
 
 @contextmanager
@@ -62,14 +64,13 @@ def test_criterion_2_zero_init_contract():
                 x = rng.normal(k)
                 init_rng = SeededRng(i).derive(scheme)
                 if scheme == "lora":
-                    out = ad.lora_forward(x, w0, ad.LoraAdapter.init(d, k, r, init_rng))
+                    adapter = ad.LoraAdapter.init(d, k, r, init_rng)
                 elif scheme == "split":
-                    out = ad.split_forward(x, w0,
-                                           ad.SplitAdapter.init(d, k, r, n, init_rng))
+                    adapter = ad.SplitAdapter.init(d, k, r, n, init_rng)
                 else:
-                    out, _ = ad.hydra_forward(x, w0,
-                                              ad.HydraAdapter.init(d, k, r, n, init_rng))
-                assert np.abs(out - matvec(w0, x)).max() == 0.0
+                    adapter = ad.HydraAdapter.init(d, k, r, n, init_rng)
+                out = linear_forward(w0, adapter, x)[0]
+                assert np.abs(out - linear_forward(w0, None, x)[0]).max() == 0.0
 
 
 def _gradient_config(i: int):
@@ -113,15 +114,26 @@ def test_criterion_4_gate_and_merge_properties():
         rng = SeededRng(31337)
         sizes = [(2 + i % 5, 1 + i % 8) for i in range(100_000)]
         pool = rng.normal(sum(r * (n + 1) for r, n in sizes))
+        by_shape: dict[tuple[int, int], tuple[list, list]] = {}
         offset = 0
         for r, n in sizes:
-            z = pool[offset : offset + r] * 3.0
-            w_g = pool[offset + r : offset + r * (n + 1)].reshape(r, n)
+            zs, w_gs = by_shape.setdefault((r, n), ([], []))
+            zs.append(pool[offset : offset + r] * 3.0)
+            w_gs.append(pool[offset + r : offset + r * (n + 1)].reshape(r, n))
             offset += r * (n + 1)
-            gate = ad.route(z, w_g)
-            assert (gate.weights >= 0.0).all()
-            assert abs(gate.weights.sum() - 1.0) <= 1e-12
+        worst_sum = 0.0
+        for zs, w_gs in by_shape.values():
+            # HydraAdapter.tape_branch's router ops, one row block per routing
+            tape = Tape()
+            logits = tape.matmul(tape.input(np.stack(zs)), tape.input(np.concatenate(w_gs)),
+                                 groups=len(zs))
+            gates = tape.value(tape.softmax_rows(logits))
+            assert (gates >= 0.0).all()
+            worst_sum = max(worst_sum, np.abs(gates.sum(axis=1) - 1.0).max())
+            assert worst_sum <= 1e-12
+        assert sum(len(zs) for zs, _ in by_shape.values()) == len(sizes)
 
+        worst_merge = 0.0
         for i in range(1000):
             d = k = 4
             hy = ad.HydraAdapter.init(d, k, 2, 3, SeededRng(i).derive("merge"))
@@ -130,8 +142,10 @@ def test_criterion_4_gate_and_merge_properties():
             hy.w_gate[:] = rng.normal(hy.w_gate.size).reshape(hy.w_gate.shape)
             w0 = rng.normal(d * k).reshape(d, k)
             x = rng.normal(k)
-            y, _ = ad.hydra_forward(x, w0, hy)
-            assert np.abs(ad.merge_infer(x, w0, hy) - y).max() <= 1e-12
+            y, gate = linear_forward(w0, hy, x)
+            worst_merge = max(worst_merge, np.abs(ad.merge_infer(x[None], w0, hy, gate) - y).max())
+            assert worst_merge <= 1e-12
+        print(f"  worst |gate sum - 1|: {worst_sum:.1e}; worst merge error: {worst_merge:.1e}")
 
 
 def test_criterion_5_clustering_pipeline():

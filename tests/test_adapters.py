@@ -3,8 +3,10 @@ import pytest
 
 from hydra_peft import adapters as ad
 from hydra_peft import linalg
-from hydra_peft.errors import CheckpointError, InvariantError, ShapeError, UsageError
+from hydra_peft.errors import CheckpointError, InvariantError, UsageError
 from hydra_peft.linalg import SeededRng
+
+from adapter_refs import linear_forward, lora_ref
 
 
 def _fresh(scheme, d, k, r, n, seed):
@@ -16,12 +18,9 @@ def _fresh(scheme, d, k, r, n, seed):
     return ad.HydraAdapter.init(d, k, r, n, rng)
 
 
-def _forward(scheme, x, w0, adapter):
-    if scheme == "lora":
-        return ad.lora_forward(x, w0, adapter)
-    if scheme == "split":
-        return ad.split_forward(x, w0, adapter)
-    return ad.hydra_forward(x, w0, adapter)[0]
+def _out(x, w0, adapter):
+    """The adapted output for one input vector, through the tape graph."""
+    return linear_forward(w0, adapter, x)[0][0]
 
 
 @pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
@@ -32,14 +31,14 @@ def test_zero_init_forward_equals_base_exactly(scheme):
         w0 = rng.normal(d * k).reshape(d, k)
         x = rng.normal(k)
         adapter = _fresh(scheme, d, k, 2, 3, seed=trial)
-        out = _forward(scheme, x, w0, adapter)
-        assert np.array_equal(out, linalg.matvec(w0, x))
+        out = _out(x, w0, adapter)
+        assert np.array_equal(out, linalg.matmul(x[None], w0.T)[0])
 
 
 def test_lora_forward_hand_case():
     adapter = ad.LoraAdapter(a=np.array([[1.0, 0.0]]), b=np.array([[1.0], [0.0]]),
                              rank=1, alpha=1.0)
-    out = ad.lora_forward(np.array([2.0, 3.0]), np.eye(2), adapter)
+    out = _out(np.array([2.0, 3.0]), np.eye(2), adapter)
     assert np.allclose(out, [4.0, 3.0], atol=1e-15)
 
 
@@ -50,9 +49,9 @@ def test_alpha_scales_update_linearly():
     a1 = ad.LoraAdapter.init(3, 4, 2, SeededRng(5))
     a1.b[:] = SeededRng(6).normal(6).reshape(3, 2)
     a2 = ad.LoraAdapter(a=a1.a.copy(), b=a1.b.copy(), rank=2, alpha=4.0)
-    base = linalg.matvec(w0, x)
-    delta1 = ad.lora_forward(x, w0, a1) - base
-    delta2 = ad.lora_forward(x, w0, a2) - base
+    base = _out(x, w0, None)
+    delta1 = _out(x, w0, a1) - base
+    delta2 = _out(x, w0, a2) - base
     assert np.allclose(delta2, 2.0 * delta1, atol=1e-12)
 
 
@@ -62,8 +61,8 @@ def test_split_single_head_matches_lora():
     head.b[:] = SeededRng(10).normal(12).reshape(4, 3)
     w0 = SeededRng(11).normal(20).reshape(4, 5)
     x = SeededRng(12).normal(5)
-    got = ad.split_forward(x, w0, split)
-    want = ad.lora_forward(x, w0, head)
+    got = _out(x, w0, split)
+    want = _out(x, w0, head)
     assert np.abs(got - want).max() < 1e-15
 
 
@@ -75,23 +74,32 @@ def test_split_two_heads_hand_oracle():
     w0 = np.array([[1.0, 0.0], [0.0, 1.0]])
     x = np.array([0.5, -2.0])
     dense = w0 @ x + sum(h.scaling * (h.b @ (h.a @ x)) for h in split.heads)
-    assert np.allclose(ad.split_forward(x, w0, split), dense, atol=1e-12)
+    assert np.allclose(_out(x, w0, split), dense, atol=1e-12)
+
+
+def _gates(z, w_gate):
+    """Router weights for the rank-space input z: the gate slot of a graph
+    whose shared A is the identity, so A x = z."""
+    r, n = w_gate.shape
+    hy = ad.HydraAdapter(a_shared=np.eye(r), experts=[np.zeros((2, r)) for _ in range(n)],
+                         w_gate=w_gate, rank=r, alpha=float(r))
+    return linear_forward(np.zeros((2, r)), hy, z)[1][0]
 
 
 def test_route_uniform_for_zero_gate():
-    gate = ad.route(np.array([0.3, -0.7]), np.zeros((2, 4)))
-    assert np.allclose(gate.weights, 0.25, atol=1e-15)
+    gate = _gates(np.array([0.3, -0.7]), np.zeros((2, 4)))
+    assert np.allclose(gate, 0.25, atol=1e-15)
 
 
 def test_route_closed_form():
-    gate = ad.route(np.array([np.log(2.0), 0.0]), np.eye(2))
-    assert abs(gate.weights[0] - 2.0 / 3.0) < 1e-12
+    gate = _gates(np.array([np.log(2.0), 0.0]), np.eye(2))
+    assert abs(gate[0] - 2.0 / 3.0) < 1e-12
 
 
 def test_route_single_expert():
-    gate = ad.route(np.array([1.0, 2.0]), np.ones((2, 1)))
-    assert gate.weights.shape == (1,)
-    assert gate.weights[0] == 1.0
+    gate = _gates(np.array([1.0, 2.0]), np.ones((2, 1)))
+    assert gate.shape == (1,)
+    assert gate[0] == 1.0
 
 
 def test_route_argmax_invariant_to_input_scale():
@@ -99,9 +107,9 @@ def test_route_argmax_invariant_to_input_scale():
     for _ in range(50):
         z = rng.normal(3)
         w_g = rng.normal(12).reshape(3, 4)
-        base = ad.route(z, w_g).weights.argmax()
+        base = _gates(z, w_g).argmax()
         for c in (0.1, 2.0, 17.0):
-            assert ad.route(c * z, w_g).weights.argmax() == base
+            assert _gates(c * z, w_g).argmax() == base
 
 
 def test_hydra_single_expert_matches_lora():
@@ -110,9 +118,9 @@ def test_hydra_single_expert_matches_lora():
     lora = ad.LoraAdapter(a=hy.a_shared.copy(), b=hy.experts[0].copy(), rank=2, alpha=hy.alpha)
     w0 = SeededRng(3).normal(12).reshape(3, 4)
     x = SeededRng(4).normal(4)
-    y, gate = ad.hydra_forward(x, w0, hy)
-    assert gate.weights.tolist() == [1.0]
-    assert np.abs(y - ad.lora_forward(x, w0, lora)).max() < 1e-15
+    y, gate = linear_forward(w0, hy, x)
+    assert gate.tolist() == [[1.0]]
+    assert np.abs(y[0] - _out(x, w0, lora)).max() < 1e-15
 
 
 def test_hydra_zero_gate_averages_experts():
@@ -124,9 +132,9 @@ def test_hydra_zero_gate_averages_experts():
     x = np.array([1.0, 1.0])
     z = hy.a_shared @ x
     want = x + hy.scaling * 0.5 * (hy.experts[0] + hy.experts[1]) @ z
-    got, gate = ad.hydra_forward(x, w0, hy)
-    assert np.allclose(gate.weights, [0.5, 0.5], atol=1e-15)
-    assert np.allclose(got, want, atol=1e-12)
+    got, gate = linear_forward(w0, hy, x)
+    assert np.allclose(gate[0], [0.5, 0.5], atol=1e-15)
+    assert np.allclose(got[0], want, atol=1e-12)
 
 
 def test_merge_matches_expert_sum():
@@ -139,8 +147,8 @@ def test_merge_matches_expert_sum():
         hy.w_gate[:] = rng.normal(2 * 3).reshape(2, 3)
         w0 = rng.normal(d * k).reshape(d, k)
         x = rng.normal(k)
-        y, _ = ad.hydra_forward(x, w0, hy)
-        assert np.abs(ad.merge_infer(x, w0, hy) - y).max() <= 1e-12
+        y, gate = linear_forward(w0, hy, x)
+        assert np.abs(ad.merge_infer(x[None], w0, hy, gate) - y).max() <= 1e-12
 
 
 def test_merge_of_equal_experts_is_that_expert():
@@ -152,14 +160,8 @@ def test_merge_of_equal_experts_is_that_expert():
     w0 = SeededRng(11).normal(9).reshape(3, 3)
     x = SeededRng(12).normal(3)
     lora = ad.LoraAdapter(a=hy.a_shared.copy(), b=b.copy(), rank=2, alpha=hy.alpha)
-    assert np.abs(ad.merge_infer(x, w0, hy) - ad.lora_forward(x, w0, lora)).max() < 1e-12
-
-
-def test_gate_output_validates():
-    with pytest.raises(InvariantError):
-        ad.GateOutput(weights=np.array([0.7, 0.7]))
-    with pytest.raises(ShapeError):
-        ad.GateOutput(weights=np.array([[1.0]]))
+    gate = linear_forward(w0, hy, x)[1]
+    assert np.abs(ad.merge_infer(x[None], w0, hy, gate)[0] - lora_ref(x, w0, lora)).max() < 1e-12
 
 
 def test_rank_bounds_enforced():
@@ -205,31 +207,24 @@ def test_param_count_rejects_bad_inputs():
 
 
 def test_adapter_branch_macs_match_formula(monkeypatch):
-    """Brute-force MAC counter: every matvec m @ v is rows*cols MACs."""
+    """Brute-force MAC counter: a (G, m, k) x (G, k, n) matmul is G*m*k*n MACs."""
     counted = {"macs": 0}
-    real_matvec = linalg.matvec
+    real_matmul = linalg.matmul
 
-    def counting_matvec(m, v):
-        counted["macs"] += m.shape[0] * m.shape[1]
-        return real_matvec(m, v)
+    def counting_matmul(a, b):
+        counted["macs"] += int(np.prod(np.shape(a))) * np.shape(b)[-1]
+        return real_matmul(a, b)
 
-    monkeypatch.setattr(ad.linalg, "matvec", counting_matvec)
+    monkeypatch.setattr(linalg, "matmul", counting_matmul)
     d, k, r, n = 7, 5, 2, 3
     w0 = SeededRng(1).normal(d * k).reshape(d, k)
     x = SeededRng(2).normal(k)
     base_macs = d * k
 
-    counted["macs"] = 0
-    ad.lora_forward(x, w0, _fresh("lora", d, k, r, 1, 0))
-    assert counted["macs"] - base_macs == ad.params_per_matrix("lora", d, k, r)
-
-    counted["macs"] = 0
-    ad.split_forward(x, w0, _fresh("split", d, k, r, n, 0))
-    assert counted["macs"] - base_macs == ad.params_per_matrix("split", d, k, r, n)
-
-    counted["macs"] = 0
-    ad.hydra_forward(x, w0, _fresh("hydra", d, k, r, n, 0))
-    assert counted["macs"] - base_macs == ad.params_per_matrix("hydra", d, k, r, n)
+    for scheme in ("lora", "split", "hydra"):
+        counted["macs"] = 0
+        linear_forward(w0, _fresh(scheme, d, k, r, n, 0), x)
+        assert counted["macs"] - base_macs == ad.params_per_matrix(scheme, d, k, r, n)
 
 
 # -- checkpoints --------------------------------------------------------------

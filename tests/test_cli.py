@@ -188,8 +188,7 @@ def test_merge_infer_on_trained_checkpoint(tmp_path, capsys):
     _save(path, "hydra", hy)
     assert main(["merge-infer", "--checkpoint", str(path), "--trials", "32",
                  "--seed", "4"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("max |merge - moe|:")
+    assert capsys.readouterr().out == "max |merge - moe|: 8.882e-16\n"
 
 
 def test_merge_infer_rejects_plain_adapter(tmp_path):
@@ -358,10 +357,11 @@ def _non_utf8_config(root, cfg, ckpt):
     return ["train", "--config", str(path), "--out", str(root / "x")]
 
 
-def _merge_bad_input(root, cfg, ckpt):
-    path = root / "input.json"
-    path.write_text("[1, 2,")
-    return ["merge-infer", "--checkpoint", str(ckpt), "--input", str(path)]
+def _merge_input(name, text):
+    def make(root, cfg, ckpt):
+        (root / name).write_text(text)
+        return ["merge-infer", "--checkpoint", str(ckpt), "--input", str(root / name)]
+    return make
 
 
 def _argv(*argv):
@@ -417,7 +417,11 @@ MALFORMED = [
     ("eval: missing tensor",
      _edited_checkpoint("eval", lambda t: _drop_tensor(t, "v_proj.B1")), 2,
      "missing tensor v_proj.B1"),
-    ("merge-infer: unparseable input", _merge_bad_input, 2, "input.json"),
+    ("merge-infer: unparseable input", _merge_input("input.json", "[1, 2,"), 2, "input.json"),
+    ("merge-infer: NaN input", _merge_input("nan.json", "[NaN" + ", 1" * 11 + "]"), 2,
+     "nan.json: input vector has non-finite entries"),
+    ("merge-infer: infinite input", _merge_input("inf.json", "[1" + ", Infinity" * 11 + "]"), 2,
+     "inf.json: input vector has non-finite entries"),
     ("merge-infer: zero trials", _argv("merge-infer", "--checkpoint", None, "--trials", "0"), 1,
      "--trials must be >= 1, got 0"),
     ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,

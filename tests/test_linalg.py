@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hydra_peft import linalg
-from hydra_peft.errors import ContractError, InvariantError, ShapeError
-from hydra_peft.linalg import (SeededRng, frobenius_distance, kaiming_uniform,
-                               matmul, matvec, softmax)
+from hydra_peft.errors import InvariantError, ShapeError
+from hydra_peft.autodiff import Tape
+from hydra_peft.linalg import SeededRng, kaiming_uniform, matmul
 
 
 # published splitmix64 outputs for seed 0
@@ -230,13 +230,6 @@ def test_grouped_matmul_shape_errors():
         matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
 
 
-def test_matvec_consistent_with_matmul():
-    rng = SeededRng(4)
-    m = rng.normal(12).reshape(3, 4)
-    v = rng.normal(4)
-    assert matvec(m, v).tobytes() == matmul(m, v.reshape(4, 1)).ravel().tobytes()
-
-
 def test_kaiming_bound_is_one_for_fan_in_six():
     m = kaiming_uniform(1, 6, SeededRng(0))
     assert (np.abs(m) <= 1.0).all()
@@ -262,18 +255,26 @@ def test_kaiming_zero_dim_rejected():
         kaiming_uniform(0, 3, SeededRng(0))
 
 
+# -- row softmax: Tape.softmax_rows, the router's and attention's ------------
+
+
+def _softmax(v):
+    tape = Tape()
+    return tape.value(tape.softmax_rows(tape.input(np.asarray(v)[None])))[0]
+
+
 def test_softmax_symmetry():
-    assert np.allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
+    assert np.allclose(_softmax(np.array([0.0, 0.0])), [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_closed_form():
-    out = softmax(np.array([np.log(2.0), 0.0]))
+    out = _softmax(np.array([np.log(2.0), 0.0]))
     assert abs(out[0] - 2.0 / 3.0) < 1e-12
     assert abs(out[1] - 1.0 / 3.0) < 1e-12
 
 
 def test_softmax_large_inputs_stable():
-    out = softmax(np.array([1000.0, 0.0]))
+    out = _softmax(np.array([1000.0, 0.0]))
     assert np.isfinite(out).all()
     assert out[0] > 1.0 - 1e-12
 
@@ -282,25 +283,6 @@ def test_softmax_sum_and_shift_invariance():
     rng = SeededRng(2)
     for _ in range(50):
         v = rng.normal(6) * 10
-        out = softmax(v)
+        out = _softmax(v)
         assert abs(out.sum() - 1.0) < 1e-12
-        assert np.abs(out - softmax(v + 3.7)).max() < 1e-12
-
-
-def test_softmax_empty_rejected():
-    with pytest.raises(ShapeError):
-        softmax(np.array([]))
-
-
-def test_softmax_nonfinite_rejected():
-    with pytest.raises(ContractError):
-        softmax(np.array([np.inf, 0.0]))
-
-
-def test_frobenius_cases():
-    m = SeededRng(1).normal(9).reshape(3, 3)
-    assert frobenius_distance(m, m) == 0.0
-    assert frobenius_distance(np.array([[0.0]]), np.array([[3.0]])) == 3.0
-    assert abs(frobenius_distance(np.eye(2), np.zeros((2, 2))) - np.sqrt(2)) < 1e-15
-    with pytest.raises(ShapeError):
-        frobenius_distance(np.zeros((2, 2)), np.zeros((3, 2)))
+        assert np.abs(out - _softmax(v + 3.7)).max() < 1e-12
