@@ -197,8 +197,8 @@ class HydraAdapter:
         a, *experts, wg = _leaves(tape, self.named_params(prefix), trainable)
         z = tape.matmul(x, a, transpose_b=True)
         gate = tape.softmax_rows(tape.matmul(z, wg))
-        ys = [tape.matmul(z, b, transpose_b=True) for b in experts]
-        return tape.scale(tape.expert_mix(gate, *ys), self.scaling), gate
+        ys = tape.matmul(z, *experts, transpose_b=True)
+        return tape.scale(tape.expert_mix(gate, ys), self.scaling), gate
 
 
 ADAPTERS = {"lora": LoraAdapter, "split": SplitAdapter, "hydra": HydraAdapter}

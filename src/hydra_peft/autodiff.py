@@ -7,12 +7,13 @@ the array it was given, so trainer.train re-runs one tape per batch
 signature: parameter leaves see the optimizer's in-place updates and
 `set_value` writes each batch into its leaves. The op set is closed on
 purpose, so every backward rule is hand-auditable: matmul (a b or a b^T, per
-row block if grouped), expert_mix (gate-weighted expert sum), add, scale,
-relu, softmax_rows, group_mean (row mask operand), gather_rows (row id
-operand), transpose, and the losses cross_entropy (fused with softmax) and
-mse. tests/test_autodiff.py's
-test_random_graph_covers_every_node_builder fails on a builder that its
-grad-checked tape does not use.
+row block if grouped; several equal b^T stacked into one product, so hydra's
+experts run as one node while each stays a leaf of its own), expert_mix (the
+gate-weighted sum of y's column blocks), add, scale, relu, softmax_rows,
+group_mean (row mask operand), gather_rows (row id operand), transpose, and
+the losses cross_entropy (fused with softmax) and mse.
+tests/test_autodiff.py's test_random_graph_covers_every_node_builder fails
+on a builder that its grad-checked tape does not use.
 
 Gradients are only accumulated along paths that reach a trainable leaf;
 frozen leaves never appear in the returned gradient map.
@@ -83,11 +84,16 @@ class Tape:
         self._nodes.append(_Node(op, inputs, aux, value, needs))
         return len(self._nodes) - 1
 
-    def matmul(self, a: int, b: int, groups: int = 1, transpose_b: bool = False) -> int:
-        """a b, or a b^T with transpose_b; with groups > 1, that per row block, stacked."""
-        if groups < 1 or any(len(self._nodes[s].value) % groups for s in (a, b)):
+    def matmul(self, a: int, *bs: int, groups: int = 1, transpose_b: bool = False) -> int:
+        """a b, or a b^T with transpose_b; with groups > 1, that per row block, stacked.
+        Several b of one shape act, with transpose_b, as one b with their rows stacked."""
+        if len(bs) != 1 and (groups != 1 or not transpose_b
+                             or len({self._nodes[s].value.shape for s in bs}) != 1):
+            raise ShapeError("stacked matmul needs b of one shape, transpose_b, one group")
+        if groups < 1 or any(len(self._nodes[s].value) % groups for s in (a, *bs)):
             raise ShapeError(f"matmul operand rows do not split into {groups} blocks")
-        return self._emit("matmul", (a, b), (groups, transpose_b))
+        return self._emit("matmul" if len(bs) == 1 else "stacked_matmul", (a, *bs),
+                          (groups, transpose_b))
 
     def transpose(self, a: int) -> int:
         return self._emit("transpose", (a,))
@@ -113,13 +119,13 @@ class Tape:
         float leaf `mask` (0 or 1 per row) keeps."""
         return self._emit("group_mean", (a, mask))
 
-    def expert_mix(self, gate: int, *ys: int) -> int:
-        """Sum over i of gate[:, i:i+1] * ys[i], added in index order."""
-        shapes = [self._nodes[s].value.shape for s in (gate, *ys)]
-        if (len(set(shapes[1:])) != 1 or len(shapes[1]) != 2
-                or shapes[0] != (shapes[1][0], len(ys))):
-            raise ShapeError(f"expert_mix needs a gate column per equal expert, got {shapes}")
-        return self._emit("expert_mix", (gate, *ys))
+    def expert_mix(self, gate: int, y: int) -> int:
+        """Sum over i of gate[:, i:i+1] * column block i of y, added in index order."""
+        shapes = [self._nodes[s].value.shape for s in (gate, y)]
+        if (len(shapes[0]) != 2 or len(shapes[1]) != 2 or shapes[0][0] != shapes[1][0]
+                or not shapes[0][1] or shapes[1][1] % shapes[0][1]):
+            raise ShapeError(f"expert_mix needs a gate column per column block of y, got {shapes}")
+        return self._emit("expert_mix", (gate, y))
 
     def gather_rows(self, a: int, indices: int) -> int:
         """Rows of a picked by the 1-D int leaf `indices`, repeats allowed."""
@@ -139,11 +145,14 @@ class Tape:
     def _compute(op: str, vals: list, aux):
         if op == "matmul":
             return _group_matmul(*vals, aux[0], tb=aux[1])
+        if op == "stacked_matmul":
+            return linalg.matmul(vals[0], np.concatenate(vals[1:]).T)
         if op == "expert_mix":
-            gate, *ys = vals
-            out = gate[:, :1] * ys[0]
-            for i in range(1, len(ys)):
-                out = out + gate[:, i : i + 1] * ys[i]
+            gate, y = vals
+            d = y.shape[1] // gate.shape[1]
+            out = gate[:, :1] * y[:, :d]
+            for i in range(1, gate.shape[1]):
+                out = out + gate[:, i : i + 1] * y[:, i * d : (i + 1) * d]
             return out
         if op == "transpose":
             return vals[0].T.copy()
@@ -265,15 +274,26 @@ class Tape:
             if self._nodes[ins[1]].needs_grad:  # g^T a with tb, else a^T g
                 put(ins[1], _group_matmul(g, a, groups, ta=True) if tb
                             else _group_matmul(a, g, groups, ta=True))
+        elif op == "stacked_matmul":
+            z, bs, d = vals[0], vals[1:], vals[1].shape[0]
+            # z: g_i b_i added last expert first, as separate nodes add them; one
+            # grouped product where it fits one pass of the kernel (slower beyond)
+            gs = g.reshape(len(g), len(bs), d).transpose(1, 0, 2)
+            ps = (linalg.matmul(gs, np.stack(bs))
+                  if gs.size * z.shape[1] <= linalg._BROADCAST_MAX_ELEMS
+                  else [linalg.matmul(gi, b) for gi, b in zip(gs, bs)])
+            put(ins[0], sum(ps[-2::-1], ps[-1]))
+            gb = linalg.matmul(g.T, z)  # row block i is g_i^T z
+            for i, slot in enumerate(ins[1:]):
+                put(slot, gb[i * d : (i + 1) * d])
         elif op == "expert_mix":
-            gate, *ys = vals
+            gate, y = vals
             # row sums of g * y_i (a 1-wide one is its own); with N > 1 experts,
             # + 0.0 gives each column the bytes of its sum with the others' zeros
-            cols = np.concatenate([g * y if g.shape[1] == 1 else (g * y).sum(axis=1, keepdims=True)
-                                   for y in ys], axis=1)
-            put(ins[0], cols + 0.0 if len(ys) > 1 else cols)
-            for i, slot in enumerate(ins[1:]):
-                put(slot, g * gate[:, i : i + 1])
+            prods = g[:, None, :] * y.reshape(*gate.shape, g.shape[1])
+            cols = prods[:, :, 0] if g.shape[1] == 1 else prods.sum(axis=2)
+            put(ins[0], cols + 0.0 if gate.shape[1] > 1 else cols)
+            put(ins[1], (g[:, None, :] * gate[:, :, None]).reshape(y.shape))
         elif op == "transpose":
             put(ins[0], g.T)
         elif op == "add":

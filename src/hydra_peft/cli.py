@@ -137,10 +137,15 @@ def cmd_merge_infer(args) -> int:
         model.adapters["proj"] = ad
         for x in [given] if given is not None else [rng.normal(k) for _ in range(args.trials)]:
             w0 = model.weights["proj"] = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
-            graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, d))),
-                                   loss="mse", trainable="none")
-            gates = graph.tape.value(graph.gate_slots["proj"])
-            merged = ad_mod.merge_infer(x[None], w0, ad, gates)
+            try:
+                graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, d))),
+                                       loss="mse", trainable="none")
+                gates = graph.tape.value(graph.gate_slots["proj"])
+                merged = ad_mod.merge_infer(x[None], w0, ad, gates)
+            except InvariantError as e:  # finite entries whose products overflow
+                if given is None:
+                    raise
+                raise ParseError(f"{args.input}: input vector overflows the forward ({e})") from e
             worst = max(worst, float(np.abs(graph.tape.value(graph.logits_slot) - merged).max()))
     sys.stdout.write(f"max |merge - moe|: {worst:.3e}\n")
     if worst > 1e-12:

@@ -3,6 +3,7 @@ import pytest
 
 from hydra_peft import adapters as ad
 from hydra_peft import linalg
+from hydra_peft import toy_model as tm
 from hydra_peft.errors import CheckpointError, InvariantError, UsageError
 from hydra_peft.linalg import SeededRng
 
@@ -225,6 +226,32 @@ def test_adapter_branch_macs_match_formula(monkeypatch):
         counted["macs"] = 0
         linear_forward(w0, _fresh(scheme, d, k, r, n, 0), x)
         assert counted["macs"] - base_macs == ad.params_per_matrix(scheme, d, k, r, n)
+
+
+def test_hydra_expert_products_do_not_grow_with_experts(monkeypatch):
+    """The experts run as one stacked product, so a step's matmul calls do not scale with N."""
+    counted = {"calls": 0}
+    real_matmul = linalg.matmul
+
+    def counting_matmul(a, b):
+        counted["calls"] += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(linalg, "matmul", counting_matmul)
+    d, k, r, rows = 7, 5, 2, 4
+    w0 = SeededRng(1).normal(d * k).reshape(d, k)
+    x = SeededRng(2).normal(rows * k).reshape(rows, k)
+    counts = []
+    for n in (1, 3, 8):
+        model = tm.ToyModel("linear", d, k, d, 0, {"proj": w0},
+                            {"proj": _fresh("hydra", d, k, r, n, n)})
+        graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((rows, d))),
+                               loss="mse", trainable="adapters")
+        graph.tape.backward(graph.loss_slot)
+        counts.append(counted["calls"])
+        counted["calls"] = 0
+    # forward: base, A, router, experts; backward: experts (z, B), router (z, Wg), A
+    assert counts == [9, 9, 9]
 
 
 # -- checkpoints --------------------------------------------------------------

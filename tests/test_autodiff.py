@@ -64,11 +64,18 @@ def test_matmul_and_expert_mix_shape_mismatch_rejected():
         t.matmul(a, b, groups=2)  # 3 rows of b do not split into 2 blocks
     with pytest.raises(ShapeError):
         t.matmul(a, a)
+    with pytest.raises(ShapeError):
+        t.matmul(a, b, t.input(np.ones((2, 3))), transpose_b=True)  # unequal b shapes
+    with pytest.raises(ShapeError):
+        t.matmul(a, b, b)  # stacked b without transpose_b
+    with pytest.raises(ShapeError):
+        t.matmul(a, t.input(np.ones((4, 3))), t.input(np.ones((4, 3))),
+                 groups=2, transpose_b=True)  # stacked b with groups > 1
     gate = t.input(np.ones((4, 2)))
     with pytest.raises(ShapeError):
-        t.expert_mix(gate, a)  # two gate columns, one expert
+        t.expert_mix(gate, a)  # two gate columns do not split three y columns
     with pytest.raises(ShapeError):
-        t.expert_mix(gate, a, t.input(np.ones((4, 2))))
+        t.expert_mix(gate, t.input(np.ones((3, 4))))  # a gate row per y row
 
 
 def _random_graph(seed: int):
@@ -82,10 +89,9 @@ def _random_graph(seed: int):
     gate_w = t.input(rng.normal(9).reshape(3, 3) * 0.5, name="gate", trainable=True)
     h = t.matmul(t.relu(x), w1, transpose_b=True)
     g = t.softmax_rows(t.matmul(h, gate_w))
-    e1 = t.matmul(h, w2, transpose_b=True)
-    e2 = t.scale(t.matmul(h, w2), 0.5)
-    e3 = t.matmul(h, t.transpose(w3))
-    mix = t.expert_mix(g, e1, e2, e3)
+    # three stacked experts: h w2^T, 0.5 h w2 and h w3^T
+    ys = t.matmul(h, w2, t.scale(t.transpose(w2), 0.5), w3, transpose_b=True)
+    mix = t.expert_mix(g, ys)
     # two groups of two rows: per-group attention of mix over h, then a
     # masked per-group mean that drops the last row
     att = t.softmax_rows(t.matmul(mix, h, groups=2, transpose_b=True))
@@ -103,7 +109,9 @@ def test_random_graph_covers_every_node_builder():
                 and inspect.signature(fn).return_annotation in (int, "int")}
     assert {"matmul", "expert_mix", "transpose", "gather_rows"} <= builders
     t, _ = _random_graph(0)
-    assert builders - {"input", "cross_entropy", "mse"} <= {node.op for node in t._nodes}
+    # several b make a matmul node with a backward rule of its own
+    ops = {node.op for node in t._nodes}
+    assert builders - {"input", "cross_entropy", "mse"} | {"stacked_matmul"} <= ops
 
 
 def test_grad_check_composite_graph():
@@ -268,6 +276,51 @@ def test_transpose_b_gives_the_bytes_of_a_transposed_operand(path):
         _assert_same_bytes(fused, reference)
 
 
+def _per_expert_matmul_nodes(z, bs, upstream):
+    """What N separate matmul(z, b_i, transpose_b=True) nodes give, in numpy:
+    (forward blocks, b_i gradients, z gradient) for the upstream gradient of
+    their column blocks side by side. Backward meets the last node first, so
+    the z gradient adds the per-expert products last expert first. With one
+    b the tape runs exactly such a node, which checks this reference."""
+    d = bs[0].shape[0]
+    ups = [upstream[:, i * d : (i + 1) * d] for i in range(len(bs))]
+    z_grad = None
+    for g, b in zip(reversed(ups), reversed(bs)):
+        p = linalg.matmul(g, b)
+        z_grad = p if z_grad is None else z_grad + p
+    return ([linalg.matmul(z, b.T) for b in bs],
+            [linalg.matmul(g.T, z) for g in ups], z_grad)
+
+
+# (experts, width, rows): 400 rows of 3 experts is the z gradient's per-expert path
+@pytest.mark.parametrize("n_experts,width,rows", [
+    (1, 4, 6), (2, 4, 6), (3, 4, 6), (8, 4, 6), (3, 1, 6), (8, 1, 6), (3, 16, 400)])
+def test_stacked_matmul_gives_the_bytes_of_per_expert_nodes(n_experts, width, rows):
+    rng = SeededRng(40 + n_experts)
+    r = 4
+    assert (rows * n_experts * width * r > linalg._BROADCAST_MAX_ELEMS) == (rows == 400)
+    z_val = rng.normal(rows * r).reshape(rows, r)
+    bs_val = [rng.normal(width * r).reshape(width, r) for _ in range(n_experts)]
+    z_val[0] = -0.0
+    for b in bs_val:
+        b[:, 1] = -0.0
+    target = rng.normal(rows * n_experts * width).reshape(rows, n_experts * width)
+    t = Tape()
+    z = t.input(z_val, name="z", trainable=True)
+    bs = [t.input(b, name=f"b{i}", trainable=True) for i, b in enumerate(bs_val)]
+    ys = t.matmul(z, *bs, transpose_b=True)
+    grads = t.backward(t.mse(ys, t.input(target)))
+    d = t.value(ys) - target
+    outs, b_grads, z_grad = _per_expert_matmul_nodes(z_val, bs_val, 1.0 * 2.0 * d / d.size)
+    _assert_same_bytes(t.value(ys), np.concatenate(outs, axis=1))
+    for i, b_grad in enumerate(b_grads):
+        _assert_same_bytes(grads[f"b{i}"], b_grad)
+    _assert_same_bytes(grads["z"], z_grad)
+    # sums of -0.0 products are +0.0 from the kernel's +0.0 start, on either path
+    for zeros in (outs[0][0], z_grad[:, 1]):
+        assert (zeros == 0.0).all() and not np.signbit(zeros).any()
+
+
 def _slice_mul_add_chain(gate, ys, upstream):
     """The per-expert slice_cols / mul / add nodes expert_mix replaced, in numpy:
     (forward sum, gate gradient, expert gradients) for an upstream gradient."""
@@ -299,15 +352,14 @@ def test_expert_mix_gives_the_bytes_of_the_slice_mul_add_chain(n_experts, width)
     target = 10.0 + rng.uniform(m * width).reshape(m, width)
     t = Tape()
     gate = t.input(gate_val, name="gate", trainable=True)
-    ys = [t.input(y, name=f"y{i}", trainable=True) for i, y in enumerate(ys_val)]
-    mix = t.expert_mix(gate, *ys)
+    # the experts' outputs side by side, as a stacked matmul gives them
+    mix = t.expert_mix(gate, t.input(np.concatenate(ys_val, axis=1), name="y", trainable=True))
     grads = t.backward(t.mse(mix, t.input(target)))
     d = t.value(mix) - target
     out, gate_grad, y_grads = _slice_mul_add_chain(gate_val, ys_val, 1.0 * 2.0 * d / d.size)
     _assert_same_bytes(t.value(mix), out)
     _assert_same_bytes(grads["gate"], gate_grad)
-    for i, y_grad in enumerate(y_grads):
-        _assert_same_bytes(grads[f"y{i}"], y_grad)
+    _assert_same_bytes(grads["y"], np.concatenate(y_grads, axis=1))
     # a one-wide expert's -0.0 products reach the gate unsummed; the zero padding
     # of two experts or more turned them into +0.0
     assert np.signbit(gate_grad[2]).all() == (n_experts == 1 and width == 1)

@@ -422,6 +422,8 @@ MALFORMED = [
      "nan.json: input vector has non-finite entries"),
     ("merge-infer: infinite input", _merge_input("inf.json", "[1" + ", Infinity" * 11 + "]"), 2,
      "inf.json: input vector has non-finite entries"),
+    ("merge-infer: overflowing input", _merge_input("big.json", "[1e308" + ", 1e308" * 11 + "]"),
+     2, "big.json: input vector overflows the forward"),
     ("merge-infer: zero trials", _argv("merge-infer", "--checkpoint", None, "--trials", "0"), 1,
      "--trials must be >= 1, got 0"),
     ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,
