@@ -145,8 +145,6 @@ class Tape:
     def _compute(op: str, vals: list, aux):
         if op == "matmul":
             return _group_matmul(*vals, aux[0], tb=aux[1])
-        if op == "stacked_matmul":
-            return linalg.matmul(vals[0], np.concatenate(vals[1:]).T)
         if op == "expert_mix":
             gate, y = vals
             d = y.shape[1] // gate.shape[1]
@@ -179,6 +177,8 @@ class Tape:
         if op == "mse":
             d = vals[0] - vals[1]
             return np.asarray((d * d).mean())
+        if op == "stacked_matmul":  # last, so the other ops dispatch as before it
+            return linalg.matmul(vals[0], np.concatenate(vals[1:]).T)
         raise ContractError(f"unknown op {op!r}")
 
     def value(self, slot: int) -> np.ndarray:
@@ -274,18 +274,6 @@ class Tape:
             if self._nodes[ins[1]].needs_grad:  # g^T a with tb, else a^T g
                 put(ins[1], _group_matmul(g, a, groups, ta=True) if tb
                             else _group_matmul(a, g, groups, ta=True))
-        elif op == "stacked_matmul":
-            z, bs, d = vals[0], vals[1:], vals[1].shape[0]
-            # z: g_i b_i added last expert first, as separate nodes add them; one
-            # grouped product where it fits one pass of the kernel (slower beyond)
-            gs = g.reshape(len(g), len(bs), d).transpose(1, 0, 2)
-            ps = (linalg.matmul(gs, np.stack(bs))
-                  if gs.size * z.shape[1] <= linalg._BROADCAST_MAX_ELEMS
-                  else [linalg.matmul(gi, b) for gi, b in zip(gs, bs)])
-            put(ins[0], sum(ps[-2::-1], ps[-1]))
-            gb = linalg.matmul(g.T, z)  # row block i is g_i^T z
-            for i, slot in enumerate(ins[1:]):
-                put(slot, gb[i * d : (i + 1) * d])
         elif op == "expert_mix":
             gate, y = vals
             # row sums of g * y_i (a 1-wide one is its own); with N > 1 experts,
@@ -324,6 +312,16 @@ class Tape:
             d = vals[0] - vals[1]
             put(ins[0], float(g) * 2.0 * d / d.size)
             put(ins[1], float(g) * -2.0 * d / d.size)
+        elif op == "stacked_matmul":  # last, as in _compute
+            z, bs, d = vals[0], vals[1:], vals[1].shape[0]
+            if self._nodes[ins[0]].needs_grad:  # g_i b_i, put last expert first as N nodes put them
+                gs = g.reshape(len(g), len(bs), d).transpose(1, 0, 2)
+                for p in linalg.matmul(gs, np.stack(bs))[::-1]:
+                    put(ins[0], p)
+            if any(self._nodes[s].needs_grad for s in ins[1:]):
+                gb = linalg.matmul(g.T, z)  # row block i is g_i^T z
+                for i, slot in enumerate(ins[1:]):
+                    put(slot, gb[i * d : (i + 1) * d])
         else:
             raise ContractError(f"no backward rule for op {op!r}")
 

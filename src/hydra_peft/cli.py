@@ -110,6 +110,18 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _moe_and_merged(model, x: np.ndarray, w0: np.ndarray):
+    """The tape's expert-sum rows and merge_infer's rows for input x, both finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, len(w0)))),
+                               loss="mse", trainable="none")
+        out = (graph.tape.value(graph.logits_slot), ad_mod.merge_infer(
+            x[None], w0, model.adapters["proj"], graph.tape.value(graph.gate_slots["proj"])))
+    if not np.isfinite(out).all():
+        raise InvariantError("merge-infer forward produced non-finite entries")
+    return out
+
+
 def cmd_merge_infer(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
@@ -138,15 +150,13 @@ def cmd_merge_infer(args) -> int:
         for x in [given] if given is not None else [rng.normal(k) for _ in range(args.trials)]:
             w0 = model.weights["proj"] = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
             try:
-                graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, d))),
-                                       loss="mse", trainable="none")
-                gates = graph.tape.value(graph.gate_slots["proj"])
-                merged = ad_mod.merge_infer(x[None], w0, ad, gates)
-            except InvariantError as e:  # finite entries whose products overflow
+                moe, merged = _moe_and_merged(model, x, w0)
+            except InvariantError as e:  # the input's fault if it runs clean scaled into [-1, 1]
                 if given is None:
                     raise
+                _moe_and_merged(model, x / max(np.abs(x).max(), 1.0), w0)
                 raise ParseError(f"{args.input}: input vector overflows the forward ({e})") from e
-            worst = max(worst, float(np.abs(graph.tape.value(graph.logits_slot) - merged).max()))
+            worst = max(worst, float(np.abs(moe - merged).max()))
     sys.stdout.write(f"max |merge - moe|: {worst:.3e}\n")
     if worst > 1e-12:
         raise InvariantError(

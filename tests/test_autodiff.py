@@ -276,15 +276,15 @@ def test_transpose_b_gives_the_bytes_of_a_transposed_operand(path):
         _assert_same_bytes(fused, reference)
 
 
-def _per_expert_matmul_nodes(z, bs, upstream):
+def _per_expert_matmul_nodes(z, bs, upstream, z_grad=None):
     """What N separate matmul(z, b_i, transpose_b=True) nodes give, in numpy:
     (forward blocks, b_i gradients, z gradient) for the upstream gradient of
     their column blocks side by side. Backward meets the last node first, so
-    the z gradient adds the per-expert products last expert first. With one
-    b the tape runs exactly such a node, which checks this reference."""
+    the z gradient adds the per-expert products last expert first, into the
+    `z_grad` that later consumers of z gave, if any. With one b the tape runs
+    exactly such a node, which checks this reference."""
     d = bs[0].shape[0]
     ups = [upstream[:, i * d : (i + 1) * d] for i in range(len(bs))]
-    z_grad = None
     for g, b in zip(reversed(ups), reversed(bs)):
         p = linalg.matmul(g, b)
         z_grad = p if z_grad is None else z_grad + p
@@ -292,13 +292,15 @@ def _per_expert_matmul_nodes(z, bs, upstream):
             [linalg.matmul(g.T, z) for g in ups], z_grad)
 
 
-# (experts, width, rows): 400 rows of 3 experts is the z gradient's per-expert path
-@pytest.mark.parametrize("n_experts,width,rows", [
-    (1, 4, 6), (2, 4, 6), (3, 4, 6), (8, 4, 6), (3, 1, 6), (8, 1, 6), (3, 16, 400)])
-def test_stacked_matmul_gives_the_bytes_of_per_expert_nodes(n_experts, width, rows):
+# (experts, width, rows, z reused): 400 rows of 3 experts runs the grouped z
+# gradient on another matmul kernel; a reused z already holds a gradient
+@pytest.mark.parametrize("n_experts,width,rows,z_reused", [
+    (1, 4, 6, False), (2, 4, 6, False), (3, 4, 6, False), (8, 4, 6, False),
+    (3, 1, 6, False), (8, 1, 6, False), (3, 16, 400, False), (3, 4, 6, True),
+    (8, 1, 6, True)])
+def test_stacked_matmul_gives_the_bytes_of_per_expert_nodes(n_experts, width, rows, z_reused):
     rng = SeededRng(40 + n_experts)
     r = 4
-    assert (rows * n_experts * width * r > linalg._BROADCAST_MAX_ELEMS) == (rows == 400)
     z_val = rng.normal(rows * r).reshape(rows, r)
     bs_val = [rng.normal(width * r).reshape(width, r) for _ in range(n_experts)]
     z_val[0] = -0.0
@@ -309,15 +311,23 @@ def test_stacked_matmul_gives_the_bytes_of_per_expert_nodes(n_experts, width, ro
     z = t.input(z_val, name="z", trainable=True)
     bs = [t.input(b, name=f"b{i}", trainable=True) for i, b in enumerate(bs_val)]
     ys = t.matmul(z, *bs, transpose_b=True)
-    grads = t.backward(t.mse(ys, t.input(target)))
+    loss = t.mse(ys, t.input(target))
+    later = None
+    if z_reused:  # a node after the experts puts its z gradient first
+        z_target = rng.normal(rows * r).reshape(rows, r)
+        loss = t.add(loss, t.mse(z, t.input(z_target)))
+        dz = z_val - z_target
+        later = 1.0 * 2.0 * dz / dz.size
+    grads = t.backward(loss)
     d = t.value(ys) - target
-    outs, b_grads, z_grad = _per_expert_matmul_nodes(z_val, bs_val, 1.0 * 2.0 * d / d.size)
+    outs, b_grads, z_grad = _per_expert_matmul_nodes(z_val, bs_val, 1.0 * 2.0 * d / d.size,
+                                                     later)
     _assert_same_bytes(t.value(ys), np.concatenate(outs, axis=1))
     for i, b_grad in enumerate(b_grads):
         _assert_same_bytes(grads[f"b{i}"], b_grad)
     _assert_same_bytes(grads["z"], z_grad)
-    # sums of -0.0 products are +0.0 from the kernel's +0.0 start, on either path
-    for zeros in (outs[0][0], z_grad[:, 1]):
+    # sums of -0.0 products are +0.0 from the kernel's +0.0 start
+    for zeros in (outs[0][0], *([] if z_reused else [z_grad[:, 1]])):
         assert (zeros == 0.0).all() and not np.signbit(zeros).any()
 
 

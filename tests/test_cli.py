@@ -364,6 +364,21 @@ def _merge_input(name, text):
     return make
 
 
+def _tiny_hydra_input(name, a, b, entry):
+    """merge-infer on a 1x1 hydra checkpoint (A = a, both experts b, an even
+    gate) and the input [entry]; seed 4 draws the base weight 0.38."""
+    def make(root, cfg, ckpt):
+        hy = ad.HydraAdapter.init(1, 1, 1, 2, SeededRng(0))
+        hy.a_shared[:], hy.w_gate[:] = a, 0.0
+        for e in hy.experts:
+            e[:] = b
+        _save(root / f"{name}.txt", "hydra", hy)
+        (root / f"{name}.json").write_text(json.dumps([entry]))
+        return ["merge-infer", "--checkpoint", str(root / f"{name}.txt"),
+                "--input", str(root / f"{name}.json"), "--seed", "4"]
+    return make
+
+
 def _argv(*argv):
     return lambda root, cfg, ckpt: [str(ckpt) if a is None else a for a in argv]
 
@@ -424,6 +439,12 @@ MALFORMED = [
      "inf.json: input vector has non-finite entries"),
     ("merge-infer: overflowing input", _merge_input("big.json", "[1e308" + ", 1e308" * 11 + "]"),
      2, "big.json: input vector overflows the forward"),
+    # every product is finite; 0.38 x + x overflows in the base-plus-adapter add
+    ("merge-infer: input overflowing only in an add", _tiny_hydra_input("add", 1.0, 1.0, 1.7e308),
+     2, "add.json: input vector overflows the forward"),
+    # the checkpoint overflows at x = 1 too, so the input is not blamed
+    ("merge-infer: overflowing checkpoint", _tiny_hydra_input("ckpt", 1e200, 1e200, 1e9), 3,
+     "invariant violation: matmul produced non-finite entries"),
     ("merge-infer: zero trials", _argv("merge-infer", "--checkpoint", None, "--trials", "0"), 1,
      "--trials must be >= 1, got 0"),
     ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,
