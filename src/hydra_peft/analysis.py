@@ -75,9 +75,10 @@ def group_divergence(mats: list[np.ndarray]) -> float:
     return float(np.mean(dists)) / scale
 
 
-def _power_top2(x: np.ndarray, tol: float = 1e-9, max_iter: int = 10000) -> np.ndarray:
+def _power_top2(x: np.ndarray) -> np.ndarray:
     """Top-2 principal directions of the rows of x via power iteration with
-    Gram-Schmidt deflation; start vectors are seeded so output is stable."""
+    Gram-Schmidt deflation (until no entry moves by 1e-9, at most 10000 steps);
+    start vectors are seeded so output is stable."""
     n, p = x.shape
     center = x - x.mean(axis=0, keepdims=True)
     if n < 2 or float(np.abs(center).max()) == 0.0:
@@ -87,7 +88,7 @@ def _power_top2(x: np.ndarray, tol: float = 1e-9, max_iter: int = 10000) -> np.n
     for c in range(2):
         v = rng.normal(p)
         v /= np.sqrt((v * v).sum())
-        for _ in range(max_iter):
+        for _ in range(10000):
             w = center.T @ (center @ v)
             for q in comps:
                 w -= (w @ q) * q
@@ -98,7 +99,7 @@ def _power_top2(x: np.ndarray, tol: float = 1e-9, max_iter: int = 10000) -> np.n
             w /= norm
             if w @ v < 0:
                 w = -w
-            if float(np.abs(w - v).max()) < tol:
+            if float(np.abs(w - v).max()) < 1e-9:
                 v = w
                 break
             v = w
@@ -162,8 +163,9 @@ def breakdown(checkpoints: list[tuple[str, dict[str, np.ndarray]]]) -> Embedding
                            d_a=d_a, d_b=d_b, ratio=ratio, degenerate=degenerate)
 
 
-def scatter_svg(report: EmbeddingReport, width: int = 480, height: int = 360) -> str:
+def scatter_svg(report: EmbeddingReport) -> str:
     """Static SVG scatter of the embedding, colored by role."""
+    width, height = 480, 360
     coords = report.coords
     span = max(float(np.abs(coords).max()), 1e-12)
     pad = 24

@@ -1,8 +1,9 @@
 """Reverse-mode differentiation over a small fixed set of primitives.
 
 A Tape is a re-runnable straight-line program: building an op computes it
-immediately, `forward()` recomputes every node from the current leaf values,
-and `backward()` walks the node list in exact reverse. A float64 leaf aliases
+immediately, `forward()` recomputes every node from the current leaf values
+(`forward(slot)` only those that depend on the leaf at `slot`), and
+`backward()` walks the node list in exact reverse. A float64 leaf aliases
 the array it was given, so trainer.train re-runs one tape per batch
 signature: parameter leaves see the optimizer's in-place updates and
 `set_value` writes each batch into its leaves. The op set is closed on
@@ -39,9 +40,10 @@ def _group_matmul(a, b, groups: int, ta: bool = False, tb: bool = False) -> np.n
 
 
 def _leaf(value) -> np.ndarray:
-    """value as an array, float kinds as float64 (without copying float64)."""
+    """value as an array, floats narrower than float64 widened to it (wider
+    ones, such as grad_check's longdouble, and float64 itself kept as given)."""
     value = np.asarray(value)
-    return value.astype(np.float64, copy=False) if value.dtype.kind == "f" else value
+    return value.astype(np.float64) if value.dtype.kind == "f" and value.itemsize < 8 else value
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -195,43 +197,18 @@ class Tape:
                 f"set_value shape mismatch: {value.shape} vs {node.value.shape}")
         node.value = value
 
-    def forward(self) -> None:
-        """Recompute every non-leaf node from current leaf values."""
-        for node in self._nodes:
-            if node.op != "input":
+    def forward(self, start: int = 0) -> None:
+        """Recompute non-leaf nodes from current leaf values: every one, or,
+        given the slot of a leaf, those that depend on it. After set_value on
+        that leaf alone, forward(slot) gives the bytes of forward(): no node
+        before a leaf's slot can depend on it, and the others keep theirs."""
+        stale = {start}
+        for i in range(start, len(self._nodes)):
+            node = self._nodes[i]
+            if node.op != "input" and (not start or not stale.isdisjoint(node.inputs)):
                 node.value = self._compute(
-                    node.op, [self._nodes[i].value for i in node.inputs], node.aux)
-
-    def eval_scalar(self, slot: int, overrides: dict[int, np.ndarray] | None = None):
-        """Functional forward pass returning the raw scalar at `slot`.
-
-        `overrides` substitutes leaf values without touching stored state;
-        override arrays may be a wider float dtype than the stored leaves
-        (grad_check relies on this for low-noise finite differences), so the
-        result is returned unconverted to preserve that precision.
-        """
-        overrides = overrides or {}
-        # only nodes downstream of an override need recomputing; everything
-        # else reuses its stored value (identical across +eps/-eps evals, so
-        # any float64 noise there cancels out of the difference)
-        dirty = [False] * len(self._nodes)
-        vals: list[np.ndarray | None] = [None] * len(self._nodes)
-        for i, node in enumerate(self._nodes):
-            if node.op == "input":
-                if i in overrides:
-                    vals[i] = overrides[i]
-                    dirty[i] = True
-                else:
-                    vals[i] = node.value
-            elif any(dirty[j] for j in node.inputs):
-                vals[i] = self._compute(node.op, [vals[j] for j in node.inputs], node.aux)
-                dirty[i] = True
-            else:
-                vals[i] = node.value
-        out = np.asarray(vals[slot])
-        if out.size != 1:
-            raise ContractError(f"eval_scalar target has shape {out.shape}")
-        return out.reshape(())[()]
+                    node.op, [self._nodes[j].value for j in node.inputs], node.aux)
+                stale.add(i)
 
     # -- differentiation -------------------------------------------------
 
@@ -346,41 +323,52 @@ class GradReport:
 # coordinate whose true gradient is small. Extended precision pushes that
 # floor below 1e-13.
 _FD_DTYPE = np.longdouble
+_COORDS_PER_PARAM = 32  # every coordinate of a smaller parameter
 
 
 def grad_check(tape: Tape, loss_slot: int, rng: linalg.SeededRng,
-               eps: float = 1e-6, coords_per_param: int = 32) -> GradReport:
-    """Compare backward() against central differences on sampled coordinates.
+               eps: float = 1e-6) -> GradReport:
+    """Compare backward() against central differences on at most
+    _COORDS_PER_PARAM sampled coordinates per parameter.
 
     Relative error per coordinate is |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|);
-    the report keeps the max per parameter.
+    the report keeps the max per parameter. Each difference reruns the nodes
+    that depend on the perturbed leaf (forward(slot)); afterwards every leaf
+    holds its original array again and every node its original value.
     """
     if not (0.0 < eps <= 1e-3):
         raise ContractError(f"eps must be in (0, 1e-3], got {eps}")
     tape.forward()
     grads = tape.backward(loss_slot)
     report = GradReport(eps=eps)
+
+    def loss_with(slot: int, value: np.ndarray) -> np.ndarray:
+        tape.set_value(slot, value)
+        tape.forward(slot)
+        return tape.value(loss_slot)  # a rerun replaces this array, never writes into it
+
     for name, slot in tape.trainable_slots().items():
         base = tape.value(slot)
         flat_n = base.size
-        if flat_n <= coords_per_param:
+        if flat_n <= _COORDS_PER_PARAM:
             coords = np.arange(flat_n)
         else:
             # distinct coordinates via a seeded partial shuffle
             perm = rng.derive("gradcheck", name).shuffle(list(range(flat_n)))
-            coords = np.asarray(perm[:coords_per_param])
+            coords = np.asarray(perm[:_COORDS_PER_PARAM])
         g_ad_flat = grads[name].ravel()
         worst = 0.0
         for c in coords:
             pert = base.astype(_FD_DTYPE).ravel()
             pert[c] += _FD_DTYPE(eps)
-            f_plus = tape.eval_scalar(loss_slot, {slot: pert.reshape(base.shape)})
+            f_plus = loss_with(slot, pert.reshape(base.shape))
             pert[c] -= _FD_DTYPE(2.0 * eps)
-            f_minus = tape.eval_scalar(loss_slot, {slot: pert.reshape(base.shape)})
+            f_minus = loss_with(slot, pert.reshape(base.shape))
             g_fd = float((f_plus - f_minus) / (_FD_DTYPE(2.0) * _FD_DTYPE(eps)))
             g_ad = float(g_ad_flat[c])
             rel = abs(g_ad - g_fd) / max(1e-12, abs(g_ad) + abs(g_fd))
             worst = max(worst, rel)
             report.coords_checked += 1
+        loss_with(slot, base)  # the original array, not a float64 copy
         report.per_param[name] = worst
     return report

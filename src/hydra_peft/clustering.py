@@ -20,6 +20,9 @@ from . import corpus as corpus_mod
 from .errors import UsageError
 from .linalg import SeededRng
 
+_MAX_ITER = 100   # Lloyd iterations per restart
+_RESTARTS = 8     # k-means++ seedings per k, best SSE kept
+
 
 @dataclass
 class KMeansResult:
@@ -94,13 +97,13 @@ def _assign_with_repair(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
             assign[worst] = j
 
 
-def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
+def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
     centers = centers.copy()
     prev = None
     history: list[float] = []
     assign = None
     sse = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         assign = _assign_with_repair(x, centers)
         sse = float(((x - centers[assign]) ** 2).sum())
         history.append(sse)
@@ -116,15 +119,15 @@ def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarra
     assign = _assign_with_repair(x, centers)
     sse = float(((x - centers[assign]) ** 2).sum())
     history.append(sse)
-    return centers, assign, sse, max_iter, history
+    return centers, assign, sse, _MAX_ITER, history
 
 
 def _distinct_count(x: np.ndarray) -> int:
     return np.unique(x, axis=0).shape[0]
 
 
-def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 100,
-           restarts: int = 8, warm_start: np.ndarray | None = None) -> KMeansResult:
+def kmeans(vectors: np.ndarray, k: int, seed: int,
+           warm_start: np.ndarray | None = None) -> KMeansResult:
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
     `warm_start` optionally adds one extra restart from the given centers
@@ -139,12 +142,12 @@ def kmeans(vectors: np.ndarray, k: int, seed: int, max_iter: int = 100,
         raise UsageError(f"k={k} exceeds the number of distinct points "
                          f"({_distinct_count(x)})")
     rng = SeededRng(seed).derive("kmeans", k)
-    seedings = [_kmeanspp_seed(x, k, rng.derive("restart", r)) for r in range(restarts)]
+    seedings = [_kmeanspp_seed(x, k, rng.derive("restart", r)) for r in range(_RESTARTS)]
     if warm_start is not None:
         seedings.append(np.asarray(warm_start, dtype=np.float64))
     best = None
     for centers0 in seedings:
-        centers, assign, sse, iters, history = _lloyd(x, centers0, max_iter)
+        centers, assign, sse, iters, history = _lloyd(x, centers0)
         if best is None or sse < best.sse - 1e-12:
             best = KMeansResult(k=k, centers=centers, assignments=assign,
                                 sse=sse, iterations=iters, sse_history=history)
@@ -156,38 +159,29 @@ def _worst_fit_center(x: np.ndarray, result: KMeansResult) -> np.ndarray:
     return x[int(d2.argmax())]
 
 
-def sse_curve(vectors: np.ndarray, k_max: int, seed: int, max_iter: int = 100,
-              restarts: int = 8) -> SseCurve:
-    """SSE of the best clustering for each k = 1..k_max.
+def sse_curve(vectors: np.ndarray, k_max: int,
+              seed: int) -> tuple[SseCurve, list[KMeansResult]]:
+    """SSE of the best clustering for each k = 1..k_max, and those
+    clusterings (the one for k at index k - 1).
 
     Each k >= 2 also tries a warm start built from the previous k's solution
     plus one center at its worst-fit point, which guarantees the curve never
     increases.
     """
-    curve, _ = _sse_curve_with_results(vectors, k_max, seed, max_iter, restarts)
-    return curve
-
-
-def _sse_curve_with_results(vectors: np.ndarray, k_max: int, seed: int,
-                            max_iter: int = 100, restarts: int = 8):
     x = np.asarray(vectors, dtype=np.float64)
     distinct = _distinct_count(x)
     if k_max < 2:
         raise UsageError(f"k_max must be >= 2, got {k_max}")
     if k_max > distinct:
         raise UsageError(f"k_max={k_max} exceeds distinct point count ({distinct})")
-    points = []
     results = []
-    prev = None
     for k in range(1, k_max + 1):
         warm = None
-        if prev is not None:
+        if results:
+            prev = results[-1]
             warm = np.vstack([prev.centers, _worst_fit_center(x, prev)])
-        res = kmeans(x, k, seed, max_iter=max_iter, restarts=restarts, warm_start=warm)
-        points.append((k, res.sse))
-        results.append(res)
-        prev = res
-    return SseCurve(points=points), results
+        results.append(kmeans(x, k, seed, warm_start=warm))
+    return SseCurve(points=[(r.k, r.sse) for r in results]), results
 
 
 def elbow_select(curve: SseCurve) -> int:
@@ -221,7 +215,7 @@ def elbow_select(curve: SseCurve) -> int:
 class CorpusInit:
     n_components: int
     assignments: dict[str, int]       # doc id -> cluster
-    curve: SseCurve | None            # None when the count was overridden
+    curve: SseCurve | None            # None unless the elbow picked the count
 
 
 def init_hydra_from_corpus(docs, k_max: int, seed: int,
@@ -234,25 +228,20 @@ def init_hydra_from_corpus(docs, k_max: int, seed: int,
     model = corpus_mod.tfidf_fit(docs)
     x = corpus_mod.tfidf_matrix(model, docs)
     distinct = _distinct_count(x)
+    curve = None
     if override is not None:
         if override < 1:
             raise UsageError(f"override must be >= 1, got {override}")
         n = override
         res = kmeans(x, min(n, distinct), seed)
-        return CorpusInit(n_components=n,
-                          assignments={d.id: int(a) for d, a in zip(docs, res.assignments)},
-                          curve=None)
-    if distinct < 3:
+    elif distinct < 3:
         # too few distinct feature vectors for a meaningful curve
         n = 1
         res = kmeans(x, 1, seed)
-        return CorpusInit(n_components=n,
-                          assignments={d.id: int(a) for d, a in zip(docs, res.assignments)},
-                          curve=None)
-    k_hi = min(k_max, distinct)
-    curve, results = _sse_curve_with_results(x, k_hi, seed)
-    n = elbow_select(curve)
-    res = results[n - 1]
+    else:
+        curve, results = sse_curve(x, min(k_max, distinct), seed)
+        n = elbow_select(curve)
+        res = results[n - 1]
     return CorpusInit(n_components=n,
                       assignments={d.id: int(a) for d, a in zip(docs, res.assignments)},
                       curve=curve)

@@ -23,6 +23,7 @@ from .errors import ParseError, UsageError
 from .linalg import SeededRng
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_POOL_SIZE = 10  # synth_corpus terms per component pool and in the shared pool
 
 
 @dataclass
@@ -118,8 +119,7 @@ def tfidf_matrix(model: TfIdfModel, docs: list[Document]) -> np.ndarray:
 
 
 def synth_corpus(n_components: int, docs_per_component: int, disjointness: float,
-                 seed: int, doc_len: int = 12, pool_size: int = 10,
-                 shared_pool_size: int = 10) -> list[Document]:
+                 seed: int, doc_len: int = 12) -> list[Document]:
     """Corpus with planted components, recorded in each document's task tag.
 
     Each component owns a private term pool; every token is drawn from the
@@ -132,14 +132,14 @@ def synth_corpus(n_components: int, docs_per_component: int, disjointness: float
     if not (0.0 <= disjointness <= 1.0):
         raise UsageError(f"disjointness must be in [0, 1], got {disjointness}")
     rng = SeededRng(seed).derive("synth-corpus")
-    shared = [f"common{j}" for j in range(shared_pool_size)]
+    shared = [f"common{j}" for j in range(_POOL_SIZE)]
     docs = []
     for c in range(n_components):
-        own = [f"topic{c}term{j}" for j in range(pool_size)]
+        own = [f"topic{c}term{j}" for j in range(_POOL_SIZE)]
         for d in range(docs_per_component):
             coin = rng.uniform(doc_len)
-            own_pick = rng.integers(doc_len, pool_size)
-            shared_pick = rng.integers(doc_len, shared_pool_size)
+            own_pick = rng.integers(doc_len, _POOL_SIZE)
+            shared_pick = rng.integers(doc_len, _POOL_SIZE)
             words = [own[own_pick[t]] if coin[t] < disjointness else shared[shared_pick[t]]
                      for t in range(doc_len)]
             docs.append(Document(id=f"c{c}d{d}", text=" ".join(words), task=f"component{c}"))

@@ -41,7 +41,6 @@ class Batch:
     inputs: np.ndarray                   # (B, feat) float, (B, T) int, or (B, in) for linear
     labels: np.ndarray | None = None     # (B,) int class ids
     targets: np.ndarray | None = None    # (B, out) float, regression mode
-    tasks: list[str] | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)

@@ -36,12 +36,15 @@ from .errors import InvariantError, TrainingAborted, UsageError
 from .linalg import SeededRng
 from .toy_model import Batch, ToyModel
 
-SCHEMES = ("lora", "split", "hydra", "full")
+SCHEMES = (*ad_mod.SCHEMES, "full")
 OPTIMIZERS = ("sgd", "adam")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+_EVAL_FRACTION = 0.25   # share of a corpus's documents held out for eval
+_HARNESS_CLASSES = 4    # label count of every harness fixture
 
 # numeric TrainConfig fields and their lower bounds (None: unbounded)
 _INT_FIELDS = {"rank": 1, "experts": 1, "steps": 1, "batch_size": 1, "seed": None,
@@ -366,8 +369,7 @@ def model_checkpoint(path, model: ToyModel, cfg: TrainConfig) -> None:
 # -- corpus-backed training --------------------------------------------------
 
 
-def token_dataset_from_corpus(docs, seq_len: int, seed: int,
-                              eval_fraction: float = 0.25):
+def token_dataset_from_corpus(docs, seq_len: int, seed: int):
     """Token-classification dataset from a tagged corpus.
 
     Documents become fixed-length token-id sequences over the corpus
@@ -392,7 +394,7 @@ def token_dataset_from_corpus(docs, seq_len: int, seed: int,
         seqs[i, : len(toks)] = toks
         labels[i] = class_id[d.task]
     order = np.asarray(SeededRng(seed).derive("split").shuffle(list(range(len(docs)))))
-    n_eval = max(1, int(len(docs) * eval_fraction))
+    n_eval = max(1, int(len(docs) * _EVAL_FRACTION))
     ev, trn = order[:n_eval], order[n_eval:]
     if trn.size == 0:
         raise UsageError("corpus too small to split into train and eval")
@@ -645,12 +647,12 @@ class Obs1Report:
 
 
 def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: TrainConfig,
-                     identical_tasks: bool = False, d_model: int = 24,
-                     feat: int = 16, classes: int = 4) -> Obs1Report:
+                     identical_tasks: bool = False) -> Obs1Report:
     """Monolithic adapter (pooled training) vs task-dedicated split heads at
-    the same trainable-parameter count, on the two-task conflict fixture."""
+    the same trainable-parameter count, on the two-task conflict fixture.
+    The shared base is cfg_single.d_model wide and pretrains per cfg_single."""
     n_tasks = cfg_split.experts
-    d = k = d_model
+    d = k = cfg_single.d_model
     single_count = ad_mod.params_per_matrix("lora", d, k, cfg_single.rank)
     split_count = ad_mod.params_per_matrix("split", d, k, cfg_split.rank, n_tasks)
     if single_count != split_count:
@@ -659,9 +661,10 @@ def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: Train
             f"single={single_count}, split={split_count}")
     rows = []
     for seed in seeds:
-        data = interference_data(seed, n_tasks=n_tasks, feat=feat, classes=classes,
+        data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
                                  identical_tasks=identical_tasks)
-        base = tm.dense_model(feat, d_model, classes, seed=SeededRng(seed).derive("base").seed)
+        base = tm.dense_model(data.train_inputs.shape[1], d, _HARNESS_CLASSES,
+                              seed=SeededRng(seed).derive("base").seed)
         pretrain_base(base, data, steps=cfg_single.pretrain_steps,
                       lr=cfg_single.pretrain_lr, seed=seed)
 
@@ -707,7 +710,6 @@ class Obs2Report:
 
 
 def run_observation2(seeds: list[int], n_tasks: int = 3, cfg: TrainConfig | None = None,
-                     d_model: int = 24, classes: int = 4,
                      identical_tasks: bool = False) -> Obs2Report:
     """Train one plain adapter per task from a shared base and a shared A
     init; report how much further apart the B matrices end up than the A
@@ -723,9 +725,8 @@ def run_observation2(seeds: list[int], n_tasks: int = 3, cfg: TrainConfig | None
     rows = []
     for seed in seeds:
         data = component_data(seed, level=n_tasks, max_levels=n_tasks,
-                              block=6, shared=4, classes=classes)
-        feat = data.train_inputs.shape[1]
-        base = tm.dense_model(feat, d_model, classes,
+                              block=6, shared=4, classes=_HARNESS_CLASSES)
+        base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
                               seed=SeededRng(seed).derive("base").seed)
         pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
         a_mats, b_mats = [], []
@@ -758,8 +759,7 @@ def _restrict_to_task(data: Dataset, task: int) -> Dataset:
 # -- harness: full fine-tuning vs adapter across mixing levels ---------------
 
 
-def run_heterogeneity(levels: list[int], cfg: TrainConfig,
-                      d_model: int = 24, classes: int = 4) -> list[dict]:
+def run_heterogeneity(levels: list[int], cfg: TrainConfig) -> list[dict]:
     """FFT vs rank-limited adapter per mixing level (one seed, from cfg).
 
     Each row carries metric = -eval loss for both arms (higher is better)
@@ -774,12 +774,12 @@ def run_heterogeneity(levels: list[int], cfg: TrainConfig,
         data = xor_component_data(seed, level=level, max_levels=max(levels))
         feat = data.train_inputs.shape[1]
 
-        fft = tm.dense_model(feat, d_model, classes, seed=base_seed)
+        fft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed)
         fft_cfg = replace(cfg, scheme="full", seed=SeededRng(seed).derive("fft", level).seed)
         train(fft, data, fft_cfg)
         fft_loss, fft_acc, _ = evaluate(fft, data)
 
-        peft = tm.dense_model(feat, d_model, classes, seed=base_seed)
+        peft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed)
         tm.attach(peft, "v_proj", "lora", cfg.rank,
                   seed=SeededRng(seed).derive("attach", level).seed)
         peft_cfg = replace(cfg, scheme="lora", seed=SeededRng(seed).derive("peft", level).seed)

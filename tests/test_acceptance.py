@@ -157,7 +157,7 @@ def test_criterion_5_clustering_pipeline():
             docs = cp.synth_corpus(3, 50, 0.8, seed=seed)
             model = cp.tfidf_fit(docs)
             x = cp.tfidf_matrix(model, docs)
-            curve, results = cl._sse_curve_with_results(x, 8, seed)
+            curve, results = cl.sse_curve(x, 8, seed)
             hits += cl.elbow_select(curve) == 3
             for res in results:
                 h = res.sse_history

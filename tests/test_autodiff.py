@@ -171,16 +171,47 @@ def test_backward_is_linear_in_samples():
     assert np.abs(whole - np.mean(per_sample, axis=0)).max() < 1e-12
 
 
-def test_eval_scalar_override_leaves_state_untouched():
+def _node_bytes(t: Tape) -> list:
+    return [(node.value.dtype, node.value.tobytes()) for node in t._nodes]
+
+
+def test_grad_check_leaves_the_tape_as_it_found_it():
     t, loss = _random_graph(3)
+    before = _node_bytes(t)
+    leaves = {name: t.value(slot) for name, slot in t.trainable_slots().items()}
+    grad_check(t, loss, SeededRng(7))
+    assert _node_bytes(t) == before
+    assert all(t.value(slot) is leaves[name] for name, slot in t.trainable_slots().items())
+
+
+def test_forward_from_a_later_leaf_equals_a_full_forward():
+    t, loss = _random_graph(4)
+    before = float(t.value(loss))
+    slot = t.trainable_slots()["w3"]
+    t.set_value(slot, t.value(slot) + 0.25)
+    t.forward(slot)
+    partial = _node_bytes(t)
     t.forward()
-    before = t.value(loss).copy()
-    slot = t.trainable_slots()["w1"]
-    bumped = t.value(slot).copy()
-    bumped[0, 0] += 0.5
-    shifted = t.eval_scalar(loss, {slot: bumped})
-    assert shifted != float(before)
-    assert float(t.value(loss)) == float(before)
+    assert _node_bytes(t) == partial
+    assert float(t.value(loss)) != before
+    # forward() reruns every node, not only those that read slot 0
+    t = Tape()
+    t.input(np.zeros(1))
+    y = t.input(np.ones((1, 1)))
+    r = t.relu(y)
+    t.set_value(y, np.full((1, 1), 3.0))
+    t.forward()
+    assert t.value(r)[0, 0] == 3.0
+
+
+def test_set_value_widens_only_floats_narrower_than_float64():
+    t = Tape()
+    x = t.input(np.zeros((1, 2)))
+    t.set_value(x, np.ones((1, 2), dtype=np.float32))
+    assert t.value(x).dtype == np.float64
+    wide = np.ones((1, 2), dtype=np.longdouble)
+    t.set_value(x, wide)
+    assert t.value(x) is wide
 
 
 def test_forward_recomputes_after_set_value():

@@ -76,9 +76,10 @@ def test_lloyd_iterations_never_increase_sse():
 def test_sse_curve_monotone():
     rng = SeededRng(23)
     x = rng.normal(50 * 3).reshape(50, 3)
-    curve = cl.sse_curve(x, 8, seed=2)
+    curve, results = cl.sse_curve(x, 8, seed=2)
     sses = curve.sses()
     assert all(sses[i + 1] <= sses[i] + 1e-9 for i in range(len(sses) - 1))
+    assert [(r.k, r.sse) for r in results] == curve.points
 
 
 def test_sse_curve_validates_k_max():

@@ -357,6 +357,21 @@ def test_observation2_zero_steps_is_degenerate():
     assert row["d_b"] == 0.0  # all B still zero
 
 
+def test_observation2_builds_models_of_cfg_d_model(monkeypatch):
+    widths = []
+    real_train = tr.train
+
+    def train(model, data, cfg, **kwargs):
+        widths.append(model.weights["v_proj"].shape)
+        return real_train(model, data, cfg, **kwargs)
+
+    monkeypatch.setattr(tr, "train", train)
+    cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1, d_model=12)
+    cfg.steps = 0  # as in the zero-steps control: only pretraining trains
+    tr.run_observation2([4], n_tasks=3, cfg=cfg)
+    assert len(widths) == 4 and set(widths) == {(12, 12)}
+
+
 def test_heterogeneity_rows_are_consistent():
     cfg = tr.TrainConfig(scheme="lora", rank=4, steps=40, learning_rate=0.05,
                          optimizer="adam", batch_size=16, seed=3, eval_interval=40)
