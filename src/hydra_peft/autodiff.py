@@ -309,7 +309,6 @@ class GradReport:
 
     eps: float
     per_param: dict[str, float] = field(default_factory=dict)
-    coords_checked: int = 0
 
     @property
     def max_rel_error(self) -> float:
@@ -368,7 +367,6 @@ def grad_check(tape: Tape, loss_slot: int, rng: linalg.SeededRng,
             g_ad = float(g_ad_flat[c])
             rel = abs(g_ad - g_fd) / max(1e-12, abs(g_ad) + abs(g_fd))
             worst = max(worst, rel)
-            report.coords_checked += 1
         loss_with(slot, base)  # the original array, not a float64 copy
         report.per_param[name] = worst
     return report

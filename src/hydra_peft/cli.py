@@ -102,8 +102,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_params(args) -> int:
-    n = {"hydra": args.experts, "split": args.heads}.get(args.scheme, 1)
-    count, pct = ad_mod.param_count(args.scheme, args.d, args.k, args.rank, n,
+    count, pct = ad_mod.param_count(args.scheme, args.d, args.k, args.rank, args.experts,
                                     args.matrices_per_layer, args.layers,
                                     args.base_total)
     sys.stdout.write(f"{count} ({pct:.3f}%)\n")
@@ -114,7 +113,7 @@ def _moe_and_merged(model, x: np.ndarray, w0: np.ndarray):
     """The tape's expert-sum rows and merge_infer's rows for input x, both finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, len(w0)))),
-                               loss="mse", trainable="none")
+                               trainable="none")
         out = (graph.tape.value(graph.logits_slot), ad_mod.merge_infer(
             x[None], w0, model.adapters["proj"], graph.tape.value(graph.gate_slots["proj"])))
     if not np.isfinite(out).all():
@@ -268,8 +267,8 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("params", help="trainable-parameter accounting")
     pa.add_argument("--scheme", required=True, choices=ad_mod.SCHEMES)
     pa.add_argument("--rank", type=int, required=True)
-    pa.add_argument("--experts", type=int, default=1)
-    pa.add_argument("--heads", type=int, default=1)
+    pa.add_argument("--experts", type=int, default=1,
+                    help="expert count (hydra) or head count (split)")
     pa.add_argument("--d", type=int, required=True)
     pa.add_argument("--k", type=int, required=True)
     pa.add_argument("--layers", type=int, required=True)

@@ -81,7 +81,6 @@ def save_jsonl(path, docs: list[Document]) -> None:
 class TfIdfModel:
     vocabulary: dict[str, int]   # term -> column, sorted lexicographically
     idf: np.ndarray
-    doc_count: int
 
     def dim(self) -> int:
         return len(self.vocabulary)
@@ -98,7 +97,7 @@ def tfidf_fit(docs: list[Document]) -> TfIdfModel:
     idf = np.zeros(len(vocab))
     for term, i in vocab.items():
         idf[i] = np.log((1.0 + n) / (1.0 + df[term])) + 1.0
-    return TfIdfModel(vocabulary=vocab, idf=idf, doc_count=n)
+    return TfIdfModel(vocabulary=vocab, idf=idf)
 
 
 def tfidf_transform(model: TfIdfModel, doc: Document | str) -> np.ndarray:

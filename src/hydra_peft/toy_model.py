@@ -11,10 +11,12 @@ Three variants share one weight layout:
               adapters available on q_proj and v_proj, mean-pooled into the
               classifier head. Id 0 is padding: no position attends to it
               and the pool leaves it out.
-* "linear" -- a single projection, used by the least-squares harness.
+* "linear" -- a single projection, used by merge-infer and the tests.
 
 Base weights are frozen; only adapters (plus, configurably, the classifier
 head, or everything for the full-fine-tuning baseline) ever receive updates.
+`param_refs` says which, for graphs and runs alike. A batch's labels or
+targets pick its loss; `run_graph` replays one graph per batch signature.
 """
 
 from __future__ import annotations
@@ -39,13 +41,16 @@ ATTACH_POINTS = {
 @dataclass
 class Batch:
     inputs: np.ndarray                   # (B, feat) float, (B, T) int, or (B, in) for linear
-    labels: np.ndarray | None = None     # (B,) int class ids
-    targets: np.ndarray | None = None    # (B, out) float, regression mode
+    labels: np.ndarray | None = None     # (B,) int class ids: cross-entropy
+    targets: np.ndarray | None = None    # (B, out) float: mse
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)
         if self.inputs.shape[0] == 0:
             raise ContractError("batch is empty")
+        if (self.labels is None) == (self.targets is None):
+            raise ContractError("a batch has labels (cross-entropy) or targets (mse), "
+                                "not both or neither")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.inputs.shape[0],):
@@ -150,7 +155,7 @@ class ModelGraph:
                 for proj, s in self.gate_slots.items()}
 
 
-def batch_leaves(model: ToyModel, batch: Batch, loss: str = "ce") -> dict[str, np.ndarray]:
+def batch_leaves(model: ToyModel, batch: Batch) -> dict[str, np.ndarray]:
     """The checked values a batch puts into a graph's leaves, by role: "x" or
     "tokens", "pool" and "pad" (token masks; "pad" only if there is padding),
     "labels" or "targets". Built and replayed graphs both read batches here."""
@@ -173,31 +178,22 @@ def batch_leaves(model: ToyModel, batch: Batch, loss: str = "ce") -> dict[str, n
     else:
         raise UsageError(f"unknown model mode {model.mode!r}")
 
-    if loss == "ce":
-        if batch.labels is None:
-            raise ContractError("cross-entropy needs labels")
-        if batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
-            raise ContractError("label out of class range")
-        leaves["labels"] = batch.labels
-    elif loss == "mse":
-        if batch.targets is None:
-            raise ContractError("mse needs targets")
+    if batch.labels is None:
         leaves["targets"] = np.asarray(batch.targets, dtype=np.float64)
+    elif batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
+        raise ContractError("label out of class range")
     else:
-        raise UsageError(f"unknown loss {loss!r}")
+        leaves["labels"] = batch.labels
     return leaves
 
 
-def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
-                trainable: str = "adapters+head",
+def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head",
                 active_split_head: int | None = None) -> ModelGraph:
-    """Build the forward tape for a batch.
-
-    trainable: "adapters" | "adapters+head" | "all" | "none".
-    """
-    if trainable not in ("adapters", "adapters+head", "all", "none"):
-        raise UsageError(f"unknown trainable spec {trainable!r}")
-    leaves = batch_leaves(model, batch, loss)
+    """Build the forward tape for a batch; the leaves `param_refs(model,
+    trainable)` names are trainable, and the batch's labels or targets pick
+    the loss (cross-entropy or mse)."""
+    refs = param_refs(model, trainable)
+    leaves = batch_leaves(model, batch)
     tape = Tape()
     feeds = {role: tape.input(value) for role, value in leaves.items()}
     slots: dict[str, int] = {}
@@ -206,8 +202,8 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
     def weight(name: str) -> int:
         """The leaf of a base weight, registered once per tape on first use."""
         if name not in slots:
-            train = trainable == "all" or (trainable == "adapters+head" and name == "head")
-            slots[name] = tape.input(model.weights[name], name=f"base.{name}", trainable=train)
+            slots[name] = tape.input(model.weights[name], name=f"base.{name}",
+                                     trainable=f"base.{name}" in refs)
         return slots[name]
 
     def linear(x: int, name: str) -> int:
@@ -216,7 +212,8 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
         ad = model.adapters.get(name)
         if ad is None:
             return out
-        branch, gate = ad.tape_branch(tape, x, name, trainable != "none", active_split_head)
+        # param_refs names every adapter tensor or none
+        branch, gate = ad.tape_branch(tape, x, name, bool(refs), active_split_head)
         if gate is not None:
             gates[name] = gate
         return tape.add(out, branch)
@@ -242,7 +239,7 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
         x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
         logits = linear(tape.group_mean(x3, feeds["pool"]), "head")
 
-    if loss == "ce":
+    if "labels" in feeds:
         loss_slot = tape.cross_entropy(logits, feeds["labels"])
     else:
         loss_slot = tape.mse(logits, feeds["targets"])
@@ -251,7 +248,12 @@ def build_graph(model: ToyModel, batch: Batch, loss: str = "ce",
 
 
 def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, np.ndarray]:
-    """Live arrays behind each trainable leaf name; updates mutate in place."""
+    """Live arrays behind each trainable leaf name; updates mutate in place.
+
+    trainable: "adapters" | "adapters+head" | "all" | "none".
+    """
+    if trainable not in ("adapters", "adapters+head", "all", "none"):
+        raise UsageError(f"unknown trainable spec {trainable!r}")
     refs: dict[str, np.ndarray] = {}
     if trainable == "none":
         return refs
@@ -260,14 +262,31 @@ def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, n
     if trainable == "all":
         for name, w in model.weights.items():
             refs[f"base.{name}"] = w
-    elif trainable == "adapters+head" and model.mode != "linear":
+    elif trainable == "adapters+head" and "head" in model.weights:
         refs["base.head"] = model.weights["head"]
     return refs
 
 
-def forward(model: ToyModel, batch: Batch, loss: str = "ce"):
+def run_graph(graphs: dict, model: ToyModel, batch: Batch, trainable: str,
+              head: int | None) -> ModelGraph:
+    """The batch's graph from the cache `graphs`, run forward: built on the
+    first use of its signature (input shape, split head, leaf roles), then
+    replayed for later batches."""
+    leaves = batch_leaves(model, batch)
+    key = (batch.inputs.shape, head, tuple(leaves))
+    graph = graphs.get(key)
+    if graph is None:
+        graph = graphs[key] = build_graph(model, batch, trainable, head)
+    else:
+        for role, slot in graph.feeds.items():
+            graph.tape.set_value(slot, leaves[role])
+        graph.tape.forward()
+    return graph
+
+
+def forward(model: ToyModel, batch: Batch):
     """Run the model on a batch: (logits, loss value, gate means per proj)."""
-    graph = build_graph(model, batch, loss=loss, trainable="none")
+    graph = build_graph(model, batch, trainable="none")
     return (graph.tape.value(graph.logits_slot),
             float(graph.tape.value(graph.loss_slot)),
             graph.gate_means())

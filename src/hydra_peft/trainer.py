@@ -143,7 +143,7 @@ class TrainReport:
 
 @dataclass
 class Dataset:
-    """Fixed train/eval arrays; loss picks between class labels and targets."""
+    """Fixed train/eval arrays with class labels (cross-entropy) or targets (mse)."""
 
     train_inputs: np.ndarray
     eval_inputs: np.ndarray
@@ -153,7 +153,6 @@ class Dataset:
     eval_targets: np.ndarray | None = None
     train_tasks: np.ndarray | None = None
     eval_tasks: np.ndarray | None = None
-    loss: str = "ce"
 
     def n_train(self) -> int:
         return self.train_inputs.shape[0]
@@ -231,11 +230,8 @@ class _Optimizer:
 def evaluate(model: ToyModel, data: Dataset, mask: np.ndarray | None = None):
     """(loss, accuracy, gate means) on the eval split."""
     batch = data.eval_batch(mask)
-    logits, loss, gates = tm.forward(model, batch, loss=data.loss)
-    if data.loss == "ce":
-        acc = float((logits.argmax(axis=1) == batch.labels).mean())
-    else:
-        acc = 0.0
+    logits, loss, gates = tm.forward(model, batch)
+    acc = 0.0 if batch.labels is None else float((logits.argmax(axis=1) == batch.labels).mean())
     return loss, acc, gates
 
 
@@ -250,32 +246,18 @@ def _tokens_per_sample(model: ToyModel, data: Dataset) -> int:
     return data.train_inputs.shape[1] if model.mode == "tokens" else 1
 
 
-def _adapter_flops(model: ToyModel, cfg: TrainConfig, tokens_processed: int) -> int:
-    """2 FLOPs per MAC, backward costed at twice forward, adapter branches only."""
-    if cfg.scheme == "full" or not model.adapters:
-        return 0
-    d, k = model.weights[model.attachment_points()[0]].shape
-    per_matrix = ad_mod.params_per_matrix(
-        cfg.scheme, d, k, cfg.rank, cfg.experts)
-    macs = per_matrix * len(model.adapters) * tokens_processed
+def _adapter_flops(model: ToyModel, tokens_processed: int) -> int:
+    """2 FLOPs per MAC, backward costed at twice forward, adapter branches only:
+    one MAC per adapter parameter per token."""
+    macs = sum(arr.size for _, arr in ad_mod.all_params(model.adapters)) * tokens_processed
     return 6 * macs
 
 
-def _step_graph(graphs: dict, model: ToyModel, batch: Batch, loss: str, trainable: str,
-                head: int | None) -> tm.ModelGraph:
-    """The batch's training graph, run forward: built on the first use of its
-    signature (shape, split head, padding), then replayed for later batches."""
-    leaves = tm.batch_leaves(model, batch, loss)
-    key = (batch.inputs.shape, head, "pad" in leaves)
-    graph = graphs.get(key)
-    if graph is None:
-        graph = graphs[key] = tm.build_graph(model, batch, loss=loss, trainable=trainable,
-                                             active_split_head=head)
-    else:
-        for role, slot in graph.feeds.items():
-            graph.tape.set_value(slot, leaves[role])
-        graph.tape.forward()
-    return graph
+def _trainable(cfg: TrainConfig) -> str:
+    """The param_refs spec of a run under cfg: what it trains and checkpoints."""
+    if cfg.scheme == "full":
+        return "all"
+    return "adapters+head" if cfg.train_head else "adapters"
 
 
 def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
@@ -286,8 +268,7 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
     and, for split adapters, only that task's head receives gradients (the
     dedicated-heads protocol used by run_observation1).
     """
-    trainable = "all" if cfg.scheme == "full" else (
-        "adapters+head" if cfg.train_head else "adapters")
+    trainable = _trainable(cfg)
     rng = SeededRng(cfg.seed).derive("train-loop")
     task_ids = None
     if task_schedule:
@@ -320,7 +301,7 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
             # divergence shows up as non-finite values below; numpy's own
             # overflow warnings on the way there are just noise
             with np.errstate(all="ignore"):
-                graph = _step_graph(graphs, model, batch, data.loss, trainable, head)
+                graph = tm.run_graph(graphs, model, batch, trainable, head)
                 loss_val = float(graph.tape.value(graph.loss_slot))
                 if not np.isfinite(loss_val):
                     raise TrainingAborted(step, f"loss became {loss_val}")
@@ -338,7 +319,7 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
     tokens = cfg.steps * cfg.batch_size * _tokens_per_sample(model, data)
     return TrainReport(rows=rows, final_loss=final["loss"], final_acc=final["acc"],
                        trainable_params=n_params, gate_usage=gate_usage,
-                       flop_tally=_adapter_flops(model, cfg, tokens), seed=cfg.seed)
+                       flop_tally=_adapter_flops(model, tokens), seed=cfg.seed)
 
 
 def _checkpoint_meta(cfg: TrainConfig) -> dict[str, str]:
@@ -348,12 +329,10 @@ def _checkpoint_meta(cfg: TrainConfig) -> dict[str, str]:
 
 
 def _checkpoint_base(model: ToyModel, cfg: TrainConfig) -> dict[str, np.ndarray]:
-    """The base weights a run under cfg trains, so its checkpoint carries them."""
-    if cfg.scheme == "full":
-        return {name: model.weights[name] for name in sorted(model.weights)}
-    if cfg.train_head and model.mode != "linear":
-        return {"head": model.weights["head"]}
-    return {}
+    """The base weights a run under cfg trains, by name, so its checkpoint carries them."""
+    refs = tm.param_refs(model, _trainable(cfg))
+    return {name.removeprefix("base."): refs[name] for name in sorted(refs)
+            if name.startswith("base.")}
 
 
 def _shapes(adapters, base: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
@@ -506,6 +485,29 @@ def _orthonormal_rows(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
     return g
 
 
+def _fixture(rng: SeededRng, parts: int, n_train: int, n_eval: int, draw) -> Dataset:
+    """Train and eval splits of n_train and n_eval rows per task (or
+    component) 0 .. parts-1, tagged with it; draw(r, part, n) -> (x, y) draws
+    a part's rows from r, the split's stream, in part order."""
+    arrays = {}
+    for tag, n in (("train", n_train), ("eval", n_eval)):
+        r = rng.derive(tag)
+        xs, ys = zip(*(draw(r, part, n) for part in range(parts)))
+        arrays.update({f"{tag}_inputs": np.concatenate(xs), f"{tag}_labels": np.concatenate(ys),
+                       f"{tag}_tasks": np.repeat(np.arange(parts), n)})
+    return Dataset(**arrays)
+
+
+def _in_block(r: SeededRng, xb: np.ndarray, c: int, max_levels: int, shared: int) -> np.ndarray:
+    """Rows with xb on feature block c of max_levels, zero on the other blocks,
+    and shared trailing features of gaussian noise (std 0.5) drawn from r."""
+    n, block = xb.shape
+    x = np.zeros((n, max_levels * block + shared))
+    x[:, c * block : (c + 1) * block] = xb
+    x[:, max_levels * block :] = 0.5 * r.normal(n * shared).reshape(n, shared)
+    return x
+
+
 def interference_data(seed: int, n_tasks: int = 2, feat: int = 16, classes: int = 4,
                       train_per_task: int = 256, eval_per_task: int = 128,
                       identical_tasks: bool = False) -> Dataset:
@@ -518,21 +520,11 @@ def interference_data(seed: int, n_tasks: int = 2, feat: int = 16, classes: int 
     if identical_tasks:
         maps = np.broadcast_to(maps[:1], maps.shape).copy()
 
-    def make(n_per_task, tag):
-        r = rng.derive(tag)
-        xs, ys, ts = [], [], []
-        for t in range(n_tasks):
-            x = r.normal(n_per_task * feat).reshape(n_per_task, feat)
-            y = (maps[t] @ x.T).argmax(axis=0)
-            xs.append(x)
-            ys.append(y)
-            ts.append(np.full(n_per_task, t))
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(ts)
+    def draw(r, t, n):
+        x = r.normal(n * feat).reshape(n, feat)
+        return x, (maps[t] @ x.T).argmax(axis=0)
 
-    xtr, ytr, ttr = make(train_per_task, "train")
-    xev, yev, tev = make(eval_per_task, "eval")
-    return Dataset(train_inputs=xtr, train_labels=ytr, train_tasks=ttr,
-                   eval_inputs=xev, eval_labels=yev, eval_tasks=tev)
+    return _fixture(rng, n_tasks, train_per_task, eval_per_task, draw)
 
 
 def component_data(seed: int, level: int, max_levels: int = 4, block: int = 4,
@@ -545,30 +537,14 @@ def component_data(seed: int, level: int, max_levels: int = 4, block: int = 4,
     if not (1 <= level <= max_levels):
         raise UsageError(f"level must be in [1, {max_levels}], got {level}")
     rng = SeededRng(seed).derive("components")
-    feat = max_levels * block + shared
     maps = [_orthonormal_rows(rng.derive("map", c), min(classes, block), block)
             for c in range(max_levels)]
 
-    def make(n_per_comp, tag):
-        r = rng.derive(tag)
-        xs, ys, cs = [], [], []
-        for c in range(level):
-            x = np.zeros((n_per_comp, feat))
-            xb = r.normal(n_per_comp * block).reshape(n_per_comp, block)
-            x[:, c * block : (c + 1) * block] = xb
-            x[:, max_levels * block :] = 0.5 * r.normal(n_per_comp * shared).reshape(
-                n_per_comp, shared)
-            logits = maps[c] @ xb.T
-            y = logits.argmax(axis=0) % classes
-            xs.append(x)
-            ys.append(y)
-            cs.append(np.full(n_per_comp, c))
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(cs)
+    def draw(r, c, n):
+        xb = r.normal(n * block).reshape(n, block)
+        return _in_block(r, xb, c, max_levels, shared), (maps[c] @ xb.T).argmax(axis=0) % classes
 
-    xtr, ytr, ctr = make(train_per_comp, "train")
-    xev, yev, cev = make(eval_per_comp, "eval")
-    return Dataset(train_inputs=xtr, train_labels=ytr, train_tasks=ctr,
-                   eval_inputs=xev, eval_labels=yev, eval_tasks=cev)
+    return _fixture(rng, level, train_per_comp, eval_per_comp, draw)
 
 
 def xor_component_data(seed: int, level: int, max_levels: int = 4, block: int = 6,
@@ -589,7 +565,6 @@ def xor_component_data(seed: int, level: int, max_levels: int = 4, block: int = 
     if not (1 <= level <= max_levels):
         raise UsageError(f"level must be in [1, {max_levels}], got {level}")
     rng = SeededRng(seed).derive("xor-components")
-    feat = max_levels * block + shared
     dirs = [_orthonormal_rows(rng.derive("dirs", c), 4, block) for c in range(max_levels)]
 
     def labelify(xb, c):
@@ -598,32 +573,18 @@ def xor_component_data(seed: int, level: int, max_levels: int = 4, block: int = 
         ok = (np.abs(p1) > margin) & (np.abs(p2) > margin)
         return 2 * (p1 > 0) + (p2 > 0), ok
 
-    def make(n_per_comp, tag):
-        r = rng.derive(tag)
-        xs, ys, cs = [], [], []
-        for c in range(level):
-            need, keep_x, keep_y = n_per_comp, [], []
-            while need > 0:
-                m = max(2 * need, 32)
-                xb = r.normal(m * block).reshape(m, block)
-                y, ok = labelify(xb, c)
-                keep_x.append(xb[ok][:need])
-                keep_y.append(y[ok][:need])
-                need -= keep_x[-1].shape[0]
-            xb = np.concatenate(keep_x)
-            x = np.zeros((n_per_comp, feat))
-            x[:, c * block : (c + 1) * block] = xb
-            x[:, max_levels * block :] = 0.5 * r.normal(n_per_comp * shared).reshape(
-                n_per_comp, shared)
-            xs.append(x)
-            ys.append(np.concatenate(keep_y))
-            cs.append(np.full(n_per_comp, c))
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(cs)
+    def draw(r, c, n):
+        need, keep_x, keep_y = n, [], []
+        while need > 0:
+            m = max(2 * need, 32)
+            xb = r.normal(m * block).reshape(m, block)
+            y, ok = labelify(xb, c)
+            keep_x.append(xb[ok][:need])
+            keep_y.append(y[ok][:need])
+            need -= keep_x[-1].shape[0]
+        return _in_block(r, np.concatenate(keep_x), c, max_levels, shared), np.concatenate(keep_y)
 
-    xtr, ytr, ctr = make(train_per_comp, "train")
-    xev, yev, cev = make(eval_per_comp, "eval")
-    return Dataset(train_inputs=xtr, train_labels=ytr, train_tasks=ctr,
-                   eval_inputs=xev, eval_labels=yev, eval_tasks=cev)
+    return _fixture(rng, level, train_per_comp, eval_per_comp, draw)
 
 
 def pretrain_base(model: ToyModel, data: Dataset, steps: int, lr: float, seed: int) -> None:
@@ -650,7 +611,11 @@ def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: Train
                      identical_tasks: bool = False) -> Obs1Report:
     """Monolithic adapter (pooled training) vs task-dedicated split heads at
     the same trainable-parameter count, on the two-task conflict fixture.
-    The shared base is cfg_single.d_model wide and pretrains per cfg_single."""
+    Both arms share one base, so the configs must agree on how it is built."""
+    for name in ("d_model", "hidden", "pretrain_steps", "pretrain_lr"):
+        if getattr(cfg_single, name) != getattr(cfg_split, name):
+            raise UsageError(f"the arms share one base, so cfg_single.{name} and "
+                             f"cfg_split.{name} must be equal")
     n_tasks = cfg_split.experts
     d = k = cfg_single.d_model
     single_count = ad_mod.params_per_matrix("lora", d, k, cfg_single.rank)
@@ -664,19 +629,19 @@ def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: Train
         data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
                                  identical_tasks=identical_tasks)
         base = tm.dense_model(data.train_inputs.shape[1], d, _HARNESS_CLASSES,
-                              seed=SeededRng(seed).derive("base").seed)
+                              seed=SeededRng(seed).derive("base").seed, hidden=cfg_single.hidden)
         pretrain_base(base, data, steps=cfg_single.pretrain_steps,
                       lr=cfg_single.pretrain_lr, seed=seed)
 
         single = tm.clone_model(base)
         tm.attach(single, "v_proj", "lora", cfg_single.rank,
-                  seed=SeededRng(seed).derive("attach-single").seed)
+                  seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg_single.alpha)
         rep_single = train(single, data, replace(cfg_single, seed=seed, train_head=False),
                            task_schedule=True)
 
         split = tm.clone_model(base)
         tm.attach(split, "v_proj", "split", cfg_split.rank, n=n_tasks,
-                  seed=SeededRng(seed).derive("attach-split").seed)
+                  seed=SeededRng(seed).derive("attach-split").seed, alpha=cfg_split.alpha)
         train(split, data, replace(cfg_split, seed=seed, train_head=False),
               task_schedule=True)
         # task-routed eval: each task's eval subset through its dedicated head
@@ -685,8 +650,7 @@ def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: Train
         for t in range(n_tasks):
             mask = data.eval_tasks == t
             batch = data.eval_batch(mask)
-            graph = tm.build_graph(split, batch, loss="ce", trainable="none",
-                                   active_split_head=t)
+            graph = tm.build_graph(split, batch, trainable="none", active_split_head=t)
             losses.append(float(graph.tape.value(graph.loss_slot)))
             weights.append(int(mask.sum()))
         loss_split = float(np.average(losses, weights=weights))
@@ -727,14 +691,14 @@ def run_observation2(seeds: list[int], n_tasks: int = 3, cfg: TrainConfig | None
         data = component_data(seed, level=n_tasks, max_levels=n_tasks,
                               block=6, shared=4, classes=_HARNESS_CLASSES)
         base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
-                              seed=SeededRng(seed).derive("base").seed)
+                              seed=SeededRng(seed).derive("base").seed, hidden=cfg.hidden)
         pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
         a_mats, b_mats = [], []
         for t in range(n_tasks):
             model = tm.clone_model(base)
             # one shared init seed: every task's A starts identical
             tm.attach(model, "v_proj", "lora", cfg.rank,
-                      seed=SeededRng(seed).derive("attach-shared").seed)
+                      seed=SeededRng(seed).derive("attach-shared").seed, alpha=cfg.alpha)
             task_data = _restrict_to_task(data, 0 if identical_tasks else t)
             train(model, task_data, replace(cfg, seed=SeededRng(seed).derive("run", t).seed,
                                             train_head=False))
@@ -752,8 +716,7 @@ def _restrict_to_task(data: Dataset, task: int) -> Dataset:
     tr = data.train_tasks == task
     ev = data.eval_tasks == task
     return Dataset(train_inputs=data.train_inputs[tr], train_labels=data.train_labels[tr],
-                   eval_inputs=data.eval_inputs[ev], eval_labels=data.eval_labels[ev],
-                   loss=data.loss)
+                   eval_inputs=data.eval_inputs[ev], eval_labels=data.eval_labels[ev])
 
 
 # -- harness: full fine-tuning vs adapter across mixing levels ---------------
@@ -774,14 +737,15 @@ def run_heterogeneity(levels: list[int], cfg: TrainConfig) -> list[dict]:
         data = xor_component_data(seed, level=level, max_levels=max(levels))
         feat = data.train_inputs.shape[1]
 
-        fft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed)
+        fft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed,
+                             hidden=cfg.hidden)
+        peft = tm.clone_model(fft)
         fft_cfg = replace(cfg, scheme="full", seed=SeededRng(seed).derive("fft", level).seed)
         train(fft, data, fft_cfg)
         fft_loss, fft_acc, _ = evaluate(fft, data)
 
-        peft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed)
         tm.attach(peft, "v_proj", "lora", cfg.rank,
-                  seed=SeededRng(seed).derive("attach", level).seed)
+                  seed=SeededRng(seed).derive("attach", level).seed, alpha=cfg.alpha)
         peft_cfg = replace(cfg, scheme="lora", seed=SeededRng(seed).derive("peft", level).seed)
         train(peft, data, peft_cfg)
         peft_loss, peft_acc, _ = evaluate(peft, data)

@@ -38,7 +38,7 @@ def linear_forward(w0, adapter, x):
     model = tm.ToyModel("linear", d, k, d, 0, {"proj": w0},
                         {} if adapter is None else {"proj": adapter})
     graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((len(x), d))),
-                           loss="mse", trainable="none")
+                           trainable="none")
     gate = graph.gate_slots.get("proj")
     return (graph.tape.value(graph.logits_slot),
             None if gate is None else graph.tape.value(gate))

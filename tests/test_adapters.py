@@ -246,7 +246,7 @@ def test_hydra_expert_products_do_not_grow_with_experts(monkeypatch):
         model = tm.ToyModel("linear", d, k, d, 0, {"proj": w0},
                             {"proj": _fresh("hydra", d, k, r, n, n)})
         graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((rows, d))),
-                               loss="mse", trainable="adapters")
+                               trainable="adapters")
         graph.tape.backward(graph.loss_slot)
         counts.append(counted["calls"])
         counted["calls"] = 0

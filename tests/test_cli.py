@@ -36,7 +36,7 @@ def test_params_reference_lines(capsys):
 def test_params_split_equals_monolithic(capsys):
     common = ["--d", "4096", "--k", "4096", "--layers", "32",
               "--matrices-per-layer", "2", "--base-total", "6738000000"]
-    main(["params", "--scheme", "split", "--rank", "8", "--heads", "4"] + common)
+    main(["params", "--scheme", "split", "--rank", "8", "--experts", "4"] + common)
     split_out = capsys.readouterr().out
     main(["params", "--scheme", "lora", "--rank", "32"] + common)
     assert capsys.readouterr().out == split_out

@@ -72,6 +72,13 @@ def test_label_out_of_range_rejected():
         tm.forward(model, batch)
 
 
+def test_batch_has_labels_or_targets():
+    x = np.zeros((2, 5))
+    for given in ({}, {"labels": np.array([0, 1]), "targets": np.zeros((2, 3))}):
+        with pytest.raises(ContractError, match="not both or neither"):
+            tm.Batch(inputs=x, **given)
+
+
 def test_attention_rows_sum_to_one():
     model = tm.token_model(12, 8, 3, seed=6)
     batch = _token_batch(model, 3, n=2, t=6)
@@ -144,7 +151,7 @@ def _linear_with_live_adapter(scheme):
 def test_tape_branch_matches_numpy_forward(scheme):
     model, batch = _linear_with_live_adapter(scheme)
     w0, adapter = model.weights["proj"], model.adapters["proj"]
-    logits, _, gates = tm.forward(model, batch, loss="mse")
+    logits, _, gates = tm.forward(model, batch)
     rows = []
     for i, x in enumerate(batch.inputs):
         if scheme == "lora":
@@ -165,8 +172,7 @@ def test_tape_branch_matches_numpy_forward(scheme):
 def test_split_active_head_emits_only_that_head():
     model, batch = _linear_with_live_adapter("split")
     w0, split = model.weights["proj"], model.adapters["proj"]
-    graph = tm.build_graph(model, batch, loss="mse", trainable="adapters",
-                           active_split_head=1)
+    graph = tm.build_graph(model, batch, trainable="adapters", active_split_head=1)
     assert sorted(graph.tape.trainable_slots()) == ["proj.A1", "proj.B1"]
     logits = graph.tape.value(graph.logits_slot)
     for i, x in enumerate(batch.inputs):
@@ -177,7 +183,7 @@ def test_split_active_head_emits_only_that_head():
 @pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
 def test_param_refs_are_the_tape_leaves(scheme):
     model, batch = _linear_with_live_adapter(scheme)
-    graph = tm.build_graph(model, batch, loss="mse", trainable="adapters")
+    graph = tm.build_graph(model, batch, trainable="adapters")
     refs = tm.param_refs(model, "adapters")
     assert sorted(refs) == sorted(graph.tape.trainable_slots())
     for name, arr in refs.items():

@@ -73,7 +73,7 @@ def test_rank_two_least_squares_reaches_optimum():
     x = rng.normal(400 * k).reshape(400, k)
     targets = x @ (model.weights["proj"] + planted).T
     data = tr.Dataset(train_inputs=x[:300], train_targets=targets[:300],
-                      eval_inputs=x[300:], eval_targets=targets[300:], loss="mse")
+                      eval_inputs=x[300:], eval_targets=targets[300:])
     tm.attach(model, "proj", "lora", r, seed=5)
     cfg = tr.TrainConfig(scheme="lora", rank=r, steps=300, learning_rate=0.05,
                          optimizer="adam", batch_size=32, seed=1,
@@ -140,7 +140,7 @@ def test_gradient_overflow_aborts_before_any_update():
     model.weights["proj"][:] = 1e-300
     x = np.full((4, 2), 1e308)
     data = tr.Dataset(train_inputs=x, eval_inputs=x, train_targets=np.zeros((4, 1)),
-                      eval_targets=np.zeros((4, 1)), loss="mse")
+                      eval_targets=np.zeros((4, 1)))
     before = _weight_bytes(model)
     cfg = tr.TrainConfig(scheme="full", steps=3, learning_rate=0.1, batch_size=4, seed=0)
     with pytest.raises(TrainingAborted, match="non-finite") as err:
@@ -176,8 +176,8 @@ def _rebuilt_train(model, data, cfg, task_schedule=False):
             idx = rng.integers(cfg.batch_size, data.n_train())
             head = None
         with np.errstate(all="ignore"):
-            graph = tm.build_graph(model, data.train_batch(idx), loss=data.loss,
-                                   trainable=trainable, active_split_head=head)
+            graph = tm.build_graph(model, data.train_batch(idx), trainable=trainable,
+                                   active_split_head=head)
             grads = graph.tape.backward(graph.loss_slot)
         for name, arr in refs.items():
             g = grads.get(name)
@@ -256,7 +256,7 @@ def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
     tm.attach(model, "q_proj", "hydra", 2, seed=1, n=2)
     graphs = {}
     good = tm.Batch(inputs=np.array([[1, 2, 0], [3, 4, 5]]), labels=np.array([0, 2]))
-    tr._step_graph(graphs, model, good, "ce", "adapters+head", None)
+    tm.run_graph(graphs, model, good, "adapters+head", None)
     bad = {  # each has the good batch's signature: shape (2, 3), padded
         "token id out of vocabulary range": ([[1, 2, 0], [3, 4, 6]], [0, 2]),
         "a token sample is all padding": ([[1, 2, 0], [0, 0, 0]], [0, 2]),
@@ -267,8 +267,14 @@ def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
         with pytest.raises(ContractError, match=message):
             tm.build_graph(model, batch)
         with pytest.raises(ContractError, match=message):
-            tr._step_graph(graphs, model, batch, "ce", "adapters+head", None)
+            tm.run_graph(graphs, model, batch, "adapters+head", None)
     assert len(graphs) == 1
+    # the good batch's shape and padding with targets: an mse graph of its own
+    regress = tm.Batch(inputs=good.inputs, targets=np.ones((2, 3)))
+    graph = tm.run_graph(graphs, model, regress, "adapters+head", None)
+    fresh = tm.build_graph(model, regress)
+    assert len(graphs) == 2
+    assert graph.tape.value(graph.loss_slot) == fresh.tape.value(fresh.loss_slot)
 
 
 def test_report_csv_shape():
@@ -288,6 +294,15 @@ def test_observation1_requires_equal_parameter_counts():
     single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
     split = tr.TrainConfig(scheme="split", rank=5, experts=2, steps=5)
     with pytest.raises(UsageError, match="equal parameter"):
+        tr.run_observation1([0], single, split)
+
+
+@pytest.mark.parametrize("field,value", [("d_model", 12), ("hidden", 20),
+                                         ("pretrain_steps", 5), ("pretrain_lr", 0.1)])
+def test_observation1_requires_one_base_for_both_arms(field, value):
+    single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
+    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=5, **{field: value})
+    with pytest.raises(UsageError, match=f"cfg_split.{field}"):
         tr.run_observation1([0], single, split)
 
 
@@ -358,18 +373,21 @@ def test_observation2_zero_steps_is_degenerate():
 
 
 def test_observation2_builds_models_of_cfg_d_model(monkeypatch):
-    widths = []
+    widths, alphas = [], []
     real_train = tr.train
 
     def train(model, data, cfg, **kwargs):
-        widths.append(model.weights["v_proj"].shape)
+        widths.append((model.weights["v_proj"].shape, model.weights["mlp_in"].shape))
+        alphas.extend(ad.alpha for ad in model.adapters.values())
         return real_train(model, data, cfg, **kwargs)
 
     monkeypatch.setattr(tr, "train", train)
-    cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1, d_model=12)
+    cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1, d_model=12,
+                         hidden=20, alpha=6.0)
     cfg.steps = 0  # as in the zero-steps control: only pretraining trains
     tr.run_observation2([4], n_tasks=3, cfg=cfg)
-    assert len(widths) == 4 and set(widths) == {(12, 12)}
+    assert len(widths) == 4 and set(widths) == {((12, 12), (20, 12))}
+    assert alphas == [6.0] * 3  # one adapter per task; pretraining has none
 
 
 def test_heterogeneity_rows_are_consistent():
@@ -397,19 +415,28 @@ def test_token_dataset_from_corpus():
         tr.token_dataset_from_corpus(untagged, seq_len=4, seed=0)
 
 
-def test_run_from_config_synthetic_and_checkpoint(tmp_path):
-    cfg = tr.TrainConfig(scheme="hydra", rank=2, experts=2, steps=15,
+@pytest.mark.parametrize("scheme,train_head,trained", [
+    ("full", True, {"embed", "v_proj", "o_proj", "mlp_in", "mlp_out", "head"}),
+    ("hydra", True, {"head"}),
+    ("lora", False, set()),
+], ids=["full", "hydra-head", "lora-no-head"])
+def test_run_from_config_synthetic_and_checkpoint(tmp_path, scheme, train_head, trained):
+    cfg = tr.TrainConfig(scheme=scheme, rank=2, experts=2, steps=15,
                          learning_rate=0.05, batch_size=8, seed=4,
-                         pretrain_steps=5, d_model=12,
+                         pretrain_steps=5, d_model=12, train_head=train_head,
                          dataset={"synthetic": "interference",
                                   "train_per_task": 32, "eval_per_task": 16})
     model, data, report = tr.run_from_config(cfg)
-    assert "v_proj" in model.adapters
+    assert list(model.adapters) == ([] if scheme == "full" else ["v_proj"])
     path = tmp_path / "ck.txt"
     tr.model_checkpoint(path, model, cfg)
-    fresh, _ = tr.build_from_config(cfg)
+    fresh, _ = tr.build_from_config(cfg)  # the base as training found it
+    changed = {n for n, w in model.weights.items() if w.tobytes() != fresh.weights[n].tobytes()}
     from hydra_peft.adapters import read_checkpoint
-    tr.restore_into_model(fresh, cfg, *read_checkpoint(path))
+    checkpoint = read_checkpoint(path)
+    assert list(checkpoint[2]) == sorted(changed)  # its base.* tensors, in order
+    assert changed == trained
+    tr.restore_into_model(fresh, cfg, *checkpoint)
     l1, a1, _ = tr.evaluate(model, data)
     l2, a2, _ = tr.evaluate(fresh, data)
     assert l1 == l2 and a1 == a2
