@@ -15,6 +15,7 @@ symmetry so experts can specialize.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -309,15 +310,24 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, Adapter], dict[str,
         raise CheckpointError(f"missing metadata line {e.args[0]!r}") from None
     except ValueError as e:
         raise CheckpointError(f"bad rank or alpha metadata: {e}") from None
+    if rank < 1 or not math.isfinite(alpha):
+        raise CheckpointError(f"rank must be >= 1 and alpha finite, got rank {rank}, "
+                              f"alpha {alpha}")
     base = {n[len("base."):]: t for n, t in tensors.items() if n.startswith("base.")}
     names = {n for n in tensors if not n.startswith("base.")}
     projs = sorted({parsed[0] for parsed in map(parse_param_name, names) if parsed})
     if projs and scheme not in ADAPTERS:
         raise CheckpointError(f"adapter tensors under unknown scheme {scheme!r}")
     adapters = {p: ADAPTERS[scheme].from_params(p, tensors, rank, alpha) for p in projs}
-    extra = names - {name for name, _ in all_params(adapters)}
+    params = all_params(adapters)
+    extra = names - {name for name, _ in params}
     if extra:
         raise CheckpointError(f"tensor {min(extra)!r} is not part of a {scheme} adapter")
+    for name, arr in params:
+        # A and Wg have rank rows, B has rank columns
+        axis = 1 if parse_param_name(name)[1] == "B" else 0
+        if arr.shape[axis] != rank:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, but rank is {rank}")
     return meta, adapters, base
 
 

@@ -1,4 +1,4 @@
-"""Post-hoc analysis of trained adapters and cost accounting.
+"""Post-hoc analysis of trained adapters.
 
 breakdown() compares checkpoints of per-task adapters the way one compares
 fine-tuned modules: flatten every A and B submodule, compute pairwise
@@ -6,11 +6,6 @@ distances, embed in 2-D with PCA (power iteration on the covariance), and
 summarize how much further apart the B group sits than the A group. Group
 divergences are normalized by the group's mean Frobenius norm so the
 comparison is fair even though B matrices start at zero norm.
-
-cost() gives exact multiply-accumulate counts per token for the adapter
-branch of each scheme. For the linear maps involved, MACs per token equal
-the parameter count, so the relative-cost column is the trainable-parameter
-ratio against a reference configuration.
 """
 
 from __future__ import annotations
@@ -181,30 +176,3 @@ def scatter_svg(report: EmbeddingReport) -> str:
                      f'<title>{label}</title></circle>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-@dataclass
-class CostReport:
-    scheme: str
-    trainable_params: int        # per adapted matrix
-    macs_forward: int            # per token, per adapted matrix
-    macs_backward: int           # 2x forward for the trainable branch
-    relative_params: float | None
-
-
-def cost(scheme: str, d: int, k: int, r: int, n: int = 1,
-         reference: tuple[str, int, int] | None = None) -> CostReport:
-    """Adapter-branch cost for one adapted matrix.
-
-    `reference` is an optional (scheme, rank, n) tuple at the same (d, k);
-    relative_params is this config's trainable parameters over the
-    reference's.
-    """
-    params = ad_mod.params_per_matrix(scheme, d, k, r, n)
-    macs = params  # every adapter parameter is one multiply-accumulate per token
-    rel = None
-    if reference is not None:
-        ref_scheme, ref_r, ref_n = reference
-        rel = params / ad_mod.params_per_matrix(ref_scheme, d, k, ref_r, ref_n)
-    return CostReport(scheme=scheme, trainable_params=params, macs_forward=macs,
-                      macs_backward=2 * macs, relative_params=rel)

@@ -19,7 +19,6 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,47 +186,26 @@ def cmd_analyze(args) -> int:
 # -- bench suites ------------------------------------------------------------
 
 
-def _obs1_configs():
-    single = trainer.TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2,
-                                 batch_size=16, pretrain_steps=60, pretrain_lr=0.1)
-    split = replace(single, scheme="split", rank=4, experts=2)
-    return single, split
-
-
-def _het_config(seed: int) -> trainer.TrainConfig:
-    return trainer.TrainConfig(scheme="lora", rank=6, steps=800, learning_rate=0.01,
-                               optimizer="adam", batch_size=24, seed=seed,
-                               eval_interval=200)
-
-
-def _bench_one(job) -> dict:
-    suite, seed = job
-    if suite == "obs1":
-        single, split = _obs1_configs()
-        rep = trainer.run_observation1([seed], single, split)
-        return rep.rows[0]
-    if suite == "obs2":
-        rep = trainer.run_observation2([seed])
-        return rep.rows[0]
-    rows = trainer.run_heterogeneity([1, 2, 4], _het_config(seed))
-    return {"seed": seed, "rows": rows, "win": bool(rows[-1]["gap"] > rows[0]["gap"])}
+# one seed's row, with its "win" flag, per suite
+_SUITES = {"obs1": trainer.run_observation1, "obs2": trainer.run_observation2,
+           "het": trainer.run_heterogeneity}
 
 
 def cmd_bench(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = list(range(args.seeds))
-    jobs = [(args.suite, s) for s in seeds]
     raw = os.environ.get("HYDRA_PEFT_THREADS", "1")
     if not raw.isdecimal() or int(raw) < 1:
         raise UsageError(f"HYDRA_PEFT_THREADS must be an integer >= 1, got {raw!r}")
     workers = int(raw)
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            rows = pool.map(_bench_one, jobs)
+    run = _SUITES[args.suite]
+    if workers > 1 and len(seeds) > 1:
+        with multiprocessing.Pool(min(workers, len(seeds))) as pool:
+            rows = pool.map(run, seeds)
     else:
-        rows = [_bench_one(j) for j in jobs]
-    wins = sum(r["ratio"] > 1.0 if args.suite == "obs2" else r["win"] for r in rows)
+        rows = [run(s) for s in seeds]
+    wins = sum(r["win"] for r in rows)
     payload = {"suite": args.suite, "seeds": seeds, "wins": wins, "rows": rows}
     if args.out:
         Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
@@ -290,7 +268,7 @@ def build_parser() -> _Parser:
     a.set_defaults(func=cmd_analyze)
 
     b = sub.add_parser("bench", help="run a statistical suite over seeds")
-    b.add_argument("--suite", required=True, choices=("obs1", "obs2", "het"))
+    b.add_argument("--suite", required=True, choices=tuple(_SUITES))
     b.add_argument("--seeds", type=int, default=10)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)

@@ -2,7 +2,7 @@
 
 Featurization is the smooth-idf variant with raw term counts:
 
-    tokenize  = lowercase, split on non-alphanumeric
+    tokenize  = lowercase, split on all but letters and digits (of any script)
     tf(t, d)  = count of t in d
     idf(t)    = ln((1 + D) / (1 + df(t))) + 1
     vector    = L2-normalized tf*idf over the lexicographically sorted vocabulary
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParseError, UsageError
 from .linalg import SeededRng
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_RE = re.compile(r"[^\W_]+")  # \w without the underscore
 _POOL_SIZE = 10  # synth_corpus terms per component pool and in the shared pool
 
 
@@ -63,8 +63,16 @@ def load_jsonl(path) -> list[Document]:
             raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise ParseError(f"{path}: line {lineno}: need 'id' and 'text' fields")
-        docs.append(Document(id=str(obj["id"]), text=str(obj["text"]),
-                             task=None if obj.get("task") is None else str(obj["task"])))
+        doc_id, text, task = obj["id"], obj["text"], obj.get("task")
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise ParseError(f"{path}: line {lineno}: id must be a string or an integer, "
+                             f"got {doc_id!r}")
+        if not isinstance(text, str):
+            raise ParseError(f"{path}: line {lineno}: text must be a string, got {text!r}")
+        if task is not None and not isinstance(task, str):
+            raise ParseError(f"{path}: line {lineno}: task must be a string or null, "
+                             f"got {task!r}")
+        docs.append(Document(id=str(doc_id), text=text, task=task))
     return validate_corpus(docs)
 
 

@@ -6,7 +6,10 @@ serves as the full-fine-tuning baseline). Every run is deterministic given
 its config seed: batch order, adapter init, and data synthesis all flow from
 that one seed.
 
-The harnesses replicate, at desk scale and as seed-majority statistics:
+The harnesses replicate, at desk scale, three findings that `bench` counts
+as seed-majority statistics. Each runs one seed under the protocol configs
+that sit beside it (OBS1_SINGLE and OBS1_SPLIT, OBS2, HET) and returns that
+seed's row, with its own "win" flag:
 
 * run_observation1 -- several small task-dedicated adapter heads vs one
   monolithic adapter of the same total parameter count, on a two-task
@@ -387,7 +390,8 @@ def build_from_config(cfg: TrainConfig):
 
     Understands two dataset forms:
 
-    * {"corpus": "<path.jsonl>"} -- token mode over a tagged corpus
+    * {"corpus": "<path.jsonl>"} -- token mode over a tagged corpus; no
+      other keys
     * {"synthetic": "interference" | "components" | "xor-components", ...}
       -- the dense fixtures, with optional keyword overrides
     """
@@ -401,6 +405,9 @@ def build_from_config(cfg: TrainConfig):
     if "corpus" in spec:
         if not isinstance(spec["corpus"], str):
             raise UsageError(f"dataset corpus must be a path, got {spec['corpus']!r}")
+        if len(spec) > 1:
+            raise UsageError(f"a corpus dataset takes no other keys, got "
+                             f"{sorted(set(spec) - {'corpus'})}")
         docs = corpus_mod.load_jsonl(spec["corpus"])
         data, vocab, classes = token_dataset_from_corpus(docs, cfg.seq_len, cfg.seed)
         model = tm.token_model(len(vocab) + 1, cfg.d_model, len(classes),
@@ -599,19 +606,17 @@ def pretrain_base(model: ToyModel, data: Dataset, steps: int, lr: float, seed: i
 
 # -- harness: dedicated small heads vs one monolithic adapter ---------------
 
-
-@dataclass
-class Obs1Report:
-    rows: list[dict]        # per seed: losses for both arms, win flag
-    wins: int
-    seeds: list[int]
+OBS1_SINGLE = TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2,
+                          batch_size=16, pretrain_steps=60, pretrain_lr=0.1)
+OBS1_SPLIT = replace(OBS1_SINGLE, scheme="split", rank=4, experts=2)
 
 
-def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: TrainConfig,
-                     identical_tasks: bool = False) -> Obs1Report:
+def run_observation1(seed: int, cfg_single: TrainConfig = OBS1_SINGLE,
+                     cfg_split: TrainConfig = OBS1_SPLIT, identical_tasks: bool = False) -> dict:
     """Monolithic adapter (pooled training) vs task-dedicated split heads at
     the same trainable-parameter count, on the two-task conflict fixture.
-    Both arms share one base, so the configs must agree on how it is built."""
+    Both arms share one base, so the configs must agree on how it is built.
+    The split heads win when their task-routed eval loss is the lower."""
     for name in ("d_model", "hidden", "pretrain_steps", "pretrain_lr"):
         if getattr(cfg_single, name) != getattr(cfg_split, name):
             raise UsageError(f"the arms share one base, so cfg_single.{name} and "
@@ -624,92 +629,76 @@ def run_observation1(seeds: list[int], cfg_single: TrainConfig, cfg_split: Train
         raise UsageError(
             f"arms are only comparable at equal parameter counts: "
             f"single={single_count}, split={split_count}")
-    rows = []
-    for seed in seeds:
-        data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
-                                 identical_tasks=identical_tasks)
-        base = tm.dense_model(data.train_inputs.shape[1], d, _HARNESS_CLASSES,
-                              seed=SeededRng(seed).derive("base").seed, hidden=cfg_single.hidden)
-        pretrain_base(base, data, steps=cfg_single.pretrain_steps,
-                      lr=cfg_single.pretrain_lr, seed=seed)
+    data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
+                             identical_tasks=identical_tasks)
+    base = tm.dense_model(data.train_inputs.shape[1], d, _HARNESS_CLASSES,
+                          seed=SeededRng(seed).derive("base").seed, hidden=cfg_single.hidden)
+    pretrain_base(base, data, steps=cfg_single.pretrain_steps,
+                  lr=cfg_single.pretrain_lr, seed=seed)
 
-        single = tm.clone_model(base)
-        tm.attach(single, "v_proj", "lora", cfg_single.rank,
-                  seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg_single.alpha)
-        rep_single = train(single, data, replace(cfg_single, seed=seed, train_head=False),
-                           task_schedule=True)
+    single = tm.clone_model(base)
+    tm.attach(single, "v_proj", "lora", cfg_single.rank,
+              seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg_single.alpha)
+    rep_single = train(single, data, replace(cfg_single, seed=seed, train_head=False),
+                       task_schedule=True)
 
-        split = tm.clone_model(base)
-        tm.attach(split, "v_proj", "split", cfg_split.rank, n=n_tasks,
-                  seed=SeededRng(seed).derive("attach-split").seed, alpha=cfg_split.alpha)
-        train(split, data, replace(cfg_split, seed=seed, train_head=False),
-              task_schedule=True)
-        # task-routed eval: each task's eval subset through its dedicated head
-        losses = []
-        weights = []
-        for t in range(n_tasks):
-            mask = data.eval_tasks == t
-            batch = data.eval_batch(mask)
-            graph = tm.build_graph(split, batch, trainable="none", active_split_head=t)
-            losses.append(float(graph.tape.value(graph.loss_slot)))
-            weights.append(int(mask.sum()))
-        loss_split = float(np.average(losses, weights=weights))
-        rows.append({"seed": seed, "loss_single": rep_single.final_loss,
-                     "loss_split": loss_split,
-                     "win": bool(loss_split < rep_single.final_loss)})
-    wins = sum(r["win"] for r in rows)
-    return Obs1Report(rows=rows, wins=wins, seeds=list(seeds))
+    split = tm.clone_model(base)
+    tm.attach(split, "v_proj", "split", cfg_split.rank, n=n_tasks,
+              seed=SeededRng(seed).derive("attach-split").seed, alpha=cfg_split.alpha)
+    train(split, data, replace(cfg_split, seed=seed, train_head=False),
+          task_schedule=True)
+    # task-routed eval: each task's eval subset through its dedicated head
+    losses = []
+    weights = []
+    for t in range(n_tasks):
+        mask = data.eval_tasks == t
+        batch = data.eval_batch(mask)
+        graph = tm.build_graph(split, batch, trainable="none", active_split_head=t)
+        losses.append(float(graph.tape.value(graph.loss_slot)))
+        weights.append(int(mask.sum()))
+    loss_split = float(np.average(losses, weights=weights))
+    return {"seed": seed, "loss_single": rep_single.final_loss, "loss_split": loss_split,
+            "win": bool(loss_split < rep_single.final_loss)}
 
 
 # -- harness: drift of A vs B across per-task adapters -----------------------
 
-
-@dataclass
-class Obs2Report:
-    rows: list[dict]        # per seed: d_a, d_b, ratio
-    seeds: list[int]
-
-    def wins(self) -> int:
-        return sum(1 for r in self.rows if r["ratio"] > 1.0)
+OBS2 = TrainConfig(scheme="lora", rank=4, steps=250, learning_rate=0.15, batch_size=16)
 
 
-def run_observation2(seeds: list[int], n_tasks: int = 3, cfg: TrainConfig | None = None,
-                     identical_tasks: bool = False) -> Obs2Report:
+def run_observation2(seed: int, n_tasks: int = 3, cfg: TrainConfig = OBS2,
+                     identical_tasks: bool = False) -> dict:
     """Train one plain adapter per task from a shared base and a shared A
     init; report how much further apart the B matrices end up than the A
-    matrices (distances scale-normalized per group).
+    matrices (distances scale-normalized per group). B wins when it drifted
+    further: ratio = D_B / D_A > 1.
 
     identical_tasks=True is the control: every "task" trains on task 0's
     data (only batch order differs), so both divergences should be small.
     """
-    if n_tasks < 2 or len(seeds) < 1:
-        raise UsageError("need >= 2 tasks and >= 1 seed")
-    cfg = cfg or TrainConfig(scheme="lora", rank=4, steps=250, learning_rate=0.15,
-                             batch_size=16)
-    rows = []
-    for seed in seeds:
-        data = component_data(seed, level=n_tasks, max_levels=n_tasks,
-                              block=6, shared=4, classes=_HARNESS_CLASSES)
-        base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
-                              seed=SeededRng(seed).derive("base").seed, hidden=cfg.hidden)
-        pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
-        a_mats, b_mats = [], []
-        for t in range(n_tasks):
-            model = tm.clone_model(base)
-            # one shared init seed: every task's A starts identical
-            tm.attach(model, "v_proj", "lora", cfg.rank,
-                      seed=SeededRng(seed).derive("attach-shared").seed, alpha=cfg.alpha)
-            task_data = _restrict_to_task(data, 0 if identical_tasks else t)
-            train(model, task_data, replace(cfg, seed=SeededRng(seed).derive("run", t).seed,
-                                            train_head=False))
-            head = model.adapters["v_proj"]
-            a_mats.append(head.a.copy())
-            b_mats.append(head.b.copy())
-        d_a = group_divergence(a_mats)
-        d_b = group_divergence(b_mats)
-        ratio = d_b / max(d_a, 1e-12)
-        rows.append({"seed": seed, "d_a": d_a, "d_b": d_b, "ratio": ratio})
-    return Obs2Report(rows=rows, seeds=list(seeds))
+    if n_tasks < 2:
+        raise UsageError(f"need >= 2 tasks, got {n_tasks}")
+    data = component_data(seed, level=n_tasks, max_levels=n_tasks,
+                          block=6, shared=4, classes=_HARNESS_CLASSES)
+    base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
+                          seed=SeededRng(seed).derive("base").seed, hidden=cfg.hidden)
+    pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
+    a_mats, b_mats = [], []
+    for t in range(n_tasks):
+        model = tm.clone_model(base)
+        # one shared init seed: every task's A starts identical
+        tm.attach(model, "v_proj", "lora", cfg.rank,
+                  seed=SeededRng(seed).derive("attach-shared").seed, alpha=cfg.alpha)
+        task_data = _restrict_to_task(data, 0 if identical_tasks else t)
+        train(model, task_data, replace(cfg, seed=SeededRng(seed).derive("run", t).seed,
+                                        train_head=False))
+        head = model.adapters["v_proj"]
+        a_mats.append(head.a.copy())
+        b_mats.append(head.b.copy())
+    d_a = group_divergence(a_mats)
+    d_b = group_divergence(b_mats)
+    ratio = d_b / max(d_a, 1e-12)
+    return {"seed": seed, "d_a": d_a, "d_b": d_b, "ratio": ratio, "win": bool(ratio > 1.0)}
 
 
 def _restrict_to_task(data: Dataset, task: int) -> Dataset:
@@ -721,17 +710,23 @@ def _restrict_to_task(data: Dataset, task: int) -> Dataset:
 
 # -- harness: full fine-tuning vs adapter across mixing levels ---------------
 
+# het rows read only each arm's final eval, so train records no earlier one
+HET = TrainConfig(scheme="lora", rank=6, steps=800, learning_rate=0.01, optimizer="adam",
+                  batch_size=24, eval_interval=800)
 
-def run_heterogeneity(levels: list[int], cfg: TrainConfig) -> list[dict]:
-    """FFT vs rank-limited adapter per mixing level (one seed, from cfg).
+
+def run_heterogeneity(seed: int, cfg: TrainConfig = HET,
+                      levels: tuple[int, ...] = (1, 2, 4)) -> dict:
+    """FFT vs rank-limited adapter per mixing level, both arms from cfg.
 
     Each row carries metric = -eval loss for both arms (higher is better)
-    and gap = fft_metric - peft_metric; accuracies ride along.
+    and gap = fft_metric - peft_metric; accuracies ride along. Full fine-
+    tuning wins when its gap at the most mixed level exceeds the gap at the
+    least mixed one.
     """
     if sorted(levels) != list(levels):
         raise UsageError("levels must be ordered ascending")
     rows = []
-    seed = cfg.seed
     base_seed = SeededRng(seed).derive("het-base").seed
     for level in levels:
         data = xor_component_data(seed, level=level, max_levels=max(levels))
@@ -741,22 +736,20 @@ def run_heterogeneity(levels: list[int], cfg: TrainConfig) -> list[dict]:
                              hidden=cfg.hidden)
         peft = tm.clone_model(fft)
         fft_cfg = replace(cfg, scheme="full", seed=SeededRng(seed).derive("fft", level).seed)
-        train(fft, data, fft_cfg)
-        fft_loss, fft_acc, _ = evaluate(fft, data)
+        fft_rep = train(fft, data, fft_cfg)
 
         tm.attach(peft, "v_proj", "lora", cfg.rank,
                   seed=SeededRng(seed).derive("attach", level).seed, alpha=cfg.alpha)
         peft_cfg = replace(cfg, scheme="lora", seed=SeededRng(seed).derive("peft", level).seed)
-        train(peft, data, peft_cfg)
-        peft_loss, peft_acc, _ = evaluate(peft, data)
+        peft_rep = train(peft, data, peft_cfg)
 
-        fft_metric = -fft_loss
-        peft_metric = -peft_loss
+        fft_metric = -fft_rep.final_loss
+        peft_metric = -peft_rep.final_loss
         rows.append({
             "level": level,
             "fft_metric": fft_metric, "peft_metric": peft_metric,
             "gap": fft_metric - peft_metric,
-            "fft_loss": fft_loss, "peft_loss": peft_loss,
-            "fft_acc": fft_acc, "peft_acc": peft_acc,
+            "fft_loss": fft_rep.final_loss, "peft_loss": peft_rep.final_loss,
+            "fft_acc": fft_rep.final_acc, "peft_acc": peft_rep.final_acc,
         })
-    return rows
+    return {"seed": seed, "rows": rows, "win": bool(rows[-1]["gap"] > rows[0]["gap"])}

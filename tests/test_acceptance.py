@@ -7,14 +7,12 @@ pass lines and timings. Every test is seeded and deterministic.
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hydra_peft import adapters as ad
-from hydra_peft import analysis
 from hydra_peft import clustering as cl
 from hydra_peft import corpus as cp
 from hydra_peft import toy_model as tm
@@ -170,33 +168,24 @@ def test_criterion_5_clustering_pipeline():
 def test_criterion_6_dedicated_heads_beat_monolithic():
     with criterion(6, "task-dedicated split heads beat one same-budget adapter "
                       "in >= 8/10 seeds"):
-        single = tr.TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2,
-                                batch_size=16, pretrain_steps=60, pretrain_lr=0.1)
-        split = replace(single, scheme="split", rank=4, experts=2)
-        rep = tr.run_observation1(list(range(10)), single, split)
-        print(f"  wins: {rep.wins}/10")
-        assert rep.wins >= 8
+        wins = sum(tr.run_observation1(seed)["win"] for seed in range(10))
+        print(f"  wins: {wins}/10")
+        assert wins >= 8
 
 
 def test_criterion_7_b_drifts_more_than_a():
     with criterion(7, "per-task adapters: up-projections diverge more than "
                       "down-projections in >= 8/10 seeds"):
-        rep = tr.run_observation2(list(range(10)))
-        ratios = [round(r["ratio"], 2) for r in rep.rows]
+        rows = [tr.run_observation2(seed) for seed in range(10)]
+        ratios = [round(r["ratio"], 2) for r in rows]
         print(f"  D_B/D_A per seed: {ratios}")
-        assert rep.wins() >= 8
+        assert sum(r["win"] for r in rows) >= 8
 
 
 def test_criterion_8_heterogeneity_gap_widens():
     with criterion(8, "full-fine-tuning advantage grows from single-component "
                       "to fully mixed corpora in >= 8/10 seeds"):
-        wins = 0
-        for seed in range(10):
-            cfg = tr.TrainConfig(scheme="lora", rank=6, steps=800, learning_rate=0.01,
-                                 optimizer="adam", batch_size=24, seed=seed,
-                                 eval_interval=400)
-            rows = tr.run_heterogeneity([1, 2, 4], cfg)
-            wins += rows[-1]["gap"] > rows[0]["gap"]
+        wins = sum(tr.run_heterogeneity(seed)["win"] for seed in range(10))
         print(f"  wins: {wins}/10")
         assert wins >= 8
 
@@ -204,9 +193,10 @@ def test_criterion_8_heterogeneity_gap_widens():
 def test_criterion_9_cost_proxy():
     with criterion(9, "3-expert rank-8 config trains half the parameters of "
                       "a rank-32 adapter (ratio 0.500 +/- 0.005)"):
-        report = analysis.cost("hydra", 4096, 4096, 8, 3, reference=("lora", 32, 1))
-        print(f"  trainable-parameter ratio: {report.relative_params:.4f}")
-        assert abs(report.relative_params - 0.500) <= 0.005
+        ratio = (ad.params_per_matrix("hydra", 4096, 4096, 8, 3)
+                 / ad.params_per_matrix("lora", 4096, 4096, 32))
+        print(f"  trainable-parameter ratio: {ratio:.4f}")
+        assert abs(ratio - 0.500) <= 0.005
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

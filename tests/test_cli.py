@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,17 @@ def test_bench_rejects_bad_thread_count(threads):
     assert proc.returncode == 1
     assert "HYDRA_PEFT_THREADS" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_worker_pool_writes_serial_bytes(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"obs2_{threads}.json"
+        proc = _run_cli(["bench", "--suite", "obs2", "--seeds", "2", "--out", str(out)],
+                        HYDRA_PEFT_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_train_zero_lr_flat_curve(tmp_path, corpus_file, capsys):
@@ -379,6 +391,26 @@ def _tiny_hydra_input(name, a, b, entry):
     return make
 
 
+def _corpus_spec(**extra):
+    """train on the fixture's corpus with extra keys in its dataset spec"""
+    def make(root, cfg, ckpt):
+        return _bad_config("dataset", {**cfg["dataset"], **extra})(root, cfg, ckpt)
+    return make
+
+
+def _hydra_checkpoint(name, **tensors):
+    """merge-infer on a rank-2 hydra checkpoint with some tensors replaced"""
+    def make(root, cfg, ckpt):
+        hy = ad.HydraAdapter.init(4, 4, 2, 2, SeededRng(0))
+        _save(root / f"{name}.txt", "hydra", replace(hy, **tensors))
+        return ["merge-infer", "--checkpoint", str(root / f"{name}.txt")]
+    return make
+
+
+def _with_meta(line, bad):
+    return _edited_checkpoint("merge-infer", lambda t: t.replace(f"{line}\n", f"{bad}\n"))
+
+
 def _argv(*argv):
     return lambda root, cfg, ckpt: [str(ckpt) if a is None else a for a in argv]
 
@@ -416,6 +448,10 @@ MALFORMED = [
     ("corpus document without tokens", _corpus_with_empty_doc, 1, "'blank' has no tokens"),
     ("corpus path not a string", _bad_config("dataset", {"corpus": 3}), 1, "corpus"),
     ("corpus not UTF-8", _bad_config("dataset", "latin-1"), 2, "not UTF-8"),
+    ("corpus spec with a model option", _corpus_spec(seq_len=12), 1,
+     "a corpus dataset takes no other keys, got ['seq_len']"),
+    ("corpus spec with a synthetic spec", _corpus_spec(synthetic="components", level=2), 1,
+     "a corpus dataset takes no other keys, got ['level', 'synthetic']"),
     ("config not UTF-8", _non_utf8_config, 1, "not UTF-8"),
     ("eval: other alpha", _eval_with(alpha=30), 1, "alpha"),
     ("eval: other expert count", _eval_with(experts=2), 1, "experts=2"),
@@ -432,6 +468,17 @@ MALFORMED = [
     ("eval: missing tensor",
      _edited_checkpoint("eval", lambda t: _drop_tensor(t, "v_proj.B1")), 2,
      "missing tensor v_proj.B1"),
+    ("checkpoint: zero rank", _with_meta("rank: 3", "rank: 0"), 2, "got rank 0, alpha 3.0"),
+    ("checkpoint: negative rank", _with_meta("rank: 3", "rank: -2"), 2, "got rank -2"),
+    ("checkpoint: infinite alpha", _with_meta("alpha: 3.0", "alpha: inf"), 2, "alpha inf"),
+    ("checkpoint: NaN alpha", _with_meta("alpha: 3.0", "alpha: nan"), 2, "alpha nan"),
+    ("checkpoint: A rows other than rank", _hydra_checkpoint("a_rows", a_shared=np.zeros((3, 4))),
+     2, "tensor adapter.A has shape (3, 4), but rank is 2"),
+    ("checkpoint: B columns other than rank",
+     _hydra_checkpoint("b_cols", experts=[np.zeros((4, 2)), np.zeros((4, 3))]), 2,
+     "tensor adapter.B1 has shape (4, 3), but rank is 2"),
+    ("checkpoint: Wg rows other than rank", _hydra_checkpoint("wg_rows", w_gate=np.zeros((1, 2))),
+     2, "tensor adapter.Wg has shape (1, 2), but rank is 2"),
     ("merge-infer: unparseable input", _merge_input("input.json", "[1, 2,"), 2, "input.json"),
     ("merge-infer: NaN input", _merge_input("nan.json", "[NaN" + ", 1" * 11 + "]"), 2,
      "nan.json: input vector has non-finite entries"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,17 @@ def test_tokenizer_lowercase_nonalnum_split():
     assert cp.tokenize("Hello, WORLD-42! x") == ["hello", "world", "42", "x"]
 
 
+def test_tokenizer_keeps_letters_of_any_script():
+    assert cp.tokenize("Straße") == ["straße"]
+    assert cp.tokenize("Καλημέρα, ΚΌΣΜΕ!") == ["καλημέρα", "κόσμε"]
+    assert cp.tokenize("snake_case") == ["snake", "case"]
+
+
+def test_tokenizer_splits_ascii_as_lowercase_alphanumeric_runs():
+    text = "".join(map(chr, range(128))) * 2
+    assert cp.tokenize(text) == re.findall("[a-z0-9]+", text.lower())
+
+
 def test_synth_corpus_counts_and_labels():
     docs = cp.synth_corpus(3, 50, 0.8, seed=1)
     assert len(docs) == 150
@@ -128,6 +141,28 @@ def test_jsonl_unknown_fields_ignored(tmp_path):
     path.write_text('{"id": "a", "text": "x", "extra": [1, 2]}\n', encoding="utf-8")
     docs = cp.load_jsonl(path)
     assert docs[0].id == "a"
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"id": "b", "text": null}', "text must be a string"),
+    ('{"id": "b", "text": 3}', "text must be a string"),
+    ('{"id": "b", "text": "y", "task": {"k": 1}}', "task must be a string or null"),
+    ('{"id": "b", "text": "y", "task": 2}', "task must be a string or null"),
+    ('{"id": [1], "text": "y"}', "id must be a string or an integer"),
+    ('{"id": 1.5, "text": "y"}', "id must be a string or an integer"),
+    ('{"id": true, "text": "y"}', "id must be a string or an integer"),
+])
+def test_jsonl_field_of_wrong_type_names_line(tmp_path, line, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "text": "x"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 2: {message}"):
+        cp.load_jsonl(path)
+
+
+def test_jsonl_integer_id_and_null_task(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": 7, "text": "x", "task": null}\n', encoding="utf-8")
+    assert [(d.id, d.text, d.task) for d in cp.load_jsonl(path)] == [("7", "x", None)]
 
 
 def test_jsonl_duplicate_ids_rejected(tmp_path):

@@ -294,7 +294,7 @@ def test_observation1_requires_equal_parameter_counts():
     single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
     split = tr.TrainConfig(scheme="split", rank=5, experts=2, steps=5)
     with pytest.raises(UsageError, match="equal parameter"):
-        tr.run_observation1([0], single, split)
+        tr.run_observation1(0, single, split)
 
 
 @pytest.mark.parametrize("field,value", [("d_model", 12), ("hidden", 20),
@@ -303,7 +303,7 @@ def test_observation1_requires_one_base_for_both_arms(field, value):
     single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
     split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=5, **{field: value})
     with pytest.raises(UsageError, match=f"cfg_split.{field}"):
-        tr.run_observation1([0], single, split)
+        tr.run_observation1(0, single, split)
 
 
 def test_observation1_smoke():
@@ -312,10 +312,11 @@ def test_observation1_smoke():
     split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=60,
                            learning_rate=0.2, batch_size=8, pretrain_steps=20,
                            pretrain_lr=0.1)
-    rep = tr.run_observation1([0, 1], single, split)
-    assert len(rep.rows) == 2
-    assert set(rep.rows[0]) == {"seed", "loss_single", "loss_split", "win"}
-    assert 0 <= rep.wins <= 2
+    for seed in (0, 1):
+        row = tr.run_observation1(seed, single, split)
+        assert set(row) == {"seed", "loss_single", "loss_split", "win"}
+        assert row["seed"] == seed
+        assert row["win"] is (row["loss_split"] < row["loss_single"])
 
 
 def test_observation1_homogeneous_control_reports_without_asserting():
@@ -326,9 +327,9 @@ def test_observation1_homogeneous_control_reports_without_asserting():
     split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=40,
                            learning_rate=0.2, batch_size=8, pretrain_steps=10,
                            pretrain_lr=0.1)
-    rep = tr.run_observation1([0], single, split, identical_tasks=True)
-    assert np.isfinite(rep.rows[0]["loss_single"])
-    assert np.isfinite(rep.rows[0]["loss_split"])
+    row = tr.run_observation1(0, single, split, identical_tasks=True)
+    assert np.isfinite(row["loss_single"])
+    assert np.isfinite(row["loss_split"])
 
 
 def test_two_class_separable_task_is_learned():
@@ -356,20 +357,21 @@ def test_two_class_separable_task_is_learned():
 
 
 def test_observation2_identical_tasks_control():
-    ctrl = tr.run_observation2([0], identical_tasks=True)
-    dist = tr.run_observation2([0])
+    ctrl = tr.run_observation2(0, identical_tasks=True)
+    dist = tr.run_observation2(0)
     # same data for every head: both divergences collapse toward zero
-    assert ctrl.rows[0]["d_a"] < dist.rows[0]["d_a"]
-    assert ctrl.rows[0]["d_b"] < dist.rows[0]["d_b"]
+    assert ctrl["d_a"] < dist["d_a"]
+    assert ctrl["d_b"] < dist["d_b"]
+    assert dist["win"] is (dist["ratio"] > 1.0)
 
 
 def test_observation2_zero_steps_is_degenerate():
     cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1)
     cfg.steps = 0  # bypass validation: the untrained control
-    rep = tr.run_observation2([4], n_tasks=3, cfg=cfg)
-    row = rep.rows[0]
+    row = tr.run_observation2(4, n_tasks=3, cfg=cfg)
     assert row["d_a"] == 0.0  # shared init seed: all A identical
     assert row["d_b"] == 0.0  # all B still zero
+    assert row["win"] is False
 
 
 def test_observation2_builds_models_of_cfg_d_model(monkeypatch):
@@ -385,21 +387,24 @@ def test_observation2_builds_models_of_cfg_d_model(monkeypatch):
     cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1, d_model=12,
                          hidden=20, alpha=6.0)
     cfg.steps = 0  # as in the zero-steps control: only pretraining trains
-    tr.run_observation2([4], n_tasks=3, cfg=cfg)
+    tr.run_observation2(4, n_tasks=3, cfg=cfg)
     assert len(widths) == 4 and set(widths) == {((12, 12), (20, 12))}
     assert alphas == [6.0] * 3  # one adapter per task; pretraining has none
 
 
 def test_heterogeneity_rows_are_consistent():
     cfg = tr.TrainConfig(scheme="lora", rank=4, steps=40, learning_rate=0.05,
-                         optimizer="adam", batch_size=16, seed=3, eval_interval=40)
-    rows = tr.run_heterogeneity([1, 2], cfg)
+                         optimizer="adam", batch_size=16, eval_interval=40)
+    rep = tr.run_heterogeneity(3, cfg, (1, 2))
+    rows = rep["rows"]
+    assert rep["seed"] == 3
     assert [r["level"] for r in rows] == [1, 2]
     for r in rows:
         assert r["gap"] == r["fft_metric"] - r["peft_metric"]
         assert r["fft_metric"] == -r["fft_loss"]
+    assert rep["win"] is (rows[-1]["gap"] > rows[0]["gap"])
     with pytest.raises(UsageError):
-        tr.run_heterogeneity([2, 1], cfg)
+        tr.run_heterogeneity(3, cfg, (2, 1))
 
 
 def test_token_dataset_from_corpus():
@@ -413,6 +418,16 @@ def test_token_dataset_from_corpus():
     untagged = [cp.Document("x", "words here")]
     with pytest.raises(UsageError):
         tr.token_dataset_from_corpus(untagged, seq_len=4, seed=0)
+
+
+def test_token_dataset_from_non_ascii_corpus():
+    from hydra_peft import corpus as cp
+    texts = [("Καλημέρα κόσμε", "el"), ("Straße und Weg", "de"), ("γεια σου", "el"),
+             ("gute Straße", "de")]
+    docs = [cp.Document(f"d{i}", text, task) for i, (text, task) in enumerate(texts)]
+    data, vocab, classes = tr.token_dataset_from_corpus(docs, seq_len=4, seed=0)
+    assert {"καλημέρα", "κόσμε", "straße"} <= set(vocab)
+    assert classes == ["de", "el"]
 
 
 @pytest.mark.parametrize("scheme,train_head,trained", [
