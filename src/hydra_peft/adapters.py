@@ -63,6 +63,23 @@ def _take(tensors: dict[str, np.ndarray], proj: str, role: str, index="") -> np.
     return tensors[name]
 
 
+def _check_shapes(named: list[tuple[str, np.ndarray]], rank: int) -> None:
+    """CheckpointError naming the first of one adapter's tensors whose shape does not
+    fit the rank, or whose other side (d rows of a B, k columns of an A) differs from
+    the first tensor of its role's."""
+    first: dict[str, tuple[str, int]] = {}
+    for name, arr in named:
+        role = parse_param_name(name)[1]
+        # A and Wg have rank rows, B has rank columns
+        axis = 1 if role == "B" else 0
+        if arr.shape[axis] != rank:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, but rank is {rank}")
+        ref, dim = first.setdefault(role, (name, arr.shape[1 - axis]))
+        if arr.shape[1 - axis] != dim:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, but {ref} has {dim} "
+                                  + ("rows" if role == "B" else "columns"))
+
+
 def _leaves(tape, named: list[tuple[str, np.ndarray]], trainable: bool) -> list[int]:
     return [tape.input(arr, name=name, trainable=trainable) for name, arr in named]
 
@@ -140,8 +157,10 @@ class SplitAdapter:
         n = 1  # heads 0 .. n-1; a missing A0 is reported by from_params
         while param_name(prefix, "A", n) in tensors:
             n += 1
-        return cls(heads=[LoraAdapter.from_params(prefix, tensors, rank, alpha, i)
-                          for i in range(n)])
+        heads = [LoraAdapter.from_params(prefix, tensors, rank, alpha, i) for i in range(n)]
+        # a file whose heads disagree is a bad checkpoint, not a broken invariant
+        _check_shapes([p for i, h in enumerate(heads) for p in h.named_params(prefix, i)], rank)
+        return cls(heads=heads)
 
     def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
                     active_head: int | None = None) -> tuple[int, int | None]:
@@ -319,15 +338,11 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, Adapter], dict[str,
     if projs and scheme not in ADAPTERS:
         raise CheckpointError(f"adapter tensors under unknown scheme {scheme!r}")
     adapters = {p: ADAPTERS[scheme].from_params(p, tensors, rank, alpha) for p in projs}
-    params = all_params(adapters)
-    extra = names - {name for name, _ in params}
+    extra = names - {name for name, _ in all_params(adapters)}
     if extra:
         raise CheckpointError(f"tensor {min(extra)!r} is not part of a {scheme} adapter")
-    for name, arr in params:
-        # A and Wg have rank rows, B has rank columns
-        axis = 1 if parse_param_name(name)[1] == "B" else 0
-        if arr.shape[axis] != rank:
-            raise CheckpointError(f"tensor {name} has shape {arr.shape}, but rank is {rank}")
+    for proj, adapter in adapters.items():
+        _check_shapes(adapter.named_params(proj), rank)
     return meta, adapters, base
 
 

@@ -202,7 +202,9 @@ def cmd_bench(args) -> int:
     run = _SUITES[args.suite]
     if workers > 1 and len(seeds) > 1:
         with multiprocessing.Pool(min(workers, len(seeds))) as pool:
-            rows = pool.map(run, seeds)
+            # one seed per task: map's default chunks of two give one of two
+            # workers 6 of 10 seeds
+            rows = pool.map(run, seeds, chunksize=1)
     else:
         rows = [run(s) for s in seeds]
     wins = sum(r["win"] for r in rows)

@@ -3,11 +3,12 @@
 All numeric state is float64. Matrix products accumulate in a fixed order
 (each entry sums its products over the contraction index, ascending, from
 +0.0) so that repeated runs produce bit-identical results; nothing here
-calls into BLAS. `matmul` picks one of two kernels by shape and both give the
-same bytes: a broadcast-and-reduce, run in passes of a bounded buffer and
-laid out so numpy's inner loop runs over the longer side of the output, and a
-loop over the contraction index for outputs too large for a pass to hold
-enough of it.
+calls into BLAS. `matmul` converts both operands to the output dtype, so every
+product is formed in that dtype, and picks one of two kernels by shape; both
+give the same bytes: a broadcast-and-reduce, whose products `np.einsum` writes
+in passes of a bounded buffer laid out so numpy's inner loop runs over the
+longer side of the output, and a loop over the contraction index for outputs
+too large for a pass to hold enough of it.
 
 Randomness comes from a counter-based splitmix64 generator: draw i under
 seed s is a pure integer hash of (s, i), which makes seeds portable across
@@ -114,22 +115,27 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with fixed accumulation order over the shared index.
 
     Operands are matrices or equal-length stacks of them, (G, m, k) x
-    (G, k, n). Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j])
-    + ..., k ascending, whichever of two kernels runs and whatever G is:
+    (G, k, n), converted first to the output dtype (float64, or longdouble
+    when an operand is), so float32 and integer operands multiply in float64.
+    Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ..., k
+    ascending, whichever of two kernels runs and whatever G is:
 
     - broadcast-and-reduce, when the output has size >= 2 entries and either
       all of k fits one pass or a pass holds c = _BROADCAST_MAX_ELEMS // size
       >= _MIN_PASS_SLICES products per entry. Each pass writes its products
-      to slices 1.. of a C-contiguous (c + 1, [G,] m, n) buffer. The first
-      pass reduces them over axis 0 from +0.0; each later pass puts the
-      running sum (never -0.0) in slice 0 and reduces from there. With that
-      axis outermost numpy adds whole output-sized slices one after another.
-      Any other layout (or a 1-entry output) can put k on the inner loop,
-      where numpy switches to pairwise summation and the bytes change. When
-      n < m the buffer holds out^T, as (c + 1, [G,] n, m), so numpy's inner
-      loop runs over the longer side; the result is copied back to C order,
-      because row reductions downstream can sum in another order on other
-      layouts.
+      to slices 1.. of a C-contiguous (c + 1, [G,] m, n) buffer with
+      np.einsum, one rounded product per entry (it writes a -0.0 product as
+      +0.0, which no sum from +0.0 can tell apart); einsum's inner loop walks
+      the second operand's last axis, so that operand is made contiguous
+      first. The first pass reduces the products over axis 0 from +0.0; each
+      later pass puts the running sum (never -0.0) in slice 0 and reduces
+      from there. With that axis outermost numpy adds whole output-sized
+      slices one after another. Any other layout (or a 1-entry output) can
+      put k on the inner loop, where numpy switches to pairwise summation and
+      the bytes change. When n < m the buffer holds out^T, as
+      (c + 1, [G,] n, m), so numpy's inner loop runs over the longer side;
+      the result is copied back to C order, because row reductions
+      downstream can sum in another order on other layouts.
     - everything else (k == 0, a 1-entry output, or outputs too large for
       _MIN_PASS_SLICES per pass): a loop over k adding rank-1 updates into
       zeros.
@@ -142,6 +148,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out_shape = a.shape[:-1] + (n,)
     size = math.prod(out_shape)
     dtype = np.result_type(a, b, np.float64)
+    # products in the output dtype, whichever kernel forms them
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     c = k if size * k <= _BROADCAST_MAX_ELEMS else _BROADCAST_MAX_ELEMS // size
     with np.errstate(all="ignore"):  # finiteness is checked explicitly below
         if size >= 2 and k >= 1 and (c == k or c >= _MIN_PASS_SLICES):
@@ -150,13 +158,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             shape, flip = out_shape, n < out_shape[-2]
             if flip:
                 rows, cols, shape = cols, rows, out_shape[:-2] + (n, out_shape[-2])
-            rows, cols = rows[..., None], cols[..., None, :]
+            cols = np.ascontiguousarray(cols)  # einsum's inner loop walks its last axis
+            spec = "kgi,kgj->kgij" if a.ndim == 3 else "ki,kj->kij"
             buf = np.empty((c + 1, *shape), dtype)
-            out = np.add.reduce(np.multiply(rows[:c], cols[:c], out=buf[1:]), axis=0, initial=0.0)
+            out = np.add.reduce(np.einsum(spec, rows[:c], cols[:c], out=buf[1:]), axis=0, initial=0.0)
             for k0 in range(c, k, c):
                 w = min(c, k - k0)
                 buf[0] = out
-                np.multiply(rows[k0 : k0 + w], cols[k0 : k0 + w], out=buf[1 : w + 1])
+                np.einsum(spec, rows[k0 : k0 + w], cols[k0 : k0 + w], out=buf[1 : w + 1])
                 out = np.add.reduce(buf[: w + 1], axis=0)
             if flip:
                 out = np.ascontiguousarray(out.swapaxes(-1, -2))

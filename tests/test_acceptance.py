@@ -4,9 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass lines and timings. Every test is seeded and deterministic.
 """
 
+import io
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from hydra_peft import adapters as ad
 from hydra_peft import clustering as cl
 from hydra_peft import corpus as cp
 from hydra_peft import toy_model as tm
-from hydra_peft import trainer as tr
 from hydra_peft.autodiff import Tape, grad_check
 from hydra_peft.cli import main as cli_main
 from hydra_peft.linalg import SeededRng
@@ -165,27 +165,39 @@ def test_criterion_5_clustering_pipeline():
         assert hits >= 19
 
 
-def test_criterion_6_dedicated_heads_beat_monolithic():
+def _bench(suite, tmp_path, monkeypatch):
+    """`bench --suite <suite>` over seeds 0-9 in two worker processes: the --out payload."""
+    monkeypatch.setenv("HYDRA_PEFT_THREADS", "2")
+    out, err = tmp_path / f"{suite}.json", io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli_main(["bench", "--suite", suite, "--seeds", "10", "--out", str(out)])
+    assert code == 0, err.getvalue()
+    payload = json.loads(out.read_text())
+    assert payload["seeds"] == list(range(10))
+    return payload
+
+
+def test_criterion_6_dedicated_heads_beat_monolithic(tmp_path, monkeypatch):
     with criterion(6, "task-dedicated split heads beat one same-budget adapter "
                       "in >= 8/10 seeds"):
-        wins = sum(tr.run_observation1(seed)["win"] for seed in range(10))
+        wins = _bench("obs1", tmp_path, monkeypatch)["wins"]
         print(f"  wins: {wins}/10")
         assert wins >= 8
 
 
-def test_criterion_7_b_drifts_more_than_a():
+def test_criterion_7_b_drifts_more_than_a(tmp_path, monkeypatch):
     with criterion(7, "per-task adapters: up-projections diverge more than "
                       "down-projections in >= 8/10 seeds"):
-        rows = [tr.run_observation2(seed) for seed in range(10)]
-        ratios = [round(r["ratio"], 2) for r in rows]
+        payload = _bench("obs2", tmp_path, monkeypatch)
+        ratios = [round(r["ratio"], 2) for r in payload["rows"]]
         print(f"  D_B/D_A per seed: {ratios}")
-        assert sum(r["win"] for r in rows) >= 8
+        assert payload["wins"] >= 8
 
 
-def test_criterion_8_heterogeneity_gap_widens():
+def test_criterion_8_heterogeneity_gap_widens(tmp_path, monkeypatch):
     with criterion(8, "full-fine-tuning advantage grows from single-component "
                       "to fully mixed corpora in >= 8/10 seeds"):
-        wins = sum(tr.run_heterogeneity(seed)["win"] for seed in range(10))
+        wins = _bench("het", tmp_path, monkeypatch)["wins"]
         print(f"  wins: {wins}/10")
         assert wins >= 8
 

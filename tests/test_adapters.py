@@ -354,3 +354,14 @@ def test_checkpoint_reader_rejects_inconsistent_files(tmp_path, edit, match):
     with pytest.raises(CheckpointError, match=match):
         ad.read_checkpoint(path)
 
+
+def test_checkpoint_reader_names_a_split_head_of_another_width(tmp_path):
+    # the heads' A disagree on k: a bad file, not a broken split invariant
+    split = _fresh("split", 3, 4, 2, 2, 0)
+    split.heads[1].a = np.zeros((2, 5))
+    path = tmp_path / "ck.txt"
+    _save(path, "split", split)
+    with pytest.raises(CheckpointError, match=r"adapter\.A1 has shape \(2, 5\), but adapter\.A0 "
+                                              r"has 4 columns"):
+        ad.read_checkpoint(path)
+

@@ -407,6 +407,17 @@ def _hydra_checkpoint(name, **tensors):
     return make
 
 
+def _split_checkpoint(name, b1_rows):
+    """analyze on a rank-2 split checkpoint whose second head's B has b1_rows rows"""
+    def make(root, cfg, ckpt):
+        sp = ad.SplitAdapter.init(4, 4, 2, 2, SeededRng(0))
+        sp.heads[1].b = np.zeros((b1_rows, 2))
+        _save(root / f"{name}.txt", "split", sp)
+        return ["analyze", "--checkpoints", str(root / f"{name}.txt"), "--out",
+                str(root / f"{name}_out")]
+    return make
+
+
 def _with_meta(line, bad):
     return _edited_checkpoint("merge-infer", lambda t: t.replace(f"{line}\n", f"{bad}\n"))
 
@@ -479,6 +490,11 @@ MALFORMED = [
      "tensor adapter.B1 has shape (4, 3), but rank is 2"),
     ("checkpoint: Wg rows other than rank", _hydra_checkpoint("wg_rows", w_gate=np.zeros((1, 2))),
      2, "tensor adapter.Wg has shape (1, 2), but rank is 2"),
+    ("checkpoint: split heads with other B rows", _split_checkpoint("split_b_rows", 5), 2,
+     "tensor adapter.B1 has shape (5, 2), but adapter.B0 has 4 rows"),
+    ("checkpoint: hydra experts with other B rows",
+     _hydra_checkpoint("b_rows", experts=[np.zeros((4, 2)), np.zeros((5, 2))]), 2,
+     "tensor adapter.B1 has shape (5, 2), but adapter.B0 has 4 rows"),
     ("merge-infer: unparseable input", _merge_input("input.json", "[1, 2,"), 2, "input.json"),
     ("merge-infer: NaN input", _merge_input("nan.json", "[NaN" + ", 1" * 11 + "]"), 2,
      "nan.json: input vector has non-finite entries"),

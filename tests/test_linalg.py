@@ -154,6 +154,51 @@ def test_matmul_identical_to_loop_oracle(variant):
         _assert_identical(matmul(a, b), _loop_matmul(a, b))
 
 
+def _converted_loop_matmul(a, b):
+    """Oracle for any operand dtypes: convert both to matmul's output dtype, then loop."""
+    dtype = np.result_type(a, b, np.float64)
+    return _loop_matmul(a.astype(dtype), b.astype(dtype))
+
+
+def _typed(rng, shape, dtype):
+    size = int(np.prod(shape))
+    if dtype == "int32":  # products reach 2**40, past int32
+        return (rng.integers(size, 1 << 21) - (1 << 20)).astype(np.int32).reshape(shape)
+    if dtype == "int64":  # exact in float64, products reach 2**80, past int64
+        return ((rng.integers(size, 1 << 21) - (1 << 20)) << 20).reshape(shape)
+    return (rng.normal(size) * 10.0 ** (rng.integers(size, 12) - 6)).astype(dtype).reshape(shape)
+
+
+_DTYPE_PAIRS = [("float32", "float32"), ("int32", "int32"), ("int64", "int64"),
+                ("float32", "float64"), ("float64", "float32"), ("strided", "strided")]
+# one pass either way round, several passes either way round
+_DTYPE_SHAPES = [(24, 24, 24), (80, 16, 4), (4, 16, 80), (16, 300, 16), (32, 300, 8),
+                 (8, 300, 32)]
+
+
+def _dtype_operands(rng, lead, m, k, n, kinds):
+    if kinds == ("strided", "strided"):
+        # step-sliced views: every other column of a, every other row of b
+        return (_typed(rng, (*lead, m, 2 * k), "float64")[..., ::2],
+                _typed(rng, (*lead, 2 * k, n), "float64")[..., ::2, :])
+    return _typed(rng, (*lead, m, k), kinds[0]), _typed(rng, (*lead, k, n), kinds[1])
+
+
+@pytest.mark.parametrize("kinds", _DTYPE_PAIRS, ids=["-".join(p) for p in _DTYPE_PAIRS])
+@pytest.mark.parametrize("groups", [None, 3])
+def test_matmul_converts_operands_and_both_kernels_agree(monkeypatch, kinds, groups):
+    rng = SeededRng(29).derive(*kinds, groups or 0)
+    lead = () if groups is None else (groups,)
+    cases = [_dtype_operands(rng, lead, m, k, n, kinds) for m, k, n in _DTYPE_SHAPES]
+    passes = [matmul(a, b) for a, b in cases]
+    monkeypatch.setattr(linalg, "_BROADCAST_MAX_ELEMS", 0)  # every call takes the k-loop
+    for (a, b), got in zip(cases, passes):
+        want = (_converted_loop_matmul(a, b) if groups is None
+                else np.stack([_converted_loop_matmul(x, y) for x, y in zip(a, b)]))
+        _assert_identical(got, want)
+        _assert_identical(matmul(a, b), got)
+
+
 def test_matmul_all_negative_zero_products_give_positive_zero():
     out = matmul(np.full((3, 9), -0.0), np.ones((9, 2)))
     _assert_identical(out, _loop_matmul(np.full((3, 9), -0.0), np.ones((9, 2))))
