@@ -114,7 +114,7 @@ class LoraAdapter:
                    rank=rank, alpha=alpha)
 
     def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
-                    active_head: int | None = None, index="") -> tuple[int, int | None]:
+                    index="") -> tuple[int, int | None]:
         """Emit the update for the rows at slot x: (update slot, gate slot or None)."""
         a, b = _leaves(tape, self.named_params(prefix, index), trainable)
         delta = tape.matmul(tape.matmul(x, a, transpose_b=True), b, transpose_b=True)
@@ -162,13 +162,11 @@ class SplitAdapter:
         _check_shapes([p for i, h in enumerate(heads) for p in h.named_params(prefix, i)], rank)
         return cls(heads=heads)
 
-    def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
-                    active_head: int | None = None) -> tuple[int, int | None]:
-        """Sum of the heads' updates, or only `active_head`'s leaves and update."""
-        heads = range(len(self.heads)) if active_head is None else (active_head,)
+    def tape_branch(self, tape, x: int, prefix: str, trainable: bool) -> tuple[int, int | None]:
+        """Sum of the heads' updates, added in head order."""
         acc = None
-        for i in heads:
-            d, _ = self.heads[i].tape_branch(tape, x, prefix, trainable, index=i)
+        for i, head in enumerate(self.heads):
+            d, _ = head.tape_branch(tape, x, prefix, trainable, index=i)
             acc = d if acc is None else tape.add(acc, d)
         return acc, None
 
@@ -211,8 +209,7 @@ class HydraAdapter:
                    experts=[_take(tensors, prefix, "B", i) for i in range(w_gate.shape[1])],
                    w_gate=w_gate, rank=rank, alpha=alpha)
 
-    def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
-                    active_head: int | None = None) -> tuple[int, int | None]:
+    def tape_branch(self, tape, x: int, prefix: str, trainable: bool) -> tuple[int, int | None]:
         """Gate-weighted expert sum; the gate slot holds one softmax row per input row."""
         a, *experts, wg = _leaves(tape, self.named_params(prefix), trainable)
         z = tape.matmul(x, a, transpose_b=True)
@@ -380,6 +377,8 @@ def _parse(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         m = _TENSOR_RE.match(line)
         if m:
             name, rows, cols = m.group(1), int(m.group(2)), int(m.group(3))
+            if name in tensors:
+                raise CheckpointError(f"repeated tensor {name}", off)
             if i + 1 >= len(lines):
                 raise CheckpointError(f"tensor {name} missing data line", off)
             data_off, data_line = lines[i + 1]
@@ -396,6 +395,8 @@ def _parse(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             i += 2
         elif ": " in line:
             key, value = line.split(": ", 1)
+            if key in meta:
+                raise CheckpointError(f"repeated metadata key {key!r}", off)
             meta[key] = value
             i += 1
         else:

@@ -138,7 +138,11 @@ class Tape:
         return self._emit("cross_entropy", (logits, labels))
 
     def mse(self, pred: int, target: int) -> int:
-        """Mean squared error over all entries."""
+        """Mean squared error over all entries of two arrays of one shape."""
+        if self._nodes[pred].value.shape != self._nodes[target].value.shape:
+            raise ShapeError(
+                f"mse shape mismatch: {self._nodes[pred].value.shape} vs "
+                f"{self._nodes[target].value.shape}")
         return self._emit("mse", (pred, target))
 
     # -- evaluation ------------------------------------------------------

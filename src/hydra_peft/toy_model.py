@@ -187,8 +187,7 @@ def batch_leaves(model: ToyModel, batch: Batch) -> dict[str, np.ndarray]:
     return leaves
 
 
-def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head",
-                active_split_head: int | None = None) -> ModelGraph:
+def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head") -> ModelGraph:
     """Build the forward tape for a batch; the leaves `param_refs(model,
     trainable)` names are trainable, and the batch's labels or targets pick
     the loss (cross-entropy or mse)."""
@@ -213,7 +212,7 @@ def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head",
         if ad is None:
             return out
         # param_refs names every adapter tensor or none
-        branch, gate = ad.tape_branch(tape, x, name, bool(refs), active_split_head)
+        branch, gate = ad.tape_branch(tape, x, name, bool(refs))
         if gate is not None:
             gates[name] = gate
         return tape.add(out, branch)
@@ -267,16 +266,15 @@ def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, n
     return refs
 
 
-def run_graph(graphs: dict, model: ToyModel, batch: Batch, trainable: str,
-              head: int | None) -> ModelGraph:
+def run_graph(graphs: dict, model: ToyModel, batch: Batch, trainable: str) -> ModelGraph:
     """The batch's graph from the cache `graphs`, run forward: built on the
-    first use of its signature (input shape, split head, leaf roles), then
-    replayed for later batches."""
+    first use of its signature (input shape, leaf roles), then replayed for
+    later batches."""
     leaves = batch_leaves(model, batch)
-    key = (batch.inputs.shape, head, tuple(leaves))
+    key = (batch.inputs.shape, tuple(leaves))
     graph = graphs.get(key)
     if graph is None:
-        graph = graphs[key] = build_graph(model, batch, trainable, head)
+        graph = graphs[key] = build_graph(model, batch, trainable)
     else:
         for role, slot in graph.feeds.items():
             graph.tape.set_value(slot, leaves[role])

@@ -11,9 +11,10 @@ as seed-majority statistics. Each runs one seed under the protocol configs
 that sit beside it (OBS1_SINGLE and OBS1_SPLIT, OBS2, HET) and returns that
 seed's row, with its own "win" flag:
 
-* run_observation1 -- several small task-dedicated adapter heads vs one
-  monolithic adapter of the same total parameter count, on a two-task
-  corpus whose tasks conflict (same inputs, different label rules).
+* run_observation1 -- one small adapter per task, each trained and
+  evaluated on its own task, vs one adapter of the same total parameter
+  count trained on the pooled tasks, on a two-task corpus whose tasks
+  conflict (same inputs, different label rules).
 * run_observation2 -- one adapter trained per task from a shared frozen
   base and shared init; measures how far the down-projections (A) drift
   apart versus the up-projections (B), scale-normalized.
@@ -178,10 +179,9 @@ class Dataset:
 class _Optimizer:
     """SGD / Adam over live parameter arrays (updates mutate in place).
 
-    Adam's m and v are flat, in refs order. A step runs the arithmetic once
-    per run of adjacent parameters that got a gradient (one run when all
-    did), so a parameter without one keeps its m and v; each entry sees the
-    operations of a per-array update, so the bytes are the same."""
+    A step concatenates the gradients in refs order and runs the arithmetic
+    once over that flat vector (Adam's m and v are flat too); each entry sees
+    the operations of a per-array update, so the bytes are the same."""
 
     def __init__(self, refs: dict[str, np.ndarray], lr: float, kind: str):
         self.refs = refs
@@ -191,43 +191,25 @@ class _Optimizer:
         size = sum(arr.size for arr in refs.values())
         self._m = np.zeros(size) if kind == "adam" else None
         self._v = np.zeros(size) if kind == "adam" else None
-        self._runs: dict[tuple[str, ...], list] = {}
-
-    def _runs_for(self, present) -> list[tuple[slice, list[tuple[str, slice]]]]:
-        """(flat slice, [(name, slice of the run)]) per run of adjacent refs in present."""
-        runs, lo = [], 0  # [start, stop, parts] per run
-        for name, arr in self.refs.items():
-            hi = lo + arr.size
-            if name in present:
-                if not runs or runs[-1][1] != lo:
-                    runs.append([lo, lo, []])
-                runs[-1][1] = hi
-                runs[-1][2].append((name, slice(lo - runs[-1][0], hi - runs[-1][0])))
-            lo = hi
-        return [(slice(start, stop), parts) for start, stop, parts in runs]
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        key = tuple(grads)
-        if key not in self._runs:
-            self._runs[key] = self._runs_for(key)
-        for flat, parts in self._runs[key]:
-            g = np.concatenate([grads[name].ravel() for name, _ in parts])
-            if self.kind == "sgd":
-                upd = self.lr * g
-            else:
-                m = self._m[flat]
-                v = self._v[flat]
-                m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * g * g
-                m_hat = m / (1 - ADAM_BETA1 ** self.t)
-                v_hat = v / (1 - ADAM_BETA2 ** self.t)
-                upd = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            for name, part in parts:
-                arr = self.refs[name]
-                arr -= upd[part].reshape(arr.shape)
+        g = np.concatenate([grads[name].ravel() for name in self.refs])
+        if self.kind == "sgd":
+            upd = self.lr * g
+        else:
+            m, v = self._m, self._v
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1 - ADAM_BETA2 ** self.t)
+            upd = self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        lo = 0
+        for arr in self.refs.values():
+            arr -= upd[lo:lo + arr.size].reshape(arr.shape)
+            lo += arr.size
 
 
 def evaluate(model: ToyModel, data: Dataset, mask: np.ndarray | None = None):
@@ -263,21 +245,10 @@ def _trainable(cfg: TrainConfig) -> str:
     return "adapters+head" if cfg.train_head else "adapters"
 
 
-def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
-          task_schedule: bool = False) -> TrainReport:
-    """Optimize the model's trainable parameters on the dataset.
-
-    With task_schedule=True, step s draws its batch from task (s mod n_tasks)
-    and, for split adapters, only that task's head receives gradients (the
-    dedicated-heads protocol used by run_observation1).
-    """
+def train(model: ToyModel, data: Dataset, cfg: TrainConfig) -> TrainReport:
+    """Optimize the model's trainable parameters on the dataset."""
     trainable = _trainable(cfg)
     rng = SeededRng(cfg.seed).derive("train-loop")
-    task_ids = None
-    if task_schedule:
-        if data.train_tasks is None:
-            raise UsageError("task_schedule requires task tags on the dataset")
-        task_ids = sorted(set(int(t) for t in data.train_tasks))
     rows = []
 
     def record(step):
@@ -291,25 +262,15 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig,
     opt = _Optimizer(refs, cfg.learning_rate, cfg.optimizer)
     graphs: dict[tuple, tm.ModelGraph] = {}
     for step in range(1, cfg.steps + 1):
-        if task_ids is not None:
-            task = task_ids[(step - 1) % len(task_ids)]
-            pool = np.flatnonzero(data.train_tasks == task)
-            idx = pool[rng.integers(cfg.batch_size, pool.size)]
-            head = task if cfg.scheme == "split" else None
-        else:
-            idx = rng.integers(cfg.batch_size, data.n_train())
-            head = None
-        batch = data.train_batch(idx)
+        batch = data.train_batch(rng.integers(cfg.batch_size, data.n_train()))
         try:
             # divergence shows up as non-finite values below; numpy's own
             # overflow warnings on the way there are just noise
             with np.errstate(all="ignore"):
-                graph = tm.run_graph(graphs, model, batch, trainable, head)
+                graph = tm.run_graph(graphs, model, batch, trainable)
                 loss_val = float(graph.tape.value(graph.loss_slot))
                 if not np.isfinite(loss_val):
                     raise TrainingAborted(step, f"loss became {loss_val}")
-                # only leaves present in this step's graph produce gradients; with
-                # a task-scheduled split adapter that is exactly the dedicated head
                 grads = graph.tape.backward(graph.loss_slot)
         except InvariantError as e:
             raise TrainingAborted(step, str(e)) from e
@@ -604,19 +565,23 @@ def pretrain_base(model: ToyModel, data: Dataset, steps: int, lr: float, seed: i
     train(model, data, cfg)
 
 
-# -- harness: dedicated small heads vs one monolithic adapter ---------------
+# -- harness: one small adapter per task vs one pooled adapter --------------
 
 OBS1_SINGLE = TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2,
                           batch_size=16, pretrain_steps=60, pretrain_lr=0.1)
+# one rank-4 lora per task (experts is the task count), each trained for
+# steps / experts = 120 steps, so both arms take 240 steps in all
 OBS1_SPLIT = replace(OBS1_SINGLE, scheme="split", rank=4, experts=2)
 
 
 def run_observation1(seed: int, cfg_single: TrainConfig = OBS1_SINGLE,
                      cfg_split: TrainConfig = OBS1_SPLIT, identical_tasks: bool = False) -> dict:
-    """Monolithic adapter (pooled training) vs task-dedicated split heads at
-    the same trainable-parameter count, on the two-task conflict fixture.
-    Both arms share one base, so the configs must agree on how it is built.
-    The split heads win when their task-routed eval loss is the lower."""
+    """One adapter trained on the pooled tasks vs one smaller adapter per
+    task, trained and evaluated on that task alone, at the same total
+    trainable-parameter count, on the two-task conflict fixture. The heads
+    share the split arm's steps equally. Both arms share one base, so the
+    configs must agree on how it is built. The heads win when their mean
+    eval loss, weighted by eval rows, is the lower."""
     for name in ("d_model", "hidden", "pretrain_steps", "pretrain_lr"):
         if getattr(cfg_single, name) != getattr(cfg_split, name):
             raise UsageError(f"the arms share one base, so cfg_single.{name} and "
@@ -629,6 +594,9 @@ def run_observation1(seed: int, cfg_single: TrainConfig = OBS1_SINGLE,
         raise UsageError(
             f"arms are only comparable at equal parameter counts: "
             f"single={single_count}, split={split_count}")
+    if cfg_split.steps % n_tasks:
+        raise UsageError(f"cfg_split.steps ({cfg_split.steps}) must split evenly "
+                         f"among its {n_tasks} heads")
     data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
                              identical_tasks=identical_tasks)
     base = tm.dense_model(data.train_inputs.shape[1], d, _HARNESS_CLASSES,
@@ -639,26 +607,21 @@ def run_observation1(seed: int, cfg_single: TrainConfig = OBS1_SINGLE,
     single = tm.clone_model(base)
     tm.attach(single, "v_proj", "lora", cfg_single.rank,
               seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg_single.alpha)
-    rep_single = train(single, data, replace(cfg_single, seed=seed, train_head=False),
-                       task_schedule=True)
+    loss_single = train(single, data, replace(cfg_single, seed=seed, train_head=False)).final_loss
 
-    split = tm.clone_model(base)
-    tm.attach(split, "v_proj", "split", cfg_split.rank, n=n_tasks,
-              seed=SeededRng(seed).derive("attach-split").seed, alpha=cfg_split.alpha)
-    train(split, data, replace(cfg_split, seed=seed, train_head=False),
-          task_schedule=True)
-    # task-routed eval: each task's eval subset through its dedicated head
-    losses = []
-    weights = []
+    losses, weights = [], []
     for t in range(n_tasks):
-        mask = data.eval_tasks == t
-        batch = data.eval_batch(mask)
-        graph = tm.build_graph(split, batch, trainable="none", active_split_head=t)
-        losses.append(float(graph.tape.value(graph.loss_slot)))
-        weights.append(int(mask.sum()))
+        head = tm.clone_model(base)
+        tm.attach(head, "v_proj", "lora", cfg_split.rank,
+                  seed=SeededRng(seed).derive("attach-split", t).seed, alpha=cfg_split.alpha)
+        task_data = _restrict_to_task(data, t)
+        head_cfg = replace(cfg_split, steps=cfg_split.steps // n_tasks,
+                           seed=SeededRng(seed).derive("split-run", t).seed, train_head=False)
+        losses.append(train(head, task_data, head_cfg).final_loss)
+        weights.append(len(task_data.eval_inputs))
     loss_split = float(np.average(losses, weights=weights))
-    return {"seed": seed, "loss_single": rep_single.final_loss, "loss_split": loss_split,
-            "win": bool(loss_split < rep_single.final_loss)}
+    return {"seed": seed, "loss_single": loss_single, "loss_split": loss_split,
+            "win": bool(loss_split < loss_single)}
 
 
 # -- harness: drift of A vs B across per-task adapters -----------------------

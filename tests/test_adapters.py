@@ -336,6 +336,13 @@ def test_checkpoint_bad_hex(tmp_path):
         ad.read_checkpoint(path)
 
 
+def _repeat_tensor(text, name):
+    """text with a second copy of tensor name's header and data lines after the first"""
+    lines = text.split("\n")
+    i = lines.index(next(line for line in lines if line.startswith(f"tensor {name} ")))
+    return "\n".join(lines[:i + 2] + lines[i:])
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda t: t.replace("scheme: hydra\n", ""), "missing metadata line 'scheme'"),
     (lambda t: t.replace("rank: 2\n", "rank: two\n"), "rank"),
@@ -346,6 +353,10 @@ def test_checkpoint_bad_hex(tmp_path):
     (lambda t: t.replace("tensor adapter.B2", "tensor adapter.B7"), "missing tensor adapter.B2"),
     (lambda t: t + "tensor adapter.B3 1 1\n" + "00" * 8 + "\n", "'adapter.B3' is not part"),
     (lambda t: t.replace("tensor base.head", "tensor head"), "'head' is not part"),
+    # header (25 bytes) and scheme line (14) come first: the second rank line is at 47
+    (lambda t: t.replace("rank: 2\n", "rank: 7\nrank: 2\n"),
+     r"repeated metadata key 'rank' \(byte offset 47\)"),
+    (lambda t: _repeat_tensor(t, "adapter.A"), r"repeated tensor adapter.A \(byte offset \d+\)"),
 ])
 def test_checkpoint_reader_rejects_inconsistent_files(tmp_path, edit, match):
     path = tmp_path / "ck.txt"

@@ -164,14 +164,15 @@ def test_bench_rejects_bad_thread_count(threads):
 
 
 def test_bench_worker_pool_writes_serial_bytes(tmp_path):
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"obs2_{threads}.json"
-        proc = _run_cli(["bench", "--suite", "obs2", "--seeds", "2", "--out", str(out)],
-                        HYDRA_PEFT_THREADS=threads)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for suite in ("obs2", "obs1"):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{suite}_{threads}.json"
+            proc = _run_cli(["bench", "--suite", suite, "--seeds", "2", "--out", str(out)],
+                            HYDRA_PEFT_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], suite
 
 
 def test_train_zero_lr_flat_curve(tmp_path, corpus_file, capsys):
@@ -483,6 +484,8 @@ MALFORMED = [
     ("checkpoint: negative rank", _with_meta("rank: 3", "rank: -2"), 2, "got rank -2"),
     ("checkpoint: infinite alpha", _with_meta("alpha: 3.0", "alpha: inf"), 2, "alpha inf"),
     ("checkpoint: NaN alpha", _with_meta("alpha: 3.0", "alpha: nan"), 2, "alpha nan"),
+    ("checkpoint: repeated metadata key", _with_meta("rank: 3", "rank: 7\nrank: 3"), 2,
+     "repeated metadata key 'rank'"),
     ("checkpoint: A rows other than rank", _hydra_checkpoint("a_rows", a_shared=np.zeros((3, 4))),
      2, "tensor adapter.A has shape (3, 4), but rank is 2"),
     ("checkpoint: B columns other than rank",

@@ -3,7 +3,7 @@ import pytest
 
 from hydra_peft import toy_model as tm
 from hydra_peft.autodiff import grad_check
-from hydra_peft.errors import ContractError, InvariantError, UsageError
+from hydra_peft.errors import ContractError, InvariantError, ShapeError, UsageError
 from hydra_peft.linalg import SeededRng
 
 from adapter_refs import hydra_ref, lora_ref, split_ref
@@ -169,15 +169,13 @@ def test_tape_branch_matches_numpy_forward(scheme):
         assert gates == {}
 
 
-def test_split_active_head_emits_only_that_head():
-    model, batch = _linear_with_live_adapter("split")
-    w0, split = model.weights["proj"], model.adapters["proj"]
-    graph = tm.build_graph(model, batch, trainable="adapters", active_split_head=1)
-    assert sorted(graph.tape.trainable_slots()) == ["proj.A1", "proj.B1"]
-    logits = graph.tape.value(graph.logits_slot)
-    for i, x in enumerate(batch.inputs):
-        want = lora_ref(x, w0, split.heads[1])
-        assert np.abs(logits[i] - want).max() <= 1e-12
+@pytest.mark.parametrize("shape", [(5, 1), (1, 3), (3,)])
+def test_mse_rejects_targets_of_another_shape(shape):
+    # numpy would broadcast each of these against the (5, 3) logits
+    model = tm.linear_model(4, 3, seed=0)
+    batch = tm.Batch(inputs=np.ones((5, 4)), targets=np.zeros(shape))
+    with pytest.raises(ShapeError, match=r"mse shape mismatch: \(5, 3\) vs"):
+        tm.build_graph(model, batch)
 
 
 @pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])

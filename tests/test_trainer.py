@@ -4,6 +4,7 @@ import pytest
 from hydra_peft import toy_model as tm
 from hydra_peft import trainer as tr
 from hydra_peft import corpus as cp
+from hydra_peft.adapters import LoraAdapter
 from hydra_peft.errors import ContractError, TrainingAborted, UsageError
 from hydra_peft.linalg import SeededRng
 
@@ -149,13 +150,12 @@ def test_gradient_overflow_aborts_before_any_update():
     assert _weight_bytes(model) == before
 
 
-def _rebuilt_train(model, data, cfg, task_schedule=False):
+def _rebuilt_train(model, data, cfg):
     """The training loop before graphs were replayed: a fresh graph every
     step and a per-array optimizer. Returns the report rows."""
     trainable = "all" if cfg.scheme == "full" else (
         "adapters+head" if cfg.train_head else "adapters")
     rng = SeededRng(cfg.seed).derive("train-loop")
-    task_ids = sorted(set(int(t) for t in data.train_tasks)) if task_schedule else None
     rows = []
 
     def record(step):
@@ -167,22 +167,12 @@ def _rebuilt_train(model, data, cfg, task_schedule=False):
     ms = {k: np.zeros_like(v) for k, v in refs.items()}
     vs = {k: np.zeros_like(v) for k, v in refs.items()}
     for step in range(1, cfg.steps + 1):
-        if task_ids is not None:
-            task = task_ids[(step - 1) % len(task_ids)]
-            pool = np.flatnonzero(data.train_tasks == task)
-            idx = pool[rng.integers(cfg.batch_size, pool.size)]
-            head = task if cfg.scheme == "split" else None
-        else:
-            idx = rng.integers(cfg.batch_size, data.n_train())
-            head = None
+        idx = rng.integers(cfg.batch_size, data.n_train())
         with np.errstate(all="ignore"):
-            graph = tm.build_graph(model, data.train_batch(idx), trainable=trainable,
-                                   active_split_head=head)
+            graph = tm.build_graph(model, data.train_batch(idx), trainable=trainable)
             grads = graph.tape.backward(graph.loss_slot)
         for name, arr in refs.items():
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             if cfg.optimizer == "sgd":
                 arr -= cfg.learning_rate * g
             else:
@@ -199,15 +189,14 @@ def _rebuilt_train(model, data, cfg, task_schedule=False):
     return rows
 
 
-def _dense_case(scheme, n=1, task_schedule=False):
+def _dense_case(scheme, n=1):
     data = _small_data(4)
     model = tm.dense_model(16, 12, 4, seed=30)
     if scheme != "full":
         tm.attach(model, "v_proj", scheme, 2, seed=31, n=n)
     cfg = tr.TrainConfig(scheme=scheme, rank=2, experts=n, steps=24, learning_rate=0.02,
-                         optimizer="adam", batch_size=8, seed=32, eval_interval=10,
-                         train_head=not task_schedule)
-    return model, data, cfg, task_schedule
+                         optimizer="adam", batch_size=8, seed=32, eval_interval=10)
+    return model, data, cfg
 
 
 def _token_case():
@@ -222,26 +211,26 @@ def _token_case():
         tm.attach(model, proj, "hydra", 2, seed=34, n=3)
     cfg = tr.TrainConfig(scheme="hydra", rank=2, experts=3, steps=20, learning_rate=0.1,
                          batch_size=2, seed=35, eval_interval=7)
-    return model, data, cfg, False
+    return model, data, cfg
 
 
 @pytest.mark.parametrize("case,graphs", [
     (lambda: _dense_case("lora"), 1),
     (lambda: _dense_case("hydra", n=3), 1),
     (lambda: _dense_case("full"), 1),
-    (lambda: _dense_case("split", n=2, task_schedule=True), 2),
+    (lambda: _dense_case("split", n=2), 1),
     (_token_case, 2),
-], ids=["lora", "hydra", "full", "split-task-schedule", "tokens-padded-and-not"])
+], ids=["lora", "hydra", "full", "split", "tokens-padded-and-not"])
 def test_replayed_training_matches_rebuilding_every_step(case, graphs, monkeypatch):
-    model, data, cfg, task_schedule = case()
+    model, data, cfg = case()
     oracle = tm.clone_model(model)
     built = []
     build = tm.build_graph
     monkeypatch.setattr(tm, "build_graph", lambda *a, **k: built.append(1) or build(*a, **k))
-    rep = tr.train(model, data, cfg, task_schedule=task_schedule)
+    rep = tr.train(model, data, cfg)
     n_evals = len(rep.rows)
     monkeypatch.setattr(tm, "build_graph", build)
-    rows = _rebuilt_train(oracle, data, cfg, task_schedule)
+    rows = _rebuilt_train(oracle, data, cfg)
     assert len(built) - n_evals == graphs  # one build per signature, the rest replays
     assert repr(rep.rows) == repr(rows)
     assert _weight_bytes(model) == _weight_bytes(oracle)
@@ -256,7 +245,7 @@ def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
     tm.attach(model, "q_proj", "hydra", 2, seed=1, n=2)
     graphs = {}
     good = tm.Batch(inputs=np.array([[1, 2, 0], [3, 4, 5]]), labels=np.array([0, 2]))
-    tm.run_graph(graphs, model, good, "adapters+head", None)
+    tm.run_graph(graphs, model, good, "adapters+head")
     bad = {  # each has the good batch's signature: shape (2, 3), padded
         "token id out of vocabulary range": ([[1, 2, 0], [3, 4, 6]], [0, 2]),
         "a token sample is all padding": ([[1, 2, 0], [0, 0, 0]], [0, 2]),
@@ -267,11 +256,11 @@ def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
         with pytest.raises(ContractError, match=message):
             tm.build_graph(model, batch)
         with pytest.raises(ContractError, match=message):
-            tm.run_graph(graphs, model, batch, "adapters+head", None)
+            tm.run_graph(graphs, model, batch, "adapters+head")
     assert len(graphs) == 1
     # the good batch's shape and padding with targets: an mse graph of its own
     regress = tm.Batch(inputs=good.inputs, targets=np.ones((2, 3)))
-    graph = tm.run_graph(graphs, model, regress, "adapters+head", None)
+    graph = tm.run_graph(graphs, model, regress, "adapters+head")
     fresh = tm.build_graph(model, regress)
     assert len(graphs) == 2
     assert graph.tape.value(graph.loss_slot) == fresh.tape.value(fresh.loss_slot)
@@ -304,6 +293,42 @@ def test_observation1_requires_one_base_for_both_arms(field, value):
     split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=5, **{field: value})
     with pytest.raises(UsageError, match=f"cfg_split.{field}"):
         tr.run_observation1(0, single, split)
+
+
+def test_observation1_requires_split_steps_to_divide_among_heads():
+    single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
+    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=5)
+    with pytest.raises(UsageError, match="cfg_split.steps"):
+        tr.run_observation1(0, single, split)
+
+
+def test_observation1_trains_one_pooled_adapter_and_one_lora_per_task(monkeypatch):
+    single = tr.TrainConfig(scheme="lora", rank=8, steps=6, batch_size=8, pretrain_steps=2)
+    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=8, batch_size=8,
+                           pretrain_steps=2)
+    calls = []
+    train = tr.train
+
+    def spy(model, data, cfg):
+        calls.append((model.adapters.get("v_proj"), data, cfg))
+        return train(model, data, cfg)
+
+    monkeypatch.setattr(tr, "train", spy)
+    tr.run_observation1(3, single, split)
+    full = tr.interference_data(3, n_tasks=2, classes=4)
+    (_, _, pretrain), (pooled, pooled_data, pooled_cfg), *heads = calls
+    assert pretrain.scheme == "full"
+    assert isinstance(pooled, LoraAdapter) and pooled.rank == single.rank
+    assert pooled_cfg.steps == single.steps
+    assert np.array_equal(pooled_data.train_inputs, full.train_inputs)
+    assert set(pooled_data.train_tasks) == {0, 1}
+    assert len(heads) == 2
+    for t, (head, data, cfg) in enumerate(heads):
+        assert isinstance(head, LoraAdapter) and head.rank == split.rank
+        assert cfg.steps == split.steps // 2
+        assert np.array_equal(data.train_inputs, full.train_inputs[full.train_tasks == t])
+        assert np.array_equal(data.train_labels, full.train_labels[full.train_tasks == t])
+        assert np.array_equal(data.eval_inputs, full.eval_inputs[full.eval_tasks == t])
 
 
 def test_observation1_smoke():
