@@ -18,7 +18,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .errors import UsageError
-from .linalg import SeededRng
+from .linalg import SeededRng, uniform_to_int
 
 _MAX_ITER = 100   # Lloyd iterations per restart
 _RESTARTS = 8     # k-means++ seedings per k, best SSE kept
@@ -53,18 +53,17 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _kmeanspp_seed(x: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     n = x.shape[0]
+    u = rng.uniform(k)  # one draw per center, as an index or a d2-weighted target
     centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(1, n)[0])
-    centers[0] = x[first]
+    centers[0] = x[int(uniform_to_int(u[0], n))]
     d2 = ((x - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # all remaining points coincide with a chosen center
-            idx = int(rng.integers(1, n)[0])
+            idx = int(uniform_to_int(u[j], n))
         else:
-            target = float(rng.uniform(1)[0]) * total
-            idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
+            idx = int(np.searchsorted(np.cumsum(d2), float(u[j]) * total, side="right"))
             idx = min(idx, n - 1)
         centers[j] = x[idx]
         d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))

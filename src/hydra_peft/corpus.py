@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .linalg import SeededRng
+from .linalg import SeededRng, uniform_to_int
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # \w without the underscore
 _POOL_SIZE = 10  # synth_corpus terms per component pool and in the shared pool
@@ -136,18 +136,22 @@ def synth_corpus(n_components: int, docs_per_component: int, disjointness: float
     """
     if n_components < 1 or docs_per_component < 1:
         raise UsageError("component and document counts must be >= 1")
+    if doc_len < 1:
+        raise UsageError(f"doc_len must be >= 1, got {doc_len}")
     if not (0.0 <= disjointness <= 1.0):
         raise UsageError(f"disjointness must be in [0, 1], got {disjointness}")
     rng = SeededRng(seed).derive("synth-corpus")
+    # one block; per document, in stream order: coins, own-pool picks, shared-pool picks
+    block = rng.uniform(n_components * docs_per_component * 3 * doc_len)
+    block = block.reshape(n_components, docs_per_component, 3, doc_len)
+    own_token = (block[:, :, 0] < disjointness).tolist()
+    picks = uniform_to_int(block[:, :, 1:], _POOL_SIZE).tolist()
     shared = [f"common{j}" for j in range(_POOL_SIZE)]
     docs = []
     for c in range(n_components):
         own = [f"topic{c}term{j}" for j in range(_POOL_SIZE)]
         for d in range(docs_per_component):
-            coin = rng.uniform(doc_len)
-            own_pick = rng.integers(doc_len, _POOL_SIZE)
-            shared_pick = rng.integers(doc_len, _POOL_SIZE)
-            words = [own[own_pick[t]] if coin[t] < disjointness else shared[shared_pick[t]]
-                     for t in range(doc_len)]
+            words = [own[o] if coin else shared[s]
+                     for coin, o, s in zip(own_token[c][d], *picks[c][d])]
             docs.append(Document(id=f"c{c}d{d}", text=" ".join(words), task=f"component{c}"))
     return docs

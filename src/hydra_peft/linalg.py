@@ -13,7 +13,9 @@ too large for a pass to hold enough of it.
 Randomness comes from a counter-based splitmix64 generator: draw i under
 seed s is a pure integer hash of (s, i), which makes seeds portable across
 platforms and lets draws be produced in vectorized blocks without changing
-the sequence.
+the sequence. `SeededRng.shuffle`, `corpus.synth_corpus` and the k-means++
+seeding in `clustering` each take one block per call; `uniform_to_int` is the
+one map from uniforms to bounded ints that they and `integers` share.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -37,25 +40,36 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
+def _mix64_int(z: int) -> int:
+    """`_mix64` on one Python int, without numpy's per-call overhead."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _fold_tag(seed: int, tag) -> int:
     """Hash a str/int tag into a derived 64-bit seed (no reliance on hash())."""
-    h = np.array([seed], dtype=np.uint64)
     if isinstance(tag, str):
         data = tag.encode("utf-8")
-        for b in data:
-            h = _mix64(h ^ _U64(b))
     elif isinstance(tag, (int, np.integer)):
-        h = _mix64(h ^ _U64(int(tag) & 0xFFFFFFFFFFFFFFFF))
+        data = [int(tag) & _MASK64]
     else:
         raise ContractError(f"rng tags must be str or int, got {type(tag).__name__}")
-    return int(h[0])
+    for b in data:
+        seed = _mix64_int(seed ^ b)
+    return seed
+
+
+def uniform_to_int(u, high):
+    """Ints on [0, high) from uniforms on [0, 1), elementwise; `high` broadcasts."""
+    return np.minimum((u * high).astype(np.int64), high - 1)
 
 
 class SeededRng:
     """Counter-based splitmix64 stream: output i = mix(seed + (i+1)*golden)."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed) & _MASK64
         self._counter = 0
 
     def derive(self, *tags) -> "SeededRng":
@@ -66,6 +80,8 @@ class SeededRng:
         return SeededRng(s)
 
     def next_uint64(self, n: int) -> np.ndarray:
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ContractError(f"draw counts must be integers >= 0, got {n!r}")
         ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         return _mix64(ks * _GOLDEN + _U64(self.seed))
@@ -76,7 +92,7 @@ class SeededRng:
 
     def normal(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller (pairs; surplus draw discarded)."""
-        m = (n + 1) // 2
+        m = (n + 1) // 2 if n >= 0 else n  # next_uint64 rejects it; -1 would round to 0
         u1 = (self.next_uint64(m) >> _U64(11)).astype(np.float64)
         u1 = (u1 + 1.0) * (2.0 ** -53)  # (0, 1], keeps log finite
         u2 = self.uniform(m)
@@ -87,15 +103,15 @@ class SeededRng:
 
     def integers(self, n: int, high: int) -> np.ndarray:
         """n ints uniform on [0, high)."""
-        if high <= 0:
-            raise ContractError("integers() needs high >= 1")
-        return np.minimum((self.uniform(n) * high).astype(np.int64), high - 1)
+        if not isinstance(high, (int, np.integer)) or high <= 0:
+            raise ContractError(f"integers() needs an integer high >= 1, got {high!r}")
+        return uniform_to_int(self.uniform(n), int(high))  # a np.uint64 high would make floats
 
     def shuffle(self, items: list) -> list:
-        """Fisher-Yates; returns a new list."""
+        """Fisher-Yates; returns a new list. One block of swaps, bounds n, n - 1, ..., 2."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = int(self.integers(1, i + 1)[0])
+        swaps = uniform_to_int(self.uniform(max(len(out) - 1, 0)), np.arange(len(out), 1, -1))
+        for i, j in zip(range(len(out) - 1, 0, -1), swaps.tolist()):
             out[i], out[j] = out[j], out[i]
         return out
 

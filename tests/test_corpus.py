@@ -121,6 +121,12 @@ def test_synth_corpus_validates():
         cp.synth_corpus(2, 5, 1.5, seed=0)
 
 
+@pytest.mark.parametrize("doc_len", [0, -3])
+def test_synth_corpus_rejects_empty_documents(doc_len):
+    with pytest.raises(UsageError, match="doc_len"):
+        cp.synth_corpus(2, 5, 0.5, seed=0, doc_len=doc_len)
+
+
 def test_jsonl_round_trip(tmp_path):
     docs = [cp.Document("a", "hello there", "t0"), cp.Document("b", "general text", None)]
     path = tmp_path / "c.jsonl"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydra_peft import linalg
-from hydra_peft.errors import InvariantError, ShapeError
+from hydra_peft.errors import ContractError, InvariantError, ShapeError
 from hydra_peft.autodiff import Tape
 from hydra_peft.linalg import SeededRng, kaiming_uniform, matmul
 
@@ -40,6 +40,27 @@ def test_rng_derive_is_stable_and_distinct():
 def test_rng_integers_in_range():
     vals = SeededRng(3).integers(1000, 7)
     assert vals.min() >= 0 and vals.max() <= 6
+
+
+@pytest.mark.parametrize("high", [np.uint64(7), np.int32(7), np.uint8(7)])
+def test_rng_integers_numpy_bounds_give_the_python_int_draws(high):
+    vals = SeededRng(3).integers(50, high)
+    assert vals.dtype == np.int64
+    assert vals.tolist() == SeededRng(3).integers(50, 7).tolist()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda r: r.next_uint64(-1), lambda r: r.uniform(-2), lambda r: r.uniform(2.5),
+    lambda r: r.normal(-1), lambda r: r.normal(-2), lambda r: r.normal(3.0),
+    lambda r: r.integers(-3, 5), lambda r: r.integers(3, 2.5), lambda r: r.integers(3, 0),
+])
+def test_rng_rejects_bad_counts_and_bounds_without_moving_the_stream(draw):
+    r = SeededRng(1)
+    r.uniform(2)
+    with pytest.raises(ContractError):
+        draw(r)
+    assert r._counter == 2
+    assert r.uniform(2).tobytes() == SeededRng(1).uniform(4)[2:].tobytes()
 
 
 def test_rng_normal_moments():
