@@ -134,10 +134,10 @@ def synth_corpus(n_components: int, docs_per_component: int, disjointness: float
     all components. disjointness = 0 collapses everything onto the shared
     pool; 1 makes components fully disjoint.
     """
-    if n_components < 1 or docs_per_component < 1:
-        raise UsageError("component and document counts must be >= 1")
-    if doc_len < 1:
-        raise UsageError(f"doc_len must be >= 1, got {doc_len}")
+    for name, v in (("n_components", n_components), ("docs_per_component", docs_per_component),
+                    ("doc_len", doc_len)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise UsageError(f"{name} must be an integer >= 1, got {v!r}")
     if not (0.0 <= disjointness <= 1.0):
         raise UsageError(f"disjointness must be in [0, 1], got {disjointness}")
     rng = SeededRng(seed).derive("synth-corpus")

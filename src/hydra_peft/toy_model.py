@@ -65,7 +65,6 @@ class ToyModel:
     d_model: int
     input_dim: int            # feature dim (dense/linear) or vocab size (tokens)
     n_classes: int
-    hidden: int
     weights: dict[str, np.ndarray]
     adapters: dict[str, Adapter] = field(default_factory=dict)
 
@@ -89,7 +88,7 @@ def dense_model(input_dim: int, d_model: int, n_classes: int, seed: int,
     shapes = [(d_model, input_dim), (d_model, d_model), (d_model, d_model),
               (hidden, d_model), (d_model, hidden), (n_classes, d_model)]
     weights = {n: _trunk_uniform(*s, rng.derive(n)) for n, s in zip(names, shapes)}
-    return ToyModel("dense", d_model, input_dim, n_classes, hidden, weights)
+    return ToyModel("dense", d_model, input_dim, n_classes, weights)
 
 
 def token_model(vocab_size: int, d_model: int, n_classes: int, seed: int,
@@ -101,13 +100,13 @@ def token_model(vocab_size: int, d_model: int, n_classes: int, seed: int,
               (d_model, d_model), (d_model, d_model), (hidden, d_model),
               (d_model, hidden), (n_classes, d_model)]
     weights = {n: _trunk_uniform(*s, rng.derive(n)) for n, s in zip(names, shapes)}
-    return ToyModel("tokens", d_model, vocab_size, n_classes, hidden, weights)
+    return ToyModel("tokens", d_model, vocab_size, n_classes, weights)
 
 
 def linear_model(input_dim: int, output_dim: int, seed: int) -> ToyModel:
     rng = linalg.SeededRng(seed).derive("linear-model")
     weights = {"proj": linalg.kaiming_uniform(output_dim, input_dim, rng)}
-    return ToyModel("linear", output_dim, input_dim, output_dim, 0, weights)
+    return ToyModel("linear", output_dim, input_dim, output_dim, weights)
 
 
 def clone_model(model: ToyModel) -> ToyModel:

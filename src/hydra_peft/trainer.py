@@ -7,14 +7,14 @@ its config seed: batch order, adapter init, and data synthesis all flow from
 that one seed.
 
 The harnesses replicate, at desk scale, three findings that `bench` counts
-as seed-majority statistics. Each runs one seed under the protocol configs
-that sit beside it (OBS1_SINGLE and OBS1_SPLIT, OBS2, HET) and returns that
-seed's row, with its own "win" flag:
+as seed-majority statistics. Each runs one seed under the protocol config
+that sits beside it (OBS1, OBS2, HET), builds every arm from that one config,
+and returns that seed's row, with its own "win" flag:
 
-* run_observation1 -- one small adapter per task, each trained and
-  evaluated on its own task, vs one adapter of the same total parameter
-  count trained on the pooled tasks, on a two-task corpus whose tasks
-  conflict (same inputs, different label rules).
+* run_observation1 -- one lora per task, each trained and evaluated on its
+  own task, vs one lora trained on the pooled tasks, on a corpus whose tasks
+  conflict (same inputs, different label rules); the per-task loras split
+  the pooled one's rank and steps, so both arms have the same budget.
 * run_observation2 -- one adapter trained per task from a shared frozen
   base and shared init; measures how far the down-projections (A) drift
   apart versus the up-projections (B), scale-normalized.
@@ -49,6 +49,9 @@ ADAM_EPS = 1e-8
 
 _EVAL_FRACTION = 0.25   # share of a corpus's documents held out for eval
 _HARNESS_CLASSES = 4    # label count of every harness fixture
+# rejection draws xor_component_data may spend per kept row; the default
+# margin keeps about 1 draw in 3, margin 2 about 1 in 250, margin 4 1 in 25,000
+_XOR_DRAWS_PER_ROW = 1000
 
 # numeric TrainConfig fields and their lower bounds (None: unbounded)
 _INT_FIELDS = {"rank": 1, "experts": 1, "steps": 1, "batch_size": 1, "seed": None,
@@ -528,10 +531,13 @@ def xor_component_data(seed: int, level: int, max_levels: int = 4, block: int = 
     components grows. Samples within `margin` of a decision boundary are
     rejected so both arms can actually converge on what they can express,
     and the training split is large enough that a small adapter cannot just
-    memorize it (which would mask the capacity ceiling).
+    memorize it (which would mask the capacity ceiling). A margin that keeps
+    fewer than one draw in _XOR_DRAWS_PER_ROW is a UsageError.
     """
     if not (1 <= level <= max_levels):
         raise UsageError(f"level must be in [1, {max_levels}], got {level}")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise UsageError(f"margin must be a finite number >= 0, got {margin!r}")
     rng = SeededRng(seed).derive("xor-components")
     dirs = [_orthonormal_rows(rng.derive("dirs", c), 4, block) for c in range(max_levels)]
 
@@ -542,9 +548,13 @@ def xor_component_data(seed: int, level: int, max_levels: int = 4, block: int = 
         return 2 * (p1 > 0) + (p2 > 0), ok
 
     def draw(r, c, n):
-        need, keep_x, keep_y = n, [], []
+        need, drawn, keep_x, keep_y = n, 0, [], []
         while need > 0:
+            if drawn >= _XOR_DRAWS_PER_ROW * n:
+                raise UsageError(f"margin {margin} rejects nearly every sample: {drawn} "
+                                 f"draws kept {n - need} of {n} rows")
             m = max(2 * need, 32)
+            drawn += m
             xb = r.normal(m * block).reshape(m, block)
             y, ok = labelify(xb, c)
             keep_x.append(xb[ok][:need])
@@ -567,57 +577,44 @@ def pretrain_base(model: ToyModel, data: Dataset, steps: int, lr: float, seed: i
 
 # -- harness: one small adapter per task vs one pooled adapter --------------
 
-OBS1_SINGLE = TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2,
-                          batch_size=16, pretrain_steps=60, pretrain_lr=0.1)
-# one rank-4 lora per task (experts is the task count), each trained for
-# steps / experts = 120 steps, so both arms take 240 steps in all
-OBS1_SPLIT = replace(OBS1_SINGLE, scheme="split", rank=4, experts=2)
+OBS1 = TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2, batch_size=16,
+                   pretrain_steps=60, pretrain_lr=0.1)
 
 
-def run_observation1(seed: int, cfg_single: TrainConfig = OBS1_SINGLE,
-                     cfg_split: TrainConfig = OBS1_SPLIT, identical_tasks: bool = False) -> dict:
-    """One adapter trained on the pooled tasks vs one smaller adapter per
-    task, trained and evaluated on that task alone, at the same total
-    trainable-parameter count, on the two-task conflict fixture. The heads
-    share the split arm's steps equally. Both arms share one base, so the
-    configs must agree on how it is built. The heads win when their mean
-    eval loss, weighted by eval rows, is the lower."""
-    for name in ("d_model", "hidden", "pretrain_steps", "pretrain_lr"):
-        if getattr(cfg_single, name) != getattr(cfg_split, name):
-            raise UsageError(f"the arms share one base, so cfg_single.{name} and "
-                             f"cfg_split.{name} must be equal")
-    n_tasks = cfg_split.experts
-    d = k = cfg_single.d_model
-    single_count = ad_mod.params_per_matrix("lora", d, k, cfg_single.rank)
-    split_count = ad_mod.params_per_matrix("split", d, k, cfg_split.rank, n_tasks)
-    if single_count != split_count:
-        raise UsageError(
-            f"arms are only comparable at equal parameter counts: "
-            f"single={single_count}, split={split_count}")
-    if cfg_split.steps % n_tasks:
-        raise UsageError(f"cfg_split.steps ({cfg_split.steps}) must split evenly "
-                         f"among its {n_tasks} heads")
+def run_observation1(seed: int, n_tasks: int = 2, cfg: TrainConfig = OBS1,
+                     identical_tasks: bool = False) -> dict:
+    """One adapter under cfg trained on the pooled tasks vs one lora per
+    task, trained and evaluated on that task alone, on the n_tasks-task
+    conflict fixture. Each head is cfg with rank and steps divided by
+    n_tasks, so both arms share the base, every other setting, the
+    trainable-parameter count and the step total. The heads win when their
+    mean eval loss, weighted by eval rows, is the lower."""
+    if n_tasks < 2:
+        raise UsageError(f"need >= 2 tasks, got {n_tasks}")
+    if cfg.rank % n_tasks or cfg.steps % n_tasks:
+        raise UsageError(f"cfg.rank ({cfg.rank}) and cfg.steps ({cfg.steps}) must "
+                         f"split evenly among {n_tasks} tasks")
     data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
                              identical_tasks=identical_tasks)
-    base = tm.dense_model(data.train_inputs.shape[1], d, _HARNESS_CLASSES,
-                          seed=SeededRng(seed).derive("base").seed, hidden=cfg_single.hidden)
-    pretrain_base(base, data, steps=cfg_single.pretrain_steps,
-                  lr=cfg_single.pretrain_lr, seed=seed)
+    base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
+                          seed=SeededRng(seed).derive("base").seed, hidden=cfg.hidden)
+    pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
 
     single = tm.clone_model(base)
-    tm.attach(single, "v_proj", "lora", cfg_single.rank,
-              seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg_single.alpha)
-    loss_single = train(single, data, replace(cfg_single, seed=seed, train_head=False)).final_loss
+    tm.attach(single, "v_proj", "lora", cfg.rank,
+              seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg.alpha)
+    loss_single = train(single, data, replace(cfg, seed=seed, train_head=False)).final_loss
 
+    head_cfg = replace(cfg, rank=cfg.rank // n_tasks, steps=cfg.steps // n_tasks,
+                       train_head=False)
     losses, weights = [], []
     for t in range(n_tasks):
         head = tm.clone_model(base)
-        tm.attach(head, "v_proj", "lora", cfg_split.rank,
-                  seed=SeededRng(seed).derive("attach-split", t).seed, alpha=cfg_split.alpha)
+        tm.attach(head, "v_proj", "lora", head_cfg.rank,
+                  seed=SeededRng(seed).derive("attach-split", t).seed, alpha=cfg.alpha)
         task_data = _restrict_to_task(data, t)
-        head_cfg = replace(cfg_split, steps=cfg_split.steps // n_tasks,
-                           seed=SeededRng(seed).derive("split-run", t).seed, train_head=False)
-        losses.append(train(head, task_data, head_cfg).final_loss)
+        run_cfg = replace(head_cfg, seed=SeededRng(seed).derive("split-run", t).seed)
+        losses.append(train(head, task_data, run_cfg).final_loss)
         weights.append(len(task_data.eval_inputs))
     loss_split = float(np.average(losses, weights=weights))
     return {"seed": seed, "loss_single": loss_single, "loss_split": loss_split,

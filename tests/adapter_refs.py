@@ -35,7 +35,7 @@ def linear_forward(w0, adapter, x):
     x = np.atleast_2d(x)
     d, k = w0.shape
     # the layout tm.linear_model(k, d, seed) gives, without drawing a weight
-    model = tm.ToyModel("linear", d, k, d, 0, {"proj": w0},
+    model = tm.ToyModel("linear", d, k, d, {"proj": w0},
                         {} if adapter is None else {"proj": adapter})
     graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((len(x), d))),
                            trainable="none")

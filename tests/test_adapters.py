@@ -243,7 +243,7 @@ def test_hydra_expert_products_do_not_grow_with_experts(monkeypatch):
     x = SeededRng(2).normal(rows * k).reshape(rows, k)
     counts = []
     for n in (1, 3, 8):
-        model = tm.ToyModel("linear", d, k, d, 0, {"proj": w0},
+        model = tm.ToyModel("linear", d, k, d, {"proj": w0},
                             {"proj": _fresh("hydra", d, k, r, n, n)})
         graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((rows, d))),
                                trainable="adapters")

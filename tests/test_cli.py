@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,18 @@ def _run_cli(args, **env):
     full_env = dict(os.environ, PYTHONPATH=src, **env)
     return subprocess.run([sys.executable, "-m", "hydra_peft.cli", *args],
                           env=full_env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("margin", [100.0, float("nan"), float("inf"), -1.0])
+def test_train_rejects_an_xor_margin_that_keeps_no_samples(tmp_path, capsys, margin):
+    # json writes NaN and Infinity, which the config reader accepts
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": 2, "dataset": {
+        "synthetic": "xor-components", "level": 1, "margin": margin}}))
+    start = time.perf_counter()
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "margin" in capsys.readouterr().err
 
 
 def test_train_rejects_zero_eval_interval(tmp_path, corpus_file):

@@ -127,6 +127,15 @@ def test_synth_corpus_rejects_empty_documents(doc_len):
         cp.synth_corpus(2, 5, 0.5, seed=0, doc_len=doc_len)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("n_components", 2.0), ("n_components", True), ("docs_per_component", 2.5),
+    ("docs_per_component", True), ("doc_len", 2.5), ("doc_len", True)])
+def test_synth_corpus_rejects_non_integer_counts(name, value):
+    args = {"n_components": 2, "docs_per_component": 5, "doc_len": 4, name: value}
+    with pytest.raises(UsageError, match=f"{name} must be an integer"):
+        cp.synth_corpus(disjointness=0.5, seed=0, **args)
+
+
 def test_jsonl_round_trip(tmp_path):
     docs = [cp.Document("a", "hello there", "t0"), cp.Document("b", "general text", None)]
     path = tmp_path / "c.jsonl"

@@ -279,33 +279,18 @@ def test_report_csv_shape():
     assert rep.flop_tally > 0
 
 
-def test_observation1_requires_equal_parameter_counts():
-    single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
-    split = tr.TrainConfig(scheme="split", rank=5, experts=2, steps=5)
-    with pytest.raises(UsageError, match="equal parameter"):
-        tr.run_observation1(0, single, split)
-
-
-@pytest.mark.parametrize("field,value", [("d_model", 12), ("hidden", 20),
-                                         ("pretrain_steps", 5), ("pretrain_lr", 0.1)])
-def test_observation1_requires_one_base_for_both_arms(field, value):
-    single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
-    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=5, **{field: value})
-    with pytest.raises(UsageError, match=f"cfg_split.{field}"):
-        tr.run_observation1(0, single, split)
-
-
-def test_observation1_requires_split_steps_to_divide_among_heads():
-    single = tr.TrainConfig(scheme="lora", rank=8, steps=5)
-    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=5)
-    with pytest.raises(UsageError, match="cfg_split.steps"):
-        tr.run_observation1(0, single, split)
+@pytest.mark.parametrize("n_tasks,cfg,match", [
+    (1, tr.TrainConfig(rank=8, steps=6), "need >= 2 tasks"),
+    (2, tr.TrainConfig(rank=5, steps=6), "split evenly"),
+    (2, tr.TrainConfig(rank=8, steps=5), "split evenly"),
+], ids=["one-task", "rank", "steps"])
+def test_observation1_requires_tasks_to_split_rank_and_steps(n_tasks, cfg, match):
+    with pytest.raises(UsageError, match=match):
+        tr.run_observation1(0, n_tasks, cfg)
 
 
 def test_observation1_trains_one_pooled_adapter_and_one_lora_per_task(monkeypatch):
-    single = tr.TrainConfig(scheme="lora", rank=8, steps=6, batch_size=8, pretrain_steps=2)
-    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=8, batch_size=8,
-                           pretrain_steps=2)
+    cfg = tr.TrainConfig(scheme="lora", rank=8, steps=6, batch_size=8, pretrain_steps=2)
     calls = []
     train = tr.train
 
@@ -314,31 +299,28 @@ def test_observation1_trains_one_pooled_adapter_and_one_lora_per_task(monkeypatc
         return train(model, data, cfg)
 
     monkeypatch.setattr(tr, "train", spy)
-    tr.run_observation1(3, single, split)
+    tr.run_observation1(3, 2, cfg)
     full = tr.interference_data(3, n_tasks=2, classes=4)
     (_, _, pretrain), (pooled, pooled_data, pooled_cfg), *heads = calls
     assert pretrain.scheme == "full"
-    assert isinstance(pooled, LoraAdapter) and pooled.rank == single.rank
-    assert pooled_cfg.steps == single.steps
+    assert isinstance(pooled, LoraAdapter) and pooled.rank == cfg.rank
+    assert pooled_cfg.steps == cfg.steps
     assert np.array_equal(pooled_data.train_inputs, full.train_inputs)
     assert set(pooled_data.train_tasks) == {0, 1}
     assert len(heads) == 2
-    for t, (head, data, cfg) in enumerate(heads):
-        assert isinstance(head, LoraAdapter) and head.rank == split.rank
-        assert cfg.steps == split.steps // 2
+    for t, (head, data, head_cfg) in enumerate(heads):
+        assert isinstance(head, LoraAdapter) and head.rank == cfg.rank // 2
+        assert head_cfg.steps == cfg.steps // 2
         assert np.array_equal(data.train_inputs, full.train_inputs[full.train_tasks == t])
         assert np.array_equal(data.train_labels, full.train_labels[full.train_tasks == t])
         assert np.array_equal(data.eval_inputs, full.eval_inputs[full.eval_tasks == t])
 
 
 def test_observation1_smoke():
-    single = tr.TrainConfig(scheme="lora", rank=8, steps=60, learning_rate=0.2,
-                            batch_size=8, pretrain_steps=20, pretrain_lr=0.1)
-    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=60,
-                           learning_rate=0.2, batch_size=8, pretrain_steps=20,
-                           pretrain_lr=0.1)
+    cfg = tr.TrainConfig(scheme="lora", rank=8, steps=60, learning_rate=0.2,
+                         batch_size=8, pretrain_steps=20, pretrain_lr=0.1)
     for seed in (0, 1):
-        row = tr.run_observation1(seed, single, split)
+        row = tr.run_observation1(seed, cfg=cfg)
         assert set(row) == {"seed", "loss_single", "loss_split", "win"}
         assert row["seed"] == seed
         assert row["win"] is (row["loss_split"] < row["loss_single"])
@@ -347,12 +329,9 @@ def test_observation1_smoke():
 def test_observation1_homogeneous_control_reports_without_asserting():
     # identical tasks: no interference, so no systematic winner is expected;
     # the harness just reports the per-seed losses
-    single = tr.TrainConfig(scheme="lora", rank=8, steps=40, learning_rate=0.2,
-                            batch_size=8, pretrain_steps=10, pretrain_lr=0.1)
-    split = tr.TrainConfig(scheme="split", rank=4, experts=2, steps=40,
-                           learning_rate=0.2, batch_size=8, pretrain_steps=10,
-                           pretrain_lr=0.1)
-    row = tr.run_observation1(0, single, split, identical_tasks=True)
+    cfg = tr.TrainConfig(scheme="lora", rank=8, steps=40, learning_rate=0.2,
+                         batch_size=8, pretrain_steps=10, pretrain_lr=0.1)
+    row = tr.run_observation1(0, cfg=cfg, identical_tasks=True)
     assert np.isfinite(row["loss_single"])
     assert np.isfinite(row["loss_split"])
 
