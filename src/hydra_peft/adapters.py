@@ -1,9 +1,8 @@
 """Low-rank adapter schemes over a frozen weight matrix.
 
-Three schemes share the same contract (y = W0 x at construction, exactly):
+Two schemes share the same contract (y = W0 x at construction, exactly):
 
 * lora   -- one pair (A: r x k, B: d x r), update (alpha/r) * B A x.
-* split  -- n independent lora pairs of rank r, updates summed.
 * hydra  -- one shared A, N expert matrices B_i, and a router W_g (r x N)
             producing softmax weights over experts from z = A x.
 
@@ -35,7 +34,7 @@ def _check_rank(d: int, k: int, r: int) -> None:
 # -- parameter names -------------------------------------------------------
 #
 # An adapter on projection `proj` names its tensors `proj.<Role><index>`:
-# role A, B or Wg, index empty or a head/expert number. Tape leaves, optimizer
+# role A, B or Wg, index empty or an expert number. Tape leaves, optimizer
 # refs and checkpoints all take names and order from each scheme's named_params.
 
 _NAME_RE = re.compile(r"^([^.]+)\.(A|B|Wg)(\d*)$")
@@ -103,72 +102,21 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def named_params(self, prefix: str, index="") -> list[tuple[str, np.ndarray]]:
-        """(name, live array) in checkpoint order: A, B. Split heads pass their index."""
-        return [(param_name(prefix, "A", index), self.a), (param_name(prefix, "B", index), self.b)]
+    def named_params(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """(name, live array) in checkpoint order: A, B."""
+        return [(param_name(prefix, "A"), self.a), (param_name(prefix, "B"), self.b)]
 
     @classmethod
     def from_params(cls, prefix: str, tensors: dict[str, np.ndarray], rank: int,
-                    alpha: float, index="") -> "LoraAdapter":
-        return cls(a=_take(tensors, prefix, "A", index), b=_take(tensors, prefix, "B", index),
+                    alpha: float) -> "LoraAdapter":
+        return cls(a=_take(tensors, prefix, "A"), b=_take(tensors, prefix, "B"),
                    rank=rank, alpha=alpha)
 
-    def tape_branch(self, tape, x: int, prefix: str, trainable: bool,
-                    index="") -> tuple[int, int | None]:
+    def tape_branch(self, tape, x: int, prefix: str, trainable: bool) -> tuple[int, int | None]:
         """Emit the update for the rows at slot x: (update slot, gate slot or None)."""
-        a, b = _leaves(tape, self.named_params(prefix, index), trainable)
+        a, b = _leaves(tape, self.named_params(prefix), trainable)
         delta = tape.matmul(tape.matmul(x, a, transpose_b=True), b, transpose_b=True)
         return tape.scale(delta, self.scaling), None
-
-
-@dataclass
-class SplitAdapter:
-    heads: list[LoraAdapter]
-
-    @classmethod
-    def init(cls, d: int, k: int, r: int, n: int, rng: linalg.SeededRng,
-             alpha: float | None = None) -> "SplitAdapter":
-        if n < 1:
-            raise InvariantError(f"split needs n >= 1, got {n}")
-        heads = [LoraAdapter.init(d, k, r, rng.derive("head", i), alpha)
-                 for i in range(n)]
-        return cls(heads=heads)
-
-    def __post_init__(self):
-        dims = {(h.b.shape[0], h.a.shape[1], h.rank, h.alpha) for h in self.heads}
-        if len(self.heads) < 1 or len(dims) != 1:
-            raise InvariantError("split heads must share (d, k, r, alpha)")
-
-    @property
-    def rank(self) -> int:
-        return self.heads[0].rank
-
-    @property
-    def alpha(self) -> float:
-        return self.heads[0].alpha
-
-    def named_params(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        """(name, live array) in checkpoint order: A0, B0, A1, B1, ..."""
-        return [p for i, h in enumerate(self.heads) for p in h.named_params(prefix, i)]
-
-    @classmethod
-    def from_params(cls, prefix: str, tensors: dict[str, np.ndarray], rank: int,
-                    alpha: float) -> "SplitAdapter":
-        n = 1  # heads 0 .. n-1; a missing A0 is reported by from_params
-        while param_name(prefix, "A", n) in tensors:
-            n += 1
-        heads = [LoraAdapter.from_params(prefix, tensors, rank, alpha, i) for i in range(n)]
-        # a file whose heads disagree is a bad checkpoint, not a broken invariant
-        _check_shapes([p for i, h in enumerate(heads) for p in h.named_params(prefix, i)], rank)
-        return cls(heads=heads)
-
-    def tape_branch(self, tape, x: int, prefix: str, trainable: bool) -> tuple[int, int | None]:
-        """Sum of the heads' updates, added in head order."""
-        acc = None
-        for i, head in enumerate(self.heads):
-            d, _ = head.tape_branch(tape, x, prefix, trainable, index=i)
-            acc = d if acc is None else tape.add(acc, d)
-        return acc, None
 
 
 @dataclass
@@ -218,8 +166,8 @@ class HydraAdapter:
         return tape.scale(tape.expert_mix(gate, ys), self.scaling), gate
 
 
-ADAPTERS = {"lora": LoraAdapter, "split": SplitAdapter, "hydra": HydraAdapter}
-Adapter = LoraAdapter | SplitAdapter | HydraAdapter
+ADAPTERS = {"lora": LoraAdapter, "hydra": HydraAdapter}
+Adapter = LoraAdapter | HydraAdapter
 
 
 # -- merged inference ------------------------------------------------------
@@ -251,8 +199,6 @@ def params_per_matrix(scheme: str, d: int, k: int, r: int, n: int = 1) -> int:
     """Trainable parameters one adapted weight matrix contributes."""
     if scheme == "lora":
         return r * (d + k)
-    if scheme == "split":
-        return n * r * (d + k)
     if scheme == "hydra":
         return r * k + n * d * r + r * n  # shared A + N experts + router
     raise UsageError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

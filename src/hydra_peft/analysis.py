@@ -23,7 +23,7 @@ class Submodule:
     adapter_id: str
     proj: str
     role: str          # "A" or "B"
-    index: str         # expert/head index, "" for plain pairs
+    index: str         # expert index, "" for plain pairs
     matrix: np.ndarray
 
     def label(self) -> str:

@@ -247,8 +247,7 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("params", help="trainable-parameter accounting")
     pa.add_argument("--scheme", required=True, choices=ad_mod.SCHEMES)
     pa.add_argument("--rank", type=int, required=True)
-    pa.add_argument("--experts", type=int, default=1,
-                    help="expert count (hydra) or head count (split)")
+    pa.add_argument("--experts", type=int, default=1, help="expert count (hydra)")
     pa.add_argument("--d", type=int, required=True)
     pa.add_argument("--k", type=int, required=True)
     pa.add_argument("--layers", type=int, required=True)

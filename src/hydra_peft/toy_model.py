@@ -125,7 +125,7 @@ def attach(model: ToyModel, projection: str, scheme: str, rank: int, seed: int,
     rng = linalg.SeededRng(seed).derive("attach", projection)
     if scheme not in ADAPTERS:
         raise UsageError(f"unknown scheme {scheme!r}")
-    width = () if scheme == "lora" else (n,)  # heads (split) or experts (hydra)
+    width = () if scheme == "lora" else (n,)  # hydra's expert count
     model.adapters[projection] = ADAPTERS[scheme].init(d, k, rank, *width, rng, alpha)
     return model
 

@@ -64,7 +64,7 @@ _FLOAT_FIELDS = {"learning_rate": 0, "pretrain_lr": 0, "alpha": None}
 class TrainConfig:
     scheme: str = "lora"
     rank: int = 4
-    experts: int = 1              # B-matrix count for hydra, head count for split
+    experts: int = 1              # B-matrix count for hydra
     alpha: float | None = None    # update scale numerator; defaults to rank
     learning_rate: float = 0.2
     steps: int = 200
@@ -424,7 +424,7 @@ def restore_into_model(model: ToyModel, cfg: TrainConfig, meta: dict[str, str],
                        adapters: dict, base: dict[str, np.ndarray]) -> None:
     """Install what adapters.read_checkpoint returned into a model freshly
     built from cfg. A checkpoint written under a different scheme, rank,
-    alpha, seed, expert/head count or model shape is a UsageError."""
+    alpha, seed, expert count or model shape is a UsageError."""
     want_meta = _checkpoint_meta(cfg)
     for key, parse in (("scheme", str), ("rank", int), ("alpha", float), ("seed", str)):
         if key not in meta or parse(meta[key]) != parse(want_meta[key]):
@@ -585,10 +585,11 @@ def run_observation1(seed: int, n_tasks: int = 2, cfg: TrainConfig = OBS1,
                      identical_tasks: bool = False) -> dict:
     """One adapter under cfg trained on the pooled tasks vs one lora per
     task, trained and evaluated on that task alone, on the n_tasks-task
-    conflict fixture. Each head is cfg with rank and steps divided by
-    n_tasks, so both arms share the base, every other setting, the
-    trainable-parameter count and the step total. The heads win when their
-    mean eval loss, weighted by eval rows, is the lower."""
+    conflict fixture. Each head is cfg with rank, steps and alpha divided by
+    n_tasks, so both arms share the base, the update scale, every other
+    setting, the trainable-parameter count and the step total. The heads
+    win when their mean eval loss, weighted by eval rows, is the lower."""
+    cfg.validate()
     if n_tasks < 2:
         raise UsageError(f"need >= 2 tasks, got {n_tasks}")
     if cfg.rank % n_tasks or cfg.steps % n_tasks:
@@ -606,12 +607,13 @@ def run_observation1(seed: int, n_tasks: int = 2, cfg: TrainConfig = OBS1,
     loss_single = train(single, data, replace(cfg, seed=seed, train_head=False)).final_loss
 
     head_cfg = replace(cfg, rank=cfg.rank // n_tasks, steps=cfg.steps // n_tasks,
+                       alpha=None if cfg.alpha is None else cfg.alpha / n_tasks,
                        train_head=False)
     losses, weights = [], []
     for t in range(n_tasks):
         head = tm.clone_model(base)
         tm.attach(head, "v_proj", "lora", head_cfg.rank,
-                  seed=SeededRng(seed).derive("attach-split", t).seed, alpha=cfg.alpha)
+                  seed=SeededRng(seed).derive("attach-split", t).seed, alpha=head_cfg.alpha)
         task_data = _restrict_to_task(data, t)
         run_cfg = replace(head_cfg, seed=SeededRng(seed).derive("split-run", t).seed)
         losses.append(train(head, task_data, run_cfg).final_loss)
@@ -636,6 +638,7 @@ def run_observation2(seed: int, n_tasks: int = 3, cfg: TrainConfig = OBS2,
     identical_tasks=True is the control: every "task" trains on task 0's
     data (only batch order differs), so both divergences should be small.
     """
+    cfg.validate()
     if n_tasks < 2:
         raise UsageError(f"need >= 2 tasks, got {n_tasks}")
     data = component_data(seed, level=n_tasks, max_levels=n_tasks,
@@ -684,6 +687,7 @@ def run_heterogeneity(seed: int, cfg: TrainConfig = HET,
     tuning wins when its gap at the most mixed level exceeds the gap at the
     least mixed one.
     """
+    cfg.validate()
     if sorted(levels) != list(levels):
         raise UsageError("levels must be ordered ascending")
     rows = []

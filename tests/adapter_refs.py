@@ -15,11 +15,6 @@ def lora_ref(x, w0, ad):
     return w0 @ x + ad.scaling * (ad.b @ (ad.a @ x))
 
 
-def split_ref(x, w0, ad):
-    """W0 x plus the sum of every head's update."""
-    return w0 @ x + sum(h.scaling * (h.b @ (h.a @ x)) for h in ad.heads)
-
-
 def hydra_ref(x, w0, ad):
     """(W0 x + (alpha/r) sum_i w_i B_i (A x), the gate weights w = softmax(W_g^T A x))."""
     z = ad.a_shared @ x

@@ -44,15 +44,13 @@ def test_criterion_1_parameter_accounting():
         assert ad.param_count("lora", r=32, n=1, **dims)[1] == 0.248
         assert ad.param_count("hydra", r=8, n=3, **dims)[1] == 0.124
         assert abs(ad.param_count("hydra", r=8, n=10, **dims)[1] - 0.341) <= 0.002
-        assert (ad.param_count("split", r=8, n=4, **dims)[0]
-                == ad.param_count("lora", r=32, n=1, **dims)[0])
 
 
 def test_criterion_2_zero_init_contract():
     with criterion(2, "fresh adapters leave the base forward exactly unchanged "
                       "(1000 instances per scheme)"):
         rng = SeededRng(2024)
-        for scheme in ("lora", "split", "hydra"):
+        for scheme in ("lora", "hydra"):
             for i in range(1000):
                 d = 2 + int(rng.integers(1, 7)[0])
                 k = 2 + int(rng.integers(1, 7)[0])
@@ -63,8 +61,6 @@ def test_criterion_2_zero_init_contract():
                 init_rng = SeededRng(i).derive(scheme)
                 if scheme == "lora":
                     adapter = ad.LoraAdapter.init(d, k, r, init_rng)
-                elif scheme == "split":
-                    adapter = ad.SplitAdapter.init(d, k, r, n, init_rng)
                 else:
                     adapter = ad.HydraAdapter.init(d, k, r, n, init_rng)
                 out = linear_forward(w0, adapter, x)[0]

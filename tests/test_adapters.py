@@ -14,8 +14,6 @@ def _fresh(scheme, d, k, r, n, seed):
     rng = SeededRng(seed)
     if scheme == "lora":
         return ad.LoraAdapter.init(d, k, r, rng)
-    if scheme == "split":
-        return ad.SplitAdapter.init(d, k, r, n, rng)
     return ad.HydraAdapter.init(d, k, r, n, rng)
 
 
@@ -24,7 +22,7 @@ def _out(x, w0, adapter):
     return linear_forward(w0, adapter, x)[0][0]
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_zero_init_forward_equals_base_exactly(scheme):
     rng = SeededRng(17)
     for trial in range(25):
@@ -56,26 +54,32 @@ def test_alpha_scales_update_linearly():
     assert np.allclose(delta2, 2.0 * delta1, atol=1e-12)
 
 
-def test_split_single_head_matches_lora():
-    split = ad.SplitAdapter.init(4, 5, 3, 1, SeededRng(9))
-    head = split.heads[0]
-    head.b[:] = SeededRng(10).normal(12).reshape(4, 3)
-    w0 = SeededRng(11).normal(20).reshape(4, 5)
-    x = SeededRng(12).normal(5)
-    got = _out(x, w0, split)
-    want = _out(x, w0, head)
-    assert np.abs(got - want).max() < 1e-15
+def test_summed_lora_heads_equal_one_stacked_lora():
+    # n rank-r pairs trained side by side are one rank r*n lora: stack their A
+    # rows and B columns and multiply alpha by n
+    d, k, r, n, alpha = 7, 6, 2, 3, 1.7
+    for seed in range(50):
+        rng = SeededRng(seed)
+        heads = [ad.LoraAdapter.init(d, k, r, rng.derive("head", i), alpha) for i in range(n)]
+        for i, h in enumerate(heads):
+            h.b[:] = rng.derive("b", i).normal(d * r).reshape(d, r)
+        stacked = ad.LoraAdapter(a=np.vstack([h.a for h in heads]),
+                                 b=np.hstack([h.b for h in heads]), rank=r * n, alpha=n * alpha)
+        w0 = rng.normal(d * k).reshape(d, k)
+        x = rng.normal(4 * k).reshape(4, k)
+        # with a zero base weight the forward is the update alone
+        summed = linear_forward(w0, None, x)[0] + sum(
+            linear_forward(np.zeros((d, k)), h, x)[0] for h in heads)
+        got = linear_forward(w0, stacked, x)[0]
+        assert np.abs(got - summed).max() <= 1e-15 * np.abs(summed).max(), seed
 
 
-def test_split_two_heads_hand_oracle():
-    rng = SeededRng(20)
-    split = ad.SplitAdapter.init(2, 2, 1, 2, rng)
-    for h in split.heads:
-        h.b[:] = SeededRng(int(h.a[0, 0] * 1e6) & 0xFFFF).normal(2).reshape(2, 1)
-    w0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-    x = np.array([0.5, -2.0])
-    dense = w0 @ x + sum(h.scaling * (h.b @ (h.a @ x)) for h in split.heads)
-    assert np.allclose(_out(x, w0, split), dense, atol=1e-12)
+def test_stacked_lora_budget_equals_summed_heads():
+    # the stacked rank r*n lora costs as many parameters as its n rank-r heads
+    for rr in (1, 2, 4, 8):
+        for nn in (1, 2, 3, 4, 8):
+            assert (ad.params_per_matrix("lora", 4096, 4096, rr * nn)
+                    == nn * ad.params_per_matrix("lora", 4096, 4096, rr))
 
 
 def _gates(z, w_gate):
@@ -190,14 +194,6 @@ def test_param_count_reference_table():
     assert abs(pct10 - 0.341) <= 0.002
 
 
-def test_split_equals_monolithic_at_same_budget():
-    for r in (1, 2, 4, 8):
-        for n in (1, 2, 3, 4, 8):
-            split = ad.param_count("split", r=r, n=n, **DIMS)
-            mono = ad.param_count("lora", r=r * n, n=1, **DIMS)
-            assert split == mono
-
-
 def test_param_count_rejects_bad_inputs():
     with pytest.raises(UsageError):
         ad.param_count("dora", r=8, n=1, **DIMS)
@@ -222,7 +218,7 @@ def test_adapter_branch_macs_match_formula(monkeypatch):
     x = SeededRng(2).normal(k)
     base_macs = d * k
 
-    for scheme in ("lora", "split", "hydra"):
+    for scheme in ("lora", "hydra"):
         counted["macs"] = 0
         linear_forward(w0, _fresh(scheme, d, k, r, n, 0), x)
         assert counted["macs"] - base_macs == ad.params_per_matrix(scheme, d, k, r, n)
@@ -263,11 +259,10 @@ def _save(path, scheme, adapter, proj="adapter", **base):
     ad.write_checkpoint(path, meta, {proj: adapter}, base)
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_checkpoint_round_trip_bitwise(tmp_path, scheme):
     adapter = _fresh(scheme, 5, 4, 2, 3, seed=13)
-    mats = (adapter.experts if scheme == "hydra"
-            else [h.b for h in adapter.heads] if scheme == "split" else [adapter.b])
+    mats = adapter.experts if scheme == "hydra" else [adapter.b]
     for i, m in enumerate(mats):
         m[:] = SeededRng(100 + i).normal(m.size).reshape(m.shape)
     path = tmp_path / "ck.txt"
@@ -291,9 +286,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path, scheme):
 
 @pytest.mark.parametrize("scheme,names", [
     ("lora", ["p.A", "p.B"]),
-    ("split", ["p.A0", "p.B0", "p.A1", "p.B1", "p.A2", "p.B2"]),
     ("hydra", ["p.A", "p.B0", "p.B1", "p.B2", "p.Wg"]),
-])
+], ids=["lora-names0", "hydra-names2"])
 def test_named_params_order_and_liveness(scheme, names):
     adapter = _fresh(scheme, 5, 4, 2, 3, seed=1)
     named = adapter.named_params("p")
@@ -347,7 +341,7 @@ def _repeat_tensor(text, name):
     (lambda t: t.replace("scheme: hydra\n", ""), "missing metadata line 'scheme'"),
     (lambda t: t.replace("rank: 2\n", "rank: two\n"), "rank"),
     (lambda t: t.replace("scheme: hydra", "scheme: lora"), "missing tensor adapter.B"),
-    (lambda t: t.replace("scheme: hydra", "scheme: split"), "missing tensor adapter.A0"),
+    (lambda t: t.replace("scheme: hydra", "scheme: split"), "unknown scheme 'split'"),
     (lambda t: t.replace("scheme: hydra", "scheme: dense"), "unknown scheme"),
     (lambda t: t.replace("tensor adapter.Wg", "tensor adapter.Wx"), "missing tensor adapter.Wg"),
     (lambda t: t.replace("tensor adapter.B2", "tensor adapter.B7"), "missing tensor adapter.B2"),
@@ -364,15 +358,3 @@ def test_checkpoint_reader_rejects_inconsistent_files(tmp_path, edit, match):
     path.write_text(edit(path.read_text()))
     with pytest.raises(CheckpointError, match=match):
         ad.read_checkpoint(path)
-
-
-def test_checkpoint_reader_names_a_split_head_of_another_width(tmp_path):
-    # the heads' A disagree on k: a bad file, not a broken split invariant
-    split = _fresh("split", 3, 4, 2, 2, 0)
-    split.heads[1].a = np.zeros((2, 5))
-    path = tmp_path / "ck.txt"
-    _save(path, "split", split)
-    with pytest.raises(CheckpointError, match=r"adapter\.A1 has shape \(2, 5\), but adapter\.A0 "
-                                              r"has 4 columns"):
-        ad.read_checkpoint(path)
-

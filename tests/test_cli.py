@@ -35,13 +35,10 @@ def test_params_reference_lines(capsys):
     assert capsys.readouterr().out == "23073792 (0.342%)\n"
 
 
-def test_params_split_equals_monolithic(capsys):
-    common = ["--d", "4096", "--k", "4096", "--layers", "32",
-              "--matrices-per-layer", "2", "--base-total", "6738000000"]
-    main(["params", "--scheme", "split", "--rank", "8", "--experts", "4"] + common)
-    split_out = capsys.readouterr().out
-    main(["params", "--scheme", "lora", "--rank", "32"] + common)
-    assert capsys.readouterr().out == split_out
+def test_params_split_scheme_is_a_usage_error(capsys):
+    # n split heads of rank r count as one lora of rank r*n
+    assert main(["params", "--scheme", "split", "--rank", "8", "--experts", "4"]) == 1
+    assert "invalid choice: 'split'" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error():
@@ -421,17 +418,6 @@ def _hydra_checkpoint(name, **tensors):
     return make
 
 
-def _split_checkpoint(name, b1_rows):
-    """analyze on a rank-2 split checkpoint whose second head's B has b1_rows rows"""
-    def make(root, cfg, ckpt):
-        sp = ad.SplitAdapter.init(4, 4, 2, 2, SeededRng(0))
-        sp.heads[1].b = np.zeros((b1_rows, 2))
-        _save(root / f"{name}.txt", "split", sp)
-        return ["analyze", "--checkpoints", str(root / f"{name}.txt"), "--out",
-                str(root / f"{name}_out")]
-    return make
-
-
 def _with_meta(line, bad):
     return _edited_checkpoint("merge-infer", lambda t: t.replace(f"{line}\n", f"{bad}\n"))
 
@@ -443,6 +429,7 @@ def _argv(*argv):
 MALFORMED = [
     ("rank as a string", _bad_config("rank", "4"), 1, "rank must be an integer"),
     ("rank above d_model", _bad_config("rank", 40), 1, "rank must be <= d_model"),
+    ("split scheme", _bad_config("scheme", "split"), 1, "scheme must be one of"),
     ("fractional steps", _bad_config("steps", 2.5), 1, "steps must be an integer"),
     ("NaN learning rate", _bad_config("learning_rate", float("nan")), 1, "learning_rate"),
     ("train_head as a string", _bad_config("train_head", "yes"), 1, "train_head"),
@@ -506,8 +493,9 @@ MALFORMED = [
      "tensor adapter.B1 has shape (4, 3), but rank is 2"),
     ("checkpoint: Wg rows other than rank", _hydra_checkpoint("wg_rows", w_gate=np.zeros((1, 2))),
      2, "tensor adapter.Wg has shape (1, 2), but rank is 2"),
-    ("checkpoint: split heads with other B rows", _split_checkpoint("split_b_rows", 5), 2,
-     "tensor adapter.B1 has shape (5, 2), but adapter.B0 has 4 rows"),
+    ("checkpoint: split scheme",
+     _edited_checkpoint("merge-infer", lambda t: t.replace("scheme: hydra", "scheme: split")), 2,
+     "adapter tensors under unknown scheme 'split'"),
     ("checkpoint: hydra experts with other B rows",
      _hydra_checkpoint("b_rows", experts=[np.zeros((4, 2)), np.zeros((5, 2))]), 2,
      "tensor adapter.B1 has shape (5, 2), but adapter.B0 has 4 rows"),

@@ -6,7 +6,7 @@ from hydra_peft.autodiff import grad_check
 from hydra_peft.errors import ContractError, InvariantError, ShapeError, UsageError
 from hydra_peft.linalg import SeededRng
 
-from adapter_refs import hydra_ref, lora_ref, split_ref
+from adapter_refs import hydra_ref, lora_ref
 
 
 def _dense_batch(model, seed, n=6):
@@ -22,7 +22,7 @@ def _token_batch(model, seed, n=3, t=5):
     return tm.Batch(inputs=toks, labels=rng.integers(n, model.n_classes))
 
 
-@pytest.mark.parametrize("scheme,n", [("lora", 1), ("split", 2), ("hydra", 3)])
+@pytest.mark.parametrize("scheme,n", [("lora", 1), ("hydra", 3)])
 def test_fresh_adapters_leave_dense_forward_unchanged(scheme, n):
     base = tm.dense_model(6, 10, 3, seed=4)
     batch = _dense_batch(base, 1)
@@ -147,7 +147,7 @@ def _linear_with_live_adapter(scheme):
     return model, tm.Batch(inputs=x, targets=np.zeros((6, 4)))
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_tape_branch_matches_numpy_forward(scheme):
     model, batch = _linear_with_live_adapter(scheme)
     w0, adapter = model.weights["proj"], model.adapters["proj"]
@@ -156,8 +156,6 @@ def test_tape_branch_matches_numpy_forward(scheme):
     for i, x in enumerate(batch.inputs):
         if scheme == "lora":
             want = lora_ref(x, w0, adapter)
-        elif scheme == "split":
-            want = split_ref(x, w0, adapter)
         else:
             want, gate = hydra_ref(x, w0, adapter)
             rows.append(gate)
@@ -178,7 +176,7 @@ def test_mse_rejects_targets_of_another_shape(shape):
         tm.build_graph(model, batch)
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_param_refs_are_the_tape_leaves(scheme):
     model, batch = _linear_with_live_adapter(scheme)
     graph = tm.build_graph(model, batch, trainable="adapters")
@@ -207,7 +205,7 @@ def _live_token_batch(model, n, t, seed, pad_tail=0):
     return tm.Batch(inputs=toks, labels=rng.integers(n, model.n_classes))
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 @pytest.mark.parametrize("n,pad_tail", [(2, 0), (3, 2)])
 def test_token_adapter_gradients_match_central_differences(scheme, n, pad_tail):
     # every sample of the batch reaches every adapter tensor's gradient
@@ -233,7 +231,7 @@ def test_token_adapter_gradients_match_central_differences(scheme, n, pad_tail):
     assert report.max_rel_error <= 1e-6, report.per_param
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 @pytest.mark.parametrize("n,t,d", [(2, 10, 8), (8, 10, 8), (37, 10, 8), (37, 16, 16)])
 def test_token_batch_forward_equals_single_sample_forwards(scheme, n, t, d):
     # (37, 16, 16) puts the batched products over the broadcast kernel's cap,
@@ -252,7 +250,7 @@ def test_token_batch_forward_equals_single_sample_forwards(scheme, n, t, d):
     assert sorted(gates) == (["q_proj", "v_proj"] if scheme == "hydra" else [])
 
 
-@pytest.mark.parametrize("scheme", ["lora", "split", "hydra"])
+@pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_padding_does_not_change_a_document(scheme):
     model = _live_token_model(scheme, vocab=20)
     docs = _live_token_batch(model, 4, 16, seed=3).inputs

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_zero_learning_rate_changes_nothing():
     assert rep.final_loss == rep.rows[0]["loss"]
 
 
-@pytest.mark.parametrize("scheme,n", [("lora", 1), ("split", 2), ("hydra", 3)])
+@pytest.mark.parametrize("scheme,n", [("lora", 1), ("hydra", 3)])
 def test_initial_loss_equals_frozen_base_loss(scheme, n):
     data = _small_data(3)
     base = tm.dense_model(16, 12, 4, seed=5)
@@ -218,9 +220,8 @@ def _token_case():
     (lambda: _dense_case("lora"), 1),
     (lambda: _dense_case("hydra", n=3), 1),
     (lambda: _dense_case("full"), 1),
-    (lambda: _dense_case("split", n=2), 1),
     (_token_case, 2),
-], ids=["lora", "hydra", "full", "split", "tokens-padded-and-not"])
+], ids=["lora", "hydra", "full", "tokens-padded-and-not"])
 def test_replayed_training_matches_rebuilding_every_step(case, graphs, monkeypatch):
     model, data, cfg = case()
     oracle = tm.clone_model(model)
@@ -316,6 +317,34 @@ def test_observation1_trains_one_pooled_adapter_and_one_lora_per_task(monkeypatc
         assert np.array_equal(data.eval_inputs, full.eval_inputs[full.eval_tasks == t])
 
 
+def test_observation1_heads_update_at_the_pooled_scale(monkeypatch):
+    cfg = tr.TrainConfig(scheme="lora", rank=8, steps=6, batch_size=8, pretrain_steps=2,
+                         alpha=8.0)
+    adapters = []
+    train = tr.train
+
+    def spy(model, data, cfg):
+        adapters.append(model.adapters.get("v_proj"))
+        return train(model, data, cfg)
+
+    monkeypatch.setattr(tr, "train", spy)
+    tr.run_observation1(3, 2, cfg)
+    _, pooled, *heads = adapters
+    assert (pooled.rank, pooled.alpha) == (8, 8.0)
+    assert [(h.rank, h.alpha) for h in heads] == [(4, 4.0), (4, 4.0)]
+    assert all(h.scaling == pooled.scaling for h in heads)
+
+
+@pytest.mark.parametrize("harness,cfg", [
+    (tr.run_observation1, tr.OBS1),
+    (tr.run_observation2, tr.OBS2),
+    (tr.run_heterogeneity, tr.HET),
+], ids=["obs1", "obs2", "het"])
+def test_harnesses_reject_an_invalid_config_as_usage(harness, cfg):
+    with pytest.raises(UsageError, match="rank must be >= 1, got 0"):
+        harness(0, cfg=replace(cfg, rank=0))
+
+
 def test_observation1_smoke():
     cfg = tr.TrainConfig(scheme="lora", rank=8, steps=60, learning_rate=0.2,
                          batch_size=8, pretrain_steps=20, pretrain_lr=0.1)
@@ -370,8 +399,8 @@ def test_observation2_identical_tasks_control():
 
 
 def test_observation2_zero_steps_is_degenerate():
-    cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1)
-    cfg.steps = 0  # bypass validation: the untrained control
+    # the untrained control: at learning rate 0 no step moves a weight
+    cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.0)
     row = tr.run_observation2(4, n_tasks=3, cfg=cfg)
     assert row["d_a"] == 0.0  # shared init seed: all A identical
     assert row["d_b"] == 0.0  # all B still zero
@@ -390,7 +419,6 @@ def test_observation2_builds_models_of_cfg_d_model(monkeypatch):
     monkeypatch.setattr(tr, "train", train)
     cfg = tr.TrainConfig(scheme="lora", rank=3, steps=1, learning_rate=0.1, d_model=12,
                          hidden=20, alpha=6.0)
-    cfg.steps = 0  # as in the zero-steps control: only pretraining trains
     tr.run_observation2(4, n_tasks=3, cfg=cfg)
     assert len(widths) == 4 and set(widths) == {((12, 12), (20, 12))}
     assert alphas == [6.0] * 3  # one adapter per task; pretraining has none
