@@ -64,19 +64,18 @@ def _take(tensors: dict[str, np.ndarray], proj: str, role: str, index="") -> np.
 
 def _check_shapes(named: list[tuple[str, np.ndarray]], rank: int) -> None:
     """CheckpointError naming the first of one adapter's tensors whose shape does not
-    fit the rank, or whose other side (d rows of a B, k columns of an A) differs from
-    the first tensor of its role's."""
-    first: dict[str, tuple[str, int]] = {}
+    fit the rank, or a B whose d rows differ from the first B's (the only role with
+    several tensors: hydra's experts)."""
+    first_b: tuple[str, int] | None = None
     for name, arr in named:
-        role = parse_param_name(name)[1]
+        is_b = parse_param_name(name)[1] == "B"
         # A and Wg have rank rows, B has rank columns
-        axis = 1 if role == "B" else 0
-        if arr.shape[axis] != rank:
+        if arr.shape[1 if is_b else 0] != rank:
             raise CheckpointError(f"tensor {name} has shape {arr.shape}, but rank is {rank}")
-        ref, dim = first.setdefault(role, (name, arr.shape[1 - axis]))
-        if arr.shape[1 - axis] != dim:
-            raise CheckpointError(f"tensor {name} has shape {arr.shape}, but {ref} has {dim} "
-                                  + ("rows" if role == "B" else "columns"))
+        if is_b:
+            ref, rows = first_b = first_b or (name, arr.shape[0])
+            if arr.shape[0] != rows:
+                raise CheckpointError(f"tensor {name} has shape {arr.shape}, but {ref} has {rows} rows")
 
 
 def _leaves(tape, named: list[tuple[str, np.ndarray]], trainable: bool) -> list[int]:

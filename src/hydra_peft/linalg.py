@@ -4,11 +4,12 @@ All numeric state is float64. Matrix products accumulate in a fixed order
 (each entry sums its products over the contraction index, ascending, from
 +0.0) so that repeated runs produce bit-identical results; nothing here
 calls into BLAS. `matmul` converts both operands to the output dtype, so every
-product is formed in that dtype, and picks one of two kernels by shape; both
+product is formed in that dtype, and picks one of three kernels by shape; all
 give the same bytes: a broadcast-and-reduce, whose products `np.einsum` writes
 in passes of a bounded buffer laid out so numpy's inner loop runs over the
-longer side of the output, and a loop over the contraction index for outputs
-too large for a pass to hold enough of it.
+longer side of the output; the same einsum-and-reduce over blocks of rows of a
+2-D output too large for a pass to hold enough of the contraction index, each
+block holding all of it; and a loop over the contraction index for the rest.
 
 Randomness comes from a counter-based splitmix64 generator: draw i under
 seed s is a pure integer hash of (s, i), which makes seeds portable across
@@ -116,14 +117,16 @@ class SeededRng:
         return out
 
 
-# Largest product buffer, in elements, one pass of the broadcast kernel
-# builds. Above it the buffer costs more in memory traffic and peak RSS than
-# the k-loop saves.
+# Largest product buffer, in elements, one pass of the broadcast kernel or
+# one row block builds. Above it the buffer costs more in memory traffic and
+# peak RSS than the k-loop saves.
 _BROADCAST_MAX_ELEMS = 1 << 16
 # Fewest products per output entry a pass must hold when k needs more than
 # one pass. Measured on shapes with k >= 2 passes: at 8 per pass the k-loop
 # was as fast or up to 35 % faster (512x16, 256x32, 128x64 outputs); from 10
 # per pass the passes tied or won, 2-5x at 16x16 outputs (256 per pass).
+# Row blocks, which take 2-D shapes below it, ran 0.88-1.45x the passes'
+# time at 10-32 per pass (375x16 to 128x32 outputs).
 _MIN_PASS_SLICES = 10
 
 
@@ -134,7 +137,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (G, k, n), converted first to the output dtype (float64, or longdouble
     when an operand is), so float32 and integer operands multiply in float64.
     Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ..., k
-    ascending, whichever of two kernels runs and whatever G is:
+    ascending, whichever of three kernels runs and whatever G is:
 
     - broadcast-and-reduce, when the output has size >= 2 entries and either
       all of k fits one pass or a pass holds c = _BROADCAST_MAX_ELEMS // size
@@ -152,9 +155,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       (c + 1, [G,] n, m), so numpy's inner loop runs over the longer side;
       the result is copied back to C order, because row reductions
       downstream can sum in another order on other layouts.
-    - everything else (k == 0, a 1-entry output, or outputs too large for
-      _MIN_PASS_SLICES per pass): a loop over k adding rank-1 updates into
-      zeros.
+    - row blocks, for a 2-D output too large for _MIN_PASS_SLICES per pass
+      with n >= 2 and n * k <= _BROADCAST_MAX_ELEMS: the fewest blocks of at
+      most _BROADCAST_MAX_ELEMS // (n * k) rows, r rows each (the last may be
+      shorter) with r as small as that count allows, write all k products
+      per entry to one (k, r, n) buffer, allocated once per call, and reduce
+      them over axis 0 from +0.0 into their rows of the result. Never
+      transposed: at n = 24..72 that measured slower.
+    - everything else (k == 0; n == 1, which includes a 1-entry output and
+      where this loop beat row blocks; n * k over the cap; or a stack too
+      large for passes): a loop over k adding rank-1 updates into zeros.
     """
     a, b = np.asarray(a), np.asarray(b)
     if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
@@ -185,6 +195,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 out = np.add.reduce(buf[: w + 1], axis=0)
             if flip:
                 out = np.ascontiguousarray(out.swapaxes(-1, -2))
+        elif a.ndim == 2 and out_shape[0] and n >= 2 and 1 <= k <= _BROADCAST_MAX_ELEMS // n:
+            blocks = -(-out_shape[0] // (_BROADCAST_MAX_ELEMS // (n * k)))
+            r = -(-out_shape[0] // blocks)  # rows per block, as even as that count allows
+            b = np.ascontiguousarray(b)  # einsum's inner loop walks its last axis
+            buf, out = np.empty((k, r, n), dtype), np.empty(out_shape, dtype)
+            for i0 in range(0, out_shape[0], r):
+                rows = a[i0 : i0 + r]
+                part = np.einsum("ik,kj->kij", rows, b, out=buf[:, : len(rows)])
+                np.add.reduce(part, axis=0, initial=0.0, out=out[i0 : i0 + r])
         else:
             out = np.zeros(out_shape, dtype=dtype)
             for i in range(k):

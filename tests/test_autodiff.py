@@ -267,7 +267,7 @@ def _per_block_transpose(w, groups):
 _TRANSPOSE_B_SHAPES = {
     "one pass": (8, 16, 6, 1),
     "several passes": (16, 600, 16, 1),   # 256 entries: 256 products per pass
-    "k-loop": (100, 20, 80, 1),           # 8,000 entries: too few products per pass
+    "row blocks": (100, 20, 80, 1),       # 8,000 entries: too few products per pass
     "grouped, one pass": (8, 5, 6, 2),
     "grouped, several passes": (16, 600, 16, 2),
     "grouped, k-loop": (120, 12, 120, 2),
@@ -281,7 +281,8 @@ def test_transpose_b_gives_the_bytes_of_a_transposed_operand(path):
     passes = -(-size * k // linalg._BROADCAST_MAX_ELEMS)
     per_pass = linalg._BROADCAST_MAX_ELEMS // size
     kernel = ("one pass" if passes == 1 else "several passes"
-              if per_pass >= linalg._MIN_PASS_SLICES else "k-loop")
+              if per_pass >= linalg._MIN_PASS_SLICES else "row blocks"
+              if groups == 1 and n >= 2 and n * k <= linalg._BROADCAST_MAX_ELEMS else "k-loop")
     assert path.endswith(kernel)
     rng = SeededRng(21)
     x_val, w_val = rng.normal(m * k).reshape(m, k), rng.normal(n * k).reshape(n, k)

@@ -144,10 +144,18 @@ _GRID += [(16, 256, 16), (16, 257, 16), (16, 512, 16), (16, 513, 16), (64, 24, 4
 # thin outputs, n < m (out^T is formed) and n > m, in one pass and in several
 _GRID += [(80, 16, 4), (4, 16, 80), (768, 24, 4), (4, 24, 768), (320, 40, 16),
           (16, 40, 320), (48, 7, 24), (24, 7, 48)]
-# the k-loop: outputs too large for _MIN_PASS products per pass, just below
+# row blocks: outputs too large for _MIN_PASS products per pass, just below
 # and on the width where passes take over
 _GRID += [(_CAP // (_MIN_PASS - 1) // 16 + 1, 30, 16),
           (16, 30, _CAP // (_MIN_PASS - 1) // 16 + 1), (_CAP // _MIN_PASS // 16, 30, 16)]
+# the evaluate products either way round, in the fewest blocks of at most
+# _CAP // (n*k) rows: 768 rows at n*k = 24*48 take 14 blocks, 13 of 55 rows
+# and one of 53; 91 rows at 80*80 take 10, 9 of 10 rows and one of 1
+_GRID += [(768, 24, 48), (48, 24, 768), (768, 48, 24), (24, 48, 768), (768, 26, 24),
+          (24, 26, 768), (4000, 24, 2), (91, 80, 80)]
+# n*k on the cap (blocks of one row) and just over it, where the k-loop stays,
+# as it does for one column (n = 1)
+_GRID += [(26, 256, 256), (26, 257, 256), (_CAP // 8 + 1, 8, 1)]
 
 
 def _operands(rng, m, k, n, variant):
@@ -212,11 +220,17 @@ def test_matmul_converts_operands_and_both_kernels_agree(monkeypatch, kinds, gro
     lead = () if groups is None else (groups,)
     cases = [_dtype_operands(rng, lead, m, k, n, kinds) for m, k, n in _DTYPE_SHAPES]
     passes = [matmul(a, b) for a, b in cases]
+    blocks = []
+    for (a, b), (m, k, n) in zip(cases, _DTYPE_SHAPES):
+        # a cap of n*k puts each 2-D product with k < _MIN_PASS * m in one-row blocks
+        monkeypatch.setattr(linalg, "_BROADCAST_MAX_ELEMS", n * k)
+        blocks.append(matmul(a, b))
     monkeypatch.setattr(linalg, "_BROADCAST_MAX_ELEMS", 0)  # every call takes the k-loop
-    for (a, b), got in zip(cases, passes):
+    for (a, b), got, blocked in zip(cases, passes, blocks):
         want = (_converted_loop_matmul(a, b) if groups is None
                 else np.stack([_converted_loop_matmul(x, y) for x, y in zip(a, b)]))
         _assert_identical(got, want)
+        _assert_identical(blocked, got)
         _assert_identical(matmul(a, b), got)
 
 
@@ -226,8 +240,9 @@ def test_matmul_all_negative_zero_products_give_positive_zero():
     assert not np.signbit(out).any()
 
 
-# runs of -0.0 products across pass boundaries, both orientations, 2-D and stacked
-@pytest.mark.parametrize("m, k, n", [(16, 300, 16), (16, 600, 8), (8, 600, 16)])
+# runs of -0.0 products across pass boundaries, both orientations, 2-D and
+# stacked, and across the boundaries of four 50-row blocks
+@pytest.mark.parametrize("m, k, n", [(16, 300, 16), (16, 600, 8), (8, 600, 16), (200, 24, 48)])
 def test_matmul_negative_zero_run_across_passes_gives_positive_zero(m, k, n):
     a, b = np.full((m, k), -0.0), np.ones((k, n))
     out = matmul(a, b)
@@ -244,6 +259,18 @@ def test_matmul_negative_zero_run_across_passes_gives_positive_zero(m, k, n):
 def test_matmul_overflow_raises_like_oracle(m, k, n):
     a, b = np.ones((m, k)), np.ones((k, n))
     a[:, -1] = b[-1, :] = 1e300
+    with pytest.raises(InvariantError):
+        _loop_matmul(a, b)
+    with pytest.raises(InvariantError):
+        matmul(a, b)
+
+
+# only the last row's products overflow, in the last row block: of 53 rows
+# after 55-row ones, of 1 row after 10-row ones, and of 1 row after 1-row ones
+@pytest.mark.parametrize("m, k, n", [(768, 24, 48), (91, 80, 80), (26, 256, 256)])
+def test_matmul_overflow_in_the_last_row_block_raises(m, k, n):
+    a, b = np.ones((m, k)), np.ones((k, n))
+    a[-1, 0] = b[0, 0] = 1e300
     with pytest.raises(InvariantError):
         _loop_matmul(a, b)
     with pytest.raises(InvariantError):
