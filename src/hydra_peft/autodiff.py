@@ -12,7 +12,7 @@ row block if grouped; several equal b^T stacked into one product, so hydra's
 experts run as one node while each stays a leaf of its own), expert_mix (the
 gate-weighted sum of y's column blocks), add, scale, relu, softmax_rows,
 group_mean (row mask operand), gather_rows (row id operand), transpose, and
-the losses cross_entropy (fused with softmax) and mse.
+the loss cross_entropy (fused with softmax).
 tests/test_autodiff.py's test_random_graph_covers_every_node_builder fails
 on a builder that its grad-checked tape does not use.
 
@@ -137,14 +137,6 @@ class Tape:
         """Mean softmax cross-entropy over rows; labels are an int leaf."""
         return self._emit("cross_entropy", (logits, labels))
 
-    def mse(self, pred: int, target: int) -> int:
-        """Mean squared error over all entries of two arrays of one shape."""
-        if self._nodes[pred].value.shape != self._nodes[target].value.shape:
-            raise ShapeError(
-                f"mse shape mismatch: {self._nodes[pred].value.shape} vs "
-                f"{self._nodes[target].value.shape}")
-        return self._emit("mse", (pred, target))
-
     # -- evaluation ------------------------------------------------------
 
     @staticmethod
@@ -180,9 +172,6 @@ class Tape:
             lse = np.log(np.exp(shifted).sum(axis=1))
             rows = np.arange(logits.shape[0])
             return np.asarray((lse - shifted[rows, labels]).mean())
-        if op == "mse":
-            d = vals[0] - vals[1]
-            return np.asarray((d * d).mean())
         if op == "stacked_matmul":  # last, so the other ops dispatch as before it
             return linalg.matmul(vals[0], np.concatenate(vals[1:]).T)
         raise ContractError(f"unknown op {op!r}")
@@ -289,10 +278,6 @@ class Tape:
             onehot = np.zeros_like(p)
             onehot[np.arange(p.shape[0]), labels] = 1.0
             put(ins[0], float(g) * (p - onehot) / p.shape[0])
-        elif op == "mse":
-            d = vals[0] - vals[1]
-            put(ins[0], float(g) * 2.0 * d / d.size)
-            put(ins[1], float(g) * -2.0 * d / d.size)
         elif op == "stacked_matmul":  # last, as in _compute
             z, bs, d = vals[0], vals[1:], vals[1].shape[0]
             if self._nodes[ins[0]].needs_grad:  # g_i b_i, put last expert first as N nodes put them

@@ -4,8 +4,8 @@ Subcommands: cluster, train, eval, params, merge-infer, analyze, bench.
 Machine-readable results go to stdout; progress/diagnostics to stderr.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
-failure (missing or unparseable files, aborted training), 3 violated
-numerical invariant.
+failure (missing or unparseable files, aborted training, an array too large
+to allocate), 3 violated numerical invariant.
 
 All randomness flows from explicit --seed flags or the config seed; reruns
 with identical inputs write byte-identical outputs. HYDRA_PEFT_THREADS caps
@@ -27,8 +27,8 @@ from . import adapters as ad_mod
 from . import analysis
 from . import clustering
 from . import corpus as corpus_mod
-from . import toy_model as tm
 from . import trainer
+from .autodiff import Tape
 from .errors import (CheckpointError, ContractError, InvariantError, ParseError,
                      ShapeError, TrainingAborted, UsageError)
 from .linalg import SeededRng
@@ -108,13 +108,16 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _moe_and_merged(model, x: np.ndarray, w0: np.ndarray):
-    """The tape's expert-sum rows and merge_infer's rows for input x, both finite."""
+def _moe_and_merged(ad, x: np.ndarray, w0: np.ndarray):
+    """The expert-sum rows of a one-projection tape, x W0^T plus the adapter's
+    branch, and merge_infer's rows for input x, both finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        graph = tm.build_graph(model, tm.Batch(inputs=x[None], targets=np.zeros((1, len(w0)))),
-                               trainable="none")
-        out = (graph.tape.value(graph.logits_slot), ad_mod.merge_infer(
-            x[None], w0, model.adapters["proj"], graph.tape.value(graph.gate_slots["proj"])))
+        tape = Tape()
+        xs = tape.input(x[None])
+        base = tape.matmul(xs, tape.input(w0), transpose_b=True)
+        branch, gate = ad.tape_branch(tape, xs, "proj", False)
+        out = (tape.value(tape.add(base, branch)),
+               ad_mod.merge_infer(x[None], w0, ad, tape.value(gate)))
     if not np.isfinite(out).all():
         raise InvariantError("merge-infer forward produced non-finite entries")
     return out
@@ -129,9 +132,11 @@ def cmd_merge_infer(args) -> int:
     given = None
     if args.input is not None:
         try:
-            given = np.asarray(json.loads(Path(args.input).read_text(encoding="utf-8")),
-                               dtype=np.float64)
-        except (ValueError, TypeError) as e:
+            raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
+            if not isinstance(raw, list) or any(type(v) not in (int, float) for v in raw):
+                raise TypeError("every entry must be a JSON number")
+            given = np.asarray(raw, dtype=np.float64)
+        except (ValueError, TypeError, OverflowError) as e:
             raise ParseError(f"{args.input}: not a JSON list of numbers ({e})") from e
         if not np.isfinite(given).all():
             raise ParseError(f"{args.input}: input vector has non-finite entries")
@@ -141,18 +146,16 @@ def cmd_merge_infer(args) -> int:
         d, k = ad.experts[0].shape[0], ad.a_shared.shape[1]
         if given is not None and given.shape != (k,):
             raise UsageError(f"input vector must have length {k}")
-        # the expert sum is the tape forward of a one-projection model under a
-        # random base weight; every x is drawn before the trials' base weights
-        model = tm.linear_model(k, d, seed=0)
-        model.adapters["proj"] = ad
+        # the expert sum is the tape forward of one projection under a random
+        # base weight; every x is drawn before the trials' base weights
         for x in [given] if given is not None else [rng.normal(k) for _ in range(args.trials)]:
-            w0 = model.weights["proj"] = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
+            w0 = rng.normal(d * k).reshape(d, k) * (1.0 / np.sqrt(k))
             try:
-                moe, merged = _moe_and_merged(model, x, w0)
+                moe, merged = _moe_and_merged(ad, x, w0)
             except InvariantError as e:  # the input's fault if it runs clean scaled into [-1, 1]
                 if given is None:
                     raise
-                _moe_and_merged(model, x / max(np.abs(x).max(), 1.0), w0)
+                _moe_and_merged(ad, x / max(np.abs(x).max(), 1.0), w0)
                 raise ParseError(f"{args.input}: input vector overflows the forward ({e})") from e
             worst = max(worst, float(np.abs(moe - merged).max()))
     sys.stdout.write(f"max |merge - moe|: {worst:.3e}\n")
@@ -288,7 +291,7 @@ def main(argv=None) -> int:
         _note(f"invariant violation: {e}")
         return 3
     except (OSError, ParseError, CheckpointError, TrainingAborted, ShapeError,
-            ContractError) as e:
+            ContractError, MemoryError) as e:
         _note(f"error: {e}")
         return 2
 

@@ -1,6 +1,6 @@
 """Small frozen base networks that adapters attach to.
 
-Three variants share one weight layout:
+Two variants share one weight layout:
 
 * "dense"  -- feature vectors in, treated as length-1 sequences. Attention
               over a single position is exactly the value projection, so the
@@ -11,12 +11,12 @@ Three variants share one weight layout:
               adapters available on q_proj and v_proj, mean-pooled into the
               classifier head. Id 0 is padding: no position attends to it
               and the pool leaves it out.
-* "linear" -- a single projection, used by merge-infer and the tests.
 
 Base weights are frozen; only adapters (plus, configurably, the classifier
 head, or everything for the full-fine-tuning baseline) ever receive updates.
-`param_refs` says which, for graphs and runs alike. A batch's labels or
-targets pick its loss; `run_graph` replays one graph per batch signature.
+`param_refs` says which, for graphs and runs alike. Every graph ends in the
+cross-entropy of its logits against the batch's labels; `run_graph` replays
+one graph per batch signature.
 """
 
 from __future__ import annotations
@@ -34,36 +34,30 @@ from .errors import ContractError, ShapeError, UsageError
 ATTACH_POINTS = {
     "dense": ("v_proj",),
     "tokens": ("q_proj", "v_proj"),
-    "linear": ("proj",),
 }
 
 
 @dataclass
 class Batch:
-    inputs: np.ndarray                   # (B, feat) float, (B, T) int, or (B, in) for linear
-    labels: np.ndarray | None = None     # (B,) int class ids: cross-entropy
-    targets: np.ndarray | None = None    # (B, out) float: mse
+    inputs: np.ndarray   # (B, feat) float or (B, T) int
+    labels: np.ndarray   # (B,) int class ids
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)
         if self.inputs.shape[0] == 0:
             raise ContractError("batch is empty")
-        if (self.labels is None) == (self.targets is None):
-            raise ContractError("a batch has labels (cross-entropy) or targets (mse), "
-                                "not both or neither")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.inputs.shape[0],):
-                raise ShapeError(
-                    f"labels shape {self.labels.shape} does not match batch "
-                    f"size {self.inputs.shape[0]}")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (self.inputs.shape[0],):
+            raise ShapeError(
+                f"labels shape {self.labels.shape} does not match batch "
+                f"size {self.inputs.shape[0]}")
 
 
 @dataclass
 class ToyModel:
     mode: str
     d_model: int
-    input_dim: int            # feature dim (dense/linear) or vocab size (tokens)
+    input_dim: int            # feature dim (dense) or vocab size (tokens)
     n_classes: int
     weights: dict[str, np.ndarray]
     adapters: dict[str, Adapter] = field(default_factory=dict)
@@ -101,12 +95,6 @@ def token_model(vocab_size: int, d_model: int, n_classes: int, seed: int,
               (d_model, hidden), (n_classes, d_model)]
     weights = {n: _trunk_uniform(*s, rng.derive(n)) for n, s in zip(names, shapes)}
     return ToyModel("tokens", d_model, vocab_size, n_classes, weights)
-
-
-def linear_model(input_dim: int, output_dim: int, seed: int) -> ToyModel:
-    rng = linalg.SeededRng(seed).derive("linear-model")
-    weights = {"proj": linalg.kaiming_uniform(output_dim, input_dim, rng)}
-    return ToyModel("linear", output_dim, input_dim, output_dim, weights)
 
 
 def clone_model(model: ToyModel) -> ToyModel:
@@ -157,9 +145,9 @@ class ModelGraph:
 def batch_leaves(model: ToyModel, batch: Batch) -> dict[str, np.ndarray]:
     """The checked values a batch puts into a graph's leaves, by role: "x" or
     "tokens", "pool" and "pad" (token masks; "pad" only if there is padding),
-    "labels" or "targets". Built and replayed graphs both read batches here."""
+    and "labels". Built and replayed graphs both read batches here."""
     leaves: dict[str, np.ndarray] = {}
-    if model.mode in ("linear", "dense"):
+    if model.mode == "dense":
         leaves["x"] = np.asarray(batch.inputs, dtype=np.float64)
     elif model.mode == "tokens":
         tokens = np.asarray(batch.inputs, dtype=np.int64)
@@ -177,19 +165,16 @@ def batch_leaves(model: ToyModel, batch: Batch) -> dict[str, np.ndarray]:
     else:
         raise UsageError(f"unknown model mode {model.mode!r}")
 
-    if batch.labels is None:
-        leaves["targets"] = np.asarray(batch.targets, dtype=np.float64)
-    elif batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
+    if batch.labels.min() < 0 or batch.labels.max() >= model.n_classes:
         raise ContractError("label out of class range")
-    else:
-        leaves["labels"] = batch.labels
+    leaves["labels"] = batch.labels
     return leaves
 
 
 def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head") -> ModelGraph:
-    """Build the forward tape for a batch; the leaves `param_refs(model,
-    trainable)` names are trainable, and the batch's labels or targets pick
-    the loss (cross-entropy or mse)."""
+    """Build the forward tape for a batch, ending in the cross-entropy of the
+    logits against its labels; the leaves `param_refs(model, trainable)` names
+    are trainable."""
     refs = param_refs(model, trainable)
     leaves = batch_leaves(model, batch)
     tape = Tape()
@@ -216,9 +201,7 @@ def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head")
             gates[name] = gate
         return tape.add(out, branch)
 
-    if model.mode == "linear":
-        logits = linear(feeds["x"], "proj")
-    elif model.mode == "dense":
+    if model.mode == "dense":
         xe = linear(feeds["x"], "embed")
         # length-1 attention: softmax over one position is exactly 1, so the
         # block's output equals the (adapted) value projection
@@ -237,12 +220,8 @@ def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head")
         x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
         logits = linear(tape.group_mean(x3, feeds["pool"]), "head")
 
-    if "labels" in feeds:
-        loss_slot = tape.cross_entropy(logits, feeds["labels"])
-    else:
-        loss_slot = tape.mse(logits, feeds["targets"])
-    return ModelGraph(tape=tape, loss_slot=loss_slot, logits_slot=logits,
-                      gate_slots=gates, feeds=feeds)
+    return ModelGraph(tape=tape, loss_slot=tape.cross_entropy(logits, feeds["labels"]),
+                      logits_slot=logits, gate_slots=gates, feeds=feeds)
 
 
 def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, np.ndarray]:
@@ -279,11 +258,3 @@ def run_graph(graphs: dict, model: ToyModel, batch: Batch, trainable: str) -> Mo
             graph.tape.set_value(slot, leaves[role])
         graph.tape.forward()
     return graph
-
-
-def forward(model: ToyModel, batch: Batch):
-    """Run the model on a batch: (logits, loss value, gate means per proj)."""
-    graph = build_graph(model, batch, trainable="none")
-    return (graph.tape.value(graph.logits_slot),
-            float(graph.tape.value(graph.loss_slot)),
-            graph.gate_means())

@@ -150,14 +150,12 @@ class TrainReport:
 
 @dataclass
 class Dataset:
-    """Fixed train/eval arrays with class labels (cross-entropy) or targets (mse)."""
+    """Fixed train/eval arrays with their class labels."""
 
     train_inputs: np.ndarray
     eval_inputs: np.ndarray
-    train_labels: np.ndarray | None = None
-    eval_labels: np.ndarray | None = None
-    train_targets: np.ndarray | None = None
-    eval_targets: np.ndarray | None = None
+    train_labels: np.ndarray
+    eval_labels: np.ndarray
     train_tasks: np.ndarray | None = None
     eval_tasks: np.ndarray | None = None
 
@@ -165,18 +163,12 @@ class Dataset:
         return self.train_inputs.shape[0]
 
     def train_batch(self, idx: np.ndarray) -> Batch:
-        return Batch(
-            inputs=self.train_inputs[idx],
-            labels=None if self.train_labels is None else self.train_labels[idx],
-            targets=None if self.train_targets is None else self.train_targets[idx])
+        return Batch(self.train_inputs[idx], self.train_labels[idx])
 
     def eval_batch(self, mask: np.ndarray | None = None) -> Batch:
         if mask is None:
             mask = np.ones(self.eval_inputs.shape[0], dtype=bool)
-        return Batch(
-            inputs=self.eval_inputs[mask],
-            labels=None if self.eval_labels is None else self.eval_labels[mask],
-            targets=None if self.eval_targets is None else self.eval_targets[mask])
+        return Batch(self.eval_inputs[mask], self.eval_labels[mask])
 
 
 class _Optimizer:
@@ -218,9 +210,9 @@ class _Optimizer:
 def evaluate(model: ToyModel, data: Dataset, mask: np.ndarray | None = None):
     """(loss, accuracy, gate means) on the eval split."""
     batch = data.eval_batch(mask)
-    logits, loss, gates = tm.forward(model, batch)
-    acc = 0.0 if batch.labels is None else float((logits.argmax(axis=1) == batch.labels).mean())
-    return loss, acc, gates
+    graph = tm.build_graph(model, batch, trainable="none")
+    acc = float((graph.tape.value(graph.logits_slot).argmax(axis=1) == batch.labels).mean())
+    return float(graph.tape.value(graph.loss_slot)), acc, graph.gate_means()
 
 
 def _gate_row(gates: dict[str, np.ndarray]) -> list[float]:

@@ -1,13 +1,13 @@
 """Plain-numpy references for one input vector, and the tape forward they check.
 
 The library has one forward per adapter scheme, `tape_branch`; tests run it
-through `linear_forward`, a one-projection linear model, and compare the rows
-it gives with these references.
+through `linear_forward`, a one-projection tape built as merge-infer builds
+it, and compare the rows it gives with these references.
 """
 
 import numpy as np
 
-from hydra_peft import toy_model as tm
+from hydra_peft.autodiff import Tape
 
 
 def lora_ref(x, w0, ad):
@@ -26,14 +26,12 @@ def hydra_ref(x, w0, ad):
 
 def linear_forward(w0, adapter, x):
     """(output rows, gate rows or None) of the base weight w0, with `adapter`
-    (or None) on it, for the input rows x, through toy_model's tape graph."""
-    x = np.atleast_2d(x)
-    d, k = w0.shape
-    # the layout tm.linear_model(k, d, seed) gives, without drawing a weight
-    model = tm.ToyModel("linear", d, k, d, {"proj": w0},
-                        {} if adapter is None else {"proj": adapter})
-    graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((len(x), d))),
-                           trainable="none")
-    gate = graph.gate_slots.get("proj")
-    return (graph.tape.value(graph.logits_slot),
-            None if gate is None else graph.tape.value(gate))
+    (or None) on it, for the input rows x: x w0^T plus the adapter's branch."""
+    tape = Tape()
+    xs = tape.input(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    out = tape.matmul(xs, tape.input(w0), transpose_b=True)
+    if adapter is None:
+        return tape.value(out), None
+    branch, gate = adapter.tape_branch(tape, xs, "proj", False)
+    return (tape.value(tape.add(out, branch)),
+            None if gate is None else tape.value(gate))

@@ -3,7 +3,7 @@ import pytest
 
 from hydra_peft import adapters as ad
 from hydra_peft import linalg
-from hydra_peft import toy_model as tm
+from hydra_peft.autodiff import Tape
 from hydra_peft.errors import CheckpointError, InvariantError, UsageError
 from hydra_peft.linalg import SeededRng
 
@@ -239,11 +239,11 @@ def test_hydra_expert_products_do_not_grow_with_experts(monkeypatch):
     x = SeededRng(2).normal(rows * k).reshape(rows, k)
     counts = []
     for n in (1, 3, 8):
-        model = tm.ToyModel("linear", d, k, d, {"proj": w0},
-                            {"proj": _fresh("hydra", d, k, r, n, n)})
-        graph = tm.build_graph(model, tm.Batch(inputs=x, targets=np.zeros((rows, d))),
-                               trainable="adapters")
-        graph.tape.backward(graph.loss_slot)
+        t = Tape()
+        xs = t.input(x)
+        branch, _ = _fresh("hydra", d, k, r, n, n).tape_branch(t, xs, "proj", True)
+        logits = t.add(t.matmul(xs, t.input(w0), transpose_b=True), branch)
+        t.backward(t.cross_entropy(logits, t.input(np.arange(rows) % d)))
         counts.append(counted["calls"])
         counted["calls"] = 0
     # forward: base, A, router, experts; backward: experts (z, B), router (z, Wg), A

@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +9,6 @@ from hydra_peft import linalg
 from hydra_peft.autodiff import Tape, grad_check
 from hydra_peft.errors import ContractError, ShapeError
 from hydra_peft.linalg import SeededRng
-
-
-def test_quadratic_gradient_is_identity():
-    # loss = mean(x^2) over two entries = ||x||^2 / 2, so grad = x
-    t = Tape()
-    x = t.input(np.array([[3.0, 4.0]]), name="x", trainable=True)
-    zero = t.input(np.zeros((1, 2)))
-    loss = t.mse(x, zero)
-    grads = t.backward(loss)
-    assert np.allclose(grads["x"], [[3.0, 4.0]], atol=1e-15)
 
 
 def test_frozen_weight_gets_no_gradient():
@@ -36,7 +28,7 @@ def test_frozen_weight_gets_no_gradient():
 def test_constant_loss_gives_zero_gradients():
     t = Tape()
     x = t.input(np.array([[1.0, 2.0]]), name="x", trainable=True)
-    loss = t.mse(t.scale(x, 0.0), t.input(np.zeros((1, 2))))
+    loss = t.cross_entropy(t.scale(x, 0.0), t.input(np.array([1])))
     grads = t.backward(loss)
     assert np.all(grads["x"] == 0.0)
 
@@ -79,7 +71,7 @@ def test_matmul_and_expert_mix_shape_mismatch_rejected():
 
 
 def _random_graph(seed: int):
-    """Small composite graph that uses every node builder except mse."""
+    """Small composite graph that uses every node builder."""
     rng = SeededRng(seed)
     t = Tape()
     emb = t.input(rng.normal(15).reshape(5, 3), name="emb", trainable=True)
@@ -102,16 +94,30 @@ def _random_graph(seed: int):
     return t, loss
 
 
+def _node_builders():
+    """The public Tape methods annotated to return the int slot of a new node."""
+    return {name for name, fn in inspect.getmembers(Tape, inspect.isfunction)
+            if not name.startswith("_")
+            and inspect.signature(fn).return_annotation in (int, "int")}
+
+
 def test_random_graph_covers_every_node_builder():
     # a new Tape op must join _random_graph, so test_grad_check_composite_graph checks it
-    builders = {name for name, fn in inspect.getmembers(Tape, inspect.isfunction)
-                if not name.startswith("_")
-                and inspect.signature(fn).return_annotation in (int, "int")}
+    builders = _node_builders()
     assert {"matmul", "expert_mix", "transpose", "gather_rows"} <= builders
     t, _ = _random_graph(0)
     # several b make a matmul node with a backward rule of its own
     ops = {node.op for node in t._nodes}
-    assert builders - {"input", "cross_entropy", "mse"} | {"stacked_matmul"} <= ops
+    assert builders - {"input", "cross_entropy"} | {"stacked_matmul"} <= ops
+
+
+def test_readme_names_every_node_builder():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Gradient checking\n", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(r"Node builders: ([^.]*)\.", " ".join(section.split()))
+    named = re.findall(r"`(\w+)`", sentence.group(1))
+    assert len(named) == len(set(named))
+    assert set(named) == _node_builders()
 
 
 def test_grad_check_composite_graph():
@@ -119,19 +125,6 @@ def test_grad_check_composite_graph():
         t, loss = _random_graph(seed)
         report = grad_check(t, loss, SeededRng(100 + seed))
         assert report.max_rel_error <= 1e-6, report.per_param
-
-
-def test_grad_check_linear_graph_tight():
-    rng = SeededRng(12)
-    t = Tape()
-    x = t.input(rng.normal(8).reshape(2, 4))
-    w = t.input(rng.normal(12).reshape(3, 4), name="w", trainable=True)
-    y = t.matmul(x, w, transpose_b=True)
-    target = t.input(rng.normal(6).reshape(2, 3))
-    # mse is quadratic, still exactly differentiated by central differences
-    loss = t.mse(y, target)
-    report = grad_check(t, loss, SeededRng(0))
-    assert report.max_rel_error <= 1e-9
 
 
 def test_grad_check_gather_rows():
@@ -215,16 +208,22 @@ def test_set_value_widens_only_floats_narrower_than_float64():
 
 
 def test_forward_recomputes_after_set_value():
+    def built_loss(logits):
+        fresh = Tape()
+        return float(fresh.value(fresh.cross_entropy(fresh.input(logits),
+                                                     fresh.input(np.array([0])))))
+
     t = Tape()
     x = t.input(np.array([[1.0, 2.0]]), name="x", trainable=True)
-    loss = t.mse(x, t.input(np.zeros((1, 2))))
+    loss = t.cross_entropy(x, t.input(np.array([0])))
     t.set_value(x, np.array([[2.0, 2.0]]))
     t.forward()
-    assert float(t.value(loss)) == 4.0
+    assert float(t.value(loss)) == built_loss(np.array([[2.0, 2.0]]))
     # a float64 leaf is its source array, so an in-place update reaches it
     t.value(x)[0, 0] = 0.0
     t.forward()
-    assert float(t.value(loss)) == 2.0
+    assert float(t.value(loss)) == built_loss(np.array([[0.0, 2.0]])) > built_loss(
+        np.array([[2.0, 2.0]]))
     w = np.ones((2, 2))
     assert t.value(t.input(w)) is w
 
@@ -287,7 +286,7 @@ def test_transpose_b_gives_the_bytes_of_a_transposed_operand(path):
     rng = SeededRng(21)
     x_val, w_val = rng.normal(m * k).reshape(m, k), rng.normal(n * k).reshape(n, k)
     x_val[0], w_val[:, 1] = -0.0, -0.0
-    target = rng.normal(m * n // groups).reshape(m, n // groups)
+    labels = np.arange(m) % (n // groups)
 
     def run(transpose_b: bool):
         t = Tape()
@@ -300,12 +299,21 @@ def test_transpose_b_gives_the_bytes_of_a_transposed_operand(path):
         else:  # each row block of w transposed, in a leaf of its own
             wt = t.input(_per_block_transpose(w_val, groups), name="w", trainable=True)
             out = t.matmul(x, wt, groups=groups)
-        grads = t.backward(t.mse(out, t.input(target)))
+        grads = t.backward(t.cross_entropy(out, t.input(labels)))
         gw = grads["w"] if transpose_b or groups == 1 else _per_block_transpose(grads["w"], groups)
         return t.value(out), grads["x"], gw
 
     for fused, reference in zip(run(True), run(False)):
         _assert_same_bytes(fused, reference)
+
+
+def _cross_entropy_upstream(logits, labels):
+    """The gradient cross_entropy's backward gives its logits, computed as it computes it."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(len(p)), labels] = 1.0
+    return 1.0 * (p - onehot) / len(p)
 
 
 def _per_expert_matmul_nodes(z, bs, upstream, z_grad=None):
@@ -338,22 +346,20 @@ def test_stacked_matmul_gives_the_bytes_of_per_expert_nodes(n_experts, width, ro
     z_val[0] = -0.0
     for b in bs_val:
         b[:, 1] = -0.0
-    target = rng.normal(rows * n_experts * width).reshape(rows, n_experts * width)
+    labels = np.arange(rows) % (n_experts * width)
     t = Tape()
     z = t.input(z_val, name="z", trainable=True)
     bs = [t.input(b, name=f"b{i}", trainable=True) for i, b in enumerate(bs_val)]
     ys = t.matmul(z, *bs, transpose_b=True)
-    loss = t.mse(ys, t.input(target))
+    loss = t.cross_entropy(ys, t.input(labels))
     later = None
     if z_reused:  # a node after the experts puts its z gradient first
-        z_target = rng.normal(rows * r).reshape(rows, r)
-        loss = t.add(loss, t.mse(z, t.input(z_target)))
-        dz = z_val - z_target
-        later = 1.0 * 2.0 * dz / dz.size
+        z_labels = np.arange(rows)[::-1] % r
+        loss = t.add(loss, t.cross_entropy(z, t.input(z_labels)))
+        later = _cross_entropy_upstream(z_val, z_labels)
     grads = t.backward(loss)
-    d = t.value(ys) - target
-    outs, b_grads, z_grad = _per_expert_matmul_nodes(z_val, bs_val, 1.0 * 2.0 * d / d.size,
-                                                     later)
+    outs, b_grads, z_grad = _per_expert_matmul_nodes(
+        z_val, bs_val, _cross_entropy_upstream(t.value(ys), labels), later)
     _assert_same_bytes(t.value(ys), np.concatenate(outs, axis=1))
     for i, b_grad in enumerate(b_grads):
         _assert_same_bytes(grads[f"b{i}"], b_grad)
@@ -390,15 +396,21 @@ def test_expert_mix_gives_the_bytes_of_the_slice_mul_add_chain(n_experts, width)
     ys_val = [rng.normal(m * width).reshape(m, width) for _ in range(n_experts)]
     for y in ys_val:
         y[2] = 0.0
-    # out - target < 0 everywhere, so row 2 of each gate column sums -0.0 products
-    target = 10.0 + rng.uniform(m * width).reshape(m, width)
     t = Tape()
     gate = t.input(gate_val, name="gate", trainable=True)
     # the experts' outputs side by side, as a stacked matmul gives them
     mix = t.expert_mix(gate, t.input(np.concatenate(ys_val, axis=1), name="y", trainable=True))
-    grads = t.backward(t.mse(mix, t.input(target)))
-    d = t.value(mix) - target
-    out, gate_grad, y_grads = _slice_mul_add_chain(gate_val, ys_val, 1.0 * 2.0 * d / d.size)
+    # two logits per row, minus the row sum of mix and 0, under label 1: the
+    # gradient reaching mix is -p0 / m < 0 everywhere, so row 2 of each gate
+    # column sums -0.0 products
+    readout = np.zeros((2, width))
+    readout[0] = -1.0
+    logits = t.matmul(mix, t.input(readout), transpose_b=True)
+    labels = np.ones(m, dtype=np.int64)
+    grads = t.backward(t.cross_entropy(logits, t.input(labels)))
+    upstream = linalg.matmul(_cross_entropy_upstream(t.value(logits), labels), readout)
+    assert (upstream < 0).all()
+    out, gate_grad, y_grads = _slice_mul_add_chain(gate_val, ys_val, upstream)
     _assert_same_bytes(t.value(mix), out)
     _assert_same_bytes(grads["gate"], gate_grad)
     _assert_same_bytes(grads["y"], np.concatenate(y_grads, axis=1))

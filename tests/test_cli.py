@@ -460,6 +460,9 @@ MALFORMED = [
     ("corpus document without tokens", _corpus_with_empty_doc, 1, "'blank' has no tokens"),
     ("corpus path not a string", _bad_config("dataset", {"corpus": 3}), 1, "corpus"),
     ("corpus not UTF-8", _bad_config("dataset", "latin-1"), 2, "not UTF-8"),
+    # far beyond any address space, so the first allocation fails at once
+    ("d_model too large to allocate", _bad_config("d_model", 10**13), 2,
+     "error: Unable to allocate"),
     ("corpus spec with a model option", _corpus_spec(seq_len=12), 1,
      "a corpus dataset takes no other keys, got ['seq_len']"),
     ("corpus spec with a synthetic spec", _corpus_spec(synthetic="components", level=2), 1,
@@ -504,6 +507,15 @@ MALFORMED = [
      "nan.json: input vector has non-finite entries"),
     ("merge-infer: infinite input", _merge_input("inf.json", "[1" + ", Infinity" * 11 + "]"), 2,
      "inf.json: input vector has non-finite entries"),
+    ("merge-infer: integer beyond float64",
+     _merge_input("huge.json", "[" + "9" * 400 + ", 1" * 11 + "]"), 2,
+     "huge.json: not a JSON list of numbers"),
+    ("merge-infer: boolean entry", _merge_input("bool.json", "[true" + ", 1" * 11 + "]"), 2,
+     "bool.json: not a JSON list of numbers"),
+    ("merge-infer: string entry", _merge_input("str.json", '["1.5"' + ", 1" * 11 + "]"), 2,
+     "str.json: not a JSON list of numbers"),
+    ("merge-infer: a number, not a list", _merge_input("one.json", "3"), 2,
+     "one.json: not a JSON list of numbers"),
     ("merge-infer: overflowing input", _merge_input("big.json", "[1e308" + ", 1e308" * 11 + "]"),
      2, "big.json: input vector overflows the forward"),
     # every product is finite; 0.38 x + x overflows in the base-plus-adapter add

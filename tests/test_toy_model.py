@@ -6,7 +6,14 @@ from hydra_peft.autodiff import grad_check
 from hydra_peft.errors import ContractError, InvariantError, ShapeError, UsageError
 from hydra_peft.linalg import SeededRng
 
-from adapter_refs import hydra_ref, lora_ref
+from adapter_refs import hydra_ref, linear_forward, lora_ref
+
+
+def _run(model, batch):
+    """(logits, loss, gate means) of the batch's graph, read as trainer.evaluate reads them."""
+    graph = tm.build_graph(model, batch, trainable="none")
+    return (graph.tape.value(graph.logits_slot), float(graph.tape.value(graph.loss_slot)),
+            graph.gate_means())
 
 
 def _dense_batch(model, seed, n=6):
@@ -26,10 +33,10 @@ def _token_batch(model, seed, n=3, t=5):
 def test_fresh_adapters_leave_dense_forward_unchanged(scheme, n):
     base = tm.dense_model(6, 10, 3, seed=4)
     batch = _dense_batch(base, 1)
-    logits0, loss0, _ = tm.forward(base, batch)
+    logits0, loss0, _ = _run(base, batch)
     adapted = tm.clone_model(base)
     tm.attach(adapted, "v_proj", scheme, rank=2, seed=9, n=n)
-    logits1, loss1, _ = tm.forward(adapted, batch)
+    logits1, loss1, _ = _run(adapted, batch)
     assert np.array_equal(logits0, logits1)
     assert loss0 == loss1
 
@@ -37,18 +44,18 @@ def test_fresh_adapters_leave_dense_forward_unchanged(scheme, n):
 def test_fresh_adapters_leave_token_forward_unchanged():
     base = tm.token_model(12, 8, 3, seed=4)
     batch = _token_batch(base, 2)
-    logits0, _, _ = tm.forward(base, batch)
+    logits0, _, _ = _run(base, batch)
     adapted = tm.clone_model(base)
     tm.attach(adapted, "q_proj", "hydra", rank=2, seed=9, n=2)
     tm.attach(adapted, "v_proj", "hydra", rank=2, seed=10, n=2)
-    logits1, _, _ = tm.forward(adapted, batch)
+    logits1, _, _ = _run(adapted, batch)
     assert np.array_equal(logits0, logits1)
 
 
 def test_uniform_logits_loss_is_log_classes():
     model = tm.dense_model(5, 8, 7, seed=3)
     model.weights["head"][:] = 0.0
-    _, loss, _ = tm.forward(model, _dense_batch(model, 5))
+    _, loss, _ = _run(model, _dense_batch(model, 5))
     assert abs(loss - np.log(7.0)) < 1e-12
 
 
@@ -69,14 +76,16 @@ def test_label_out_of_range_rejected():
     batch = tm.Batch(inputs=SeededRng(0).normal(10).reshape(2, 5),
                      labels=np.array([0, 3]))
     with pytest.raises(ContractError):
-        tm.forward(model, batch)
+        _run(model, batch)
 
 
-def test_batch_has_labels_or_targets():
+def test_batch_needs_one_label_per_row():
     x = np.zeros((2, 5))
-    for given in ({}, {"labels": np.array([0, 1]), "targets": np.zeros((2, 3))}):
-        with pytest.raises(ContractError, match="not both or neither"):
-            tm.Batch(inputs=x, **given)
+    for labels in (np.array([0, 1, 2]), np.array([[0, 1]]), np.array(1)):
+        with pytest.raises(ShapeError, match="labels shape"):
+            tm.Batch(inputs=x, labels=labels)
+    with pytest.raises(TypeError):
+        tm.Batch(inputs=x)  # labels are required
 
 
 def test_attention_rows_sum_to_one():
@@ -109,7 +118,7 @@ def test_full_path_gradients_check_out():
 def test_gate_means_are_distributions():
     model = tm.dense_model(6, 10, 3, seed=8)
     tm.attach(model, "v_proj", "hydra", rank=2, seed=2, n=4)
-    _, _, gates = tm.forward(model, _dense_batch(model, 4))
+    _, _, gates = _run(model, _dense_batch(model, 4))
     w = gates["v_proj"]
     assert w.shape == (4,)
     assert abs(w.sum() - 1.0) < 1e-9
@@ -136,54 +145,46 @@ def test_clone_is_independent():
     assert model.adapters["v_proj"].b[0, 0] == 0.0
 
 
-def _linear_with_live_adapter(scheme):
-    """A linear model whose adapter has every parameter nonzero, plus a batch."""
-    model = tm.linear_model(5, 4, seed=3)
-    tm.attach(model, "proj", scheme, rank=2, seed=4, n=3, alpha=3.0)
+def _dense_with_live_adapter(scheme):
+    """A dense model whose v_proj adapter has every parameter nonzero, plus a batch."""
+    model = tm.dense_model(5, 4, 3, seed=3)
+    tm.attach(model, "v_proj", scheme, rank=2, seed=4, n=3, alpha=3.0)
     rng = SeededRng(21)
-    for _, arr in model.adapters["proj"].named_params("proj"):
+    for _, arr in model.adapters["v_proj"].named_params("v_proj"):
         arr[:] = rng.normal(arr.size).reshape(arr.shape)
     x = rng.normal(6 * 5).reshape(6, 5)
-    return model, tm.Batch(inputs=x, targets=np.zeros((6, 4)))
+    return model, tm.Batch(inputs=x, labels=np.arange(6) % 3)
 
 
 @pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_tape_branch_matches_numpy_forward(scheme):
-    model, batch = _linear_with_live_adapter(scheme)
-    w0, adapter = model.weights["proj"], model.adapters["proj"]
-    logits, _, gates = tm.forward(model, batch)
-    rows = []
-    for i, x in enumerate(batch.inputs):
+    model, batch = _dense_with_live_adapter(scheme)
+    w0, adapter = model.weights["v_proj"], model.adapters["v_proj"]
+    xs = batch.inputs @ model.weights["embed"].T  # the rows v_proj sees
+    out, gate_rows = linear_forward(w0, adapter, xs)
+    for i, x in enumerate(xs):
         if scheme == "lora":
             want = lora_ref(x, w0, adapter)
         else:
             want, gate = hydra_ref(x, w0, adapter)
-            rows.append(gate)
-        assert np.abs(logits[i] - want).max() <= 1e-12
+            assert np.abs(gate_rows[i] - gate).max() <= 1e-12
+        assert np.abs(out[i] - want).max() <= 1e-12
         assert np.abs(want - w0 @ x).max() > 1e-3  # the adapter is really live
+    gates = _run(model, batch)[2]
     if scheme == "hydra":
-        assert np.abs(gates["proj"] - np.mean(rows, axis=0)).max() <= 1e-12
+        assert np.abs(gates["v_proj"] - gate_rows.mean(axis=0)).max() <= 1e-12
     else:
-        assert gates == {}
-
-
-@pytest.mark.parametrize("shape", [(5, 1), (1, 3), (3,)])
-def test_mse_rejects_targets_of_another_shape(shape):
-    # numpy would broadcast each of these against the (5, 3) logits
-    model = tm.linear_model(4, 3, seed=0)
-    batch = tm.Batch(inputs=np.ones((5, 4)), targets=np.zeros(shape))
-    with pytest.raises(ShapeError, match=r"mse shape mismatch: \(5, 3\) vs"):
-        tm.build_graph(model, batch)
+        assert gate_rows is None and gates == {}
 
 
 @pytest.mark.parametrize("scheme", ["lora", "hydra"])
 def test_param_refs_are_the_tape_leaves(scheme):
-    model, batch = _linear_with_live_adapter(scheme)
+    model, batch = _dense_with_live_adapter(scheme)
     graph = tm.build_graph(model, batch, trainable="adapters")
     refs = tm.param_refs(model, "adapters")
     assert sorted(refs) == sorted(graph.tape.trainable_slots())
     for name, arr in refs.items():
-        assert arr is dict(model.adapters["proj"].named_params("proj"))[name]
+        assert arr is dict(model.adapters["v_proj"].named_params("v_proj"))[name]
 
 
 def _live_token_model(scheme, vocab=13, d=8, seed=0):
@@ -220,9 +221,9 @@ def test_token_adapter_gradients_match_central_differences(scheme, n, pad_tail):
             for idx in np.ndindex(arr.shape):
                 keep = arr[idx]
                 arr[idx] = keep + eps
-                plus = tm.forward(model, batch)[1]
+                plus = _run(model, batch)[1]
                 arr[idx] = keep - eps
-                minus = tm.forward(model, batch)[1]
+                minus = _run(model, batch)[1]
                 arr[idx] = keep
                 fd[idx] = (plus - minus) / (2 * eps)
             rel = np.abs(grads[name] - fd).max() / np.abs(fd).max()
@@ -260,7 +261,7 @@ def test_padding_does_not_change_a_document(scheme):
     for i, n in enumerate(lengths):
         padded[i, :n] = docs[i, :n]
     labels = np.array([0, 1, 2, 1])
-    logits, _, gates = tm.forward(model, tm.Batch(inputs=padded, labels=labels))
+    logits, _, gates = _run(model, tm.Batch(inputs=padded, labels=labels))
     gate_rows = []
     for i, n in enumerate(lengths):
         one = tm.build_graph(model, tm.Batch(inputs=docs[i:i + 1, :n], labels=labels[i:i + 1]),
@@ -275,7 +276,7 @@ def test_padding_does_not_change_a_document(scheme):
 def test_token_batch_with_an_all_padding_sample_rejected():
     model = tm.token_model(9, 6, 3, seed=2)
     with pytest.raises(ContractError):
-        tm.forward(model, tm.Batch(inputs=np.array([[3, 4], [0, 0]]), labels=np.array([0, 1])))
+        _run(model, tm.Batch(inputs=np.array([[3, 4], [0, 0]]), labels=np.array([0, 1])))
 
 
 def test_token_graph_size_does_not_grow_with_batch():
