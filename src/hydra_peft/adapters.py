@@ -35,7 +35,8 @@ def _check_rank(d: int, k: int, r: int) -> None:
 #
 # An adapter on projection `proj` names its tensors `proj.<Role><index>`:
 # role A, B or Wg, index empty or an expert number. Tape leaves, optimizer
-# refs and checkpoints all take names and order from each scheme's named_params.
+# refs and checkpoints all take names and order from each scheme's named_params,
+# by way of toy_model.param_refs.
 
 _NAME_RE = re.compile(r"^([^.]+)\.(A|B|Wg)(\d*)$")
 
@@ -48,11 +49,6 @@ def parse_param_name(name: str) -> tuple[str, str, str] | None:
     """(proj, role, index) of an adapter tensor name; None for any other name."""
     m = _NAME_RE.match(name)
     return m.groups() if m else None
-
-
-def all_params(adapters: dict[str, "Adapter"]) -> list[tuple[str, np.ndarray]]:
-    """Every adapter's named_params, projections in sorted order."""
-    return [p for proj in sorted(adapters) for p in adapters[proj].named_params(proj)]
 
 
 def _take(tensors: dict[str, np.ndarray], proj: str, role: str, index="") -> np.ndarray:
@@ -217,6 +213,8 @@ def param_count(scheme: str, d: int, k: int, r: int, n: int,
                     ("matrices_per_layer", matrices_per_layer), ("layers", layers)]:
         if v < 1:
             raise UsageError(f"{name} must be >= 1, got {v}")
+    if r > min(d, k):  # the rank attach would refuse
+        raise UsageError(f"rank {r} outside [1, min({d}, {k})]")
     if base_total <= 0:
         raise UsageError(f"base_total must be positive, got {base_total}")
     total = params_per_matrix(scheme, d, k, r, n) * matrices_per_layer * layers
@@ -234,8 +232,9 @@ def param_count(scheme: str, d: int, k: int, r: int, n: int,
 #   <rows*cols little-endian float64 values, hex-encoded, one line>
 #   ...
 #
-# Adapter tensors come first, projections sorted, each in named_params
-# order; base weights follow as base.<name>. Hex encoding is byte-exact, so
+# A run's file holds toy_model.param_refs in its order: adapter tensors,
+# projections sorted, each in named_params order, then the base weights the
+# run trains as base.<name>, sorted. Hex encoding is byte-exact, so
 # write/read round trips are bitwise.
 
 FORMAT_TAG = "hydra-peft-checkpoint"
@@ -244,14 +243,12 @@ FORMAT_VERSION = "v1"
 _TENSOR_RE = re.compile(r"^tensor (\S+) (\d+) (\d+)$")
 
 
-def write_checkpoint(path, meta: dict[str, str], adapters: dict[str, Adapter],
-                     base: dict[str, np.ndarray] | None = None) -> None:
-    """Write metadata, every adapter on its projection, then base weights."""
-    tensors = all_params(adapters) + [(f"base.{n}", w) for n, w in (base or {}).items()]
+def write_checkpoint(path, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
+    """Write metadata, then every tensor under its name, in the dict's order."""
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
     for key, value in meta.items():
         lines.append(f"{key}: {value}")
-    for name, arr in tensors:
+    for name, arr in tensors.items():
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"checkpoint tensors must be 2-D, {name} has {arr.shape}")
@@ -262,8 +259,9 @@ def write_checkpoint(path, meta: dict[str, str], adapters: dict[str, Adapter],
 
 
 def read_checkpoint(path) -> tuple[dict[str, str], dict[str, Adapter], dict[str, np.ndarray]]:
-    """(metadata, {projection: adapter}, {base weight name: array}); a CheckpointError
-    if the file is malformed or its tensors do not form the metadata's scheme."""
+    """(metadata, {projection: adapter}, {tensor name: array} in file order, base.*
+    names included); a CheckpointError if the file is malformed or its
+    tensors do not form the metadata's scheme."""
     meta, tensors = _parse(path)
     try:
         scheme, rank, alpha = meta["scheme"], int(meta["rank"]), float(meta["alpha"])
@@ -274,18 +272,17 @@ def read_checkpoint(path) -> tuple[dict[str, str], dict[str, Adapter], dict[str,
     if rank < 1 or not math.isfinite(alpha):
         raise CheckpointError(f"rank must be >= 1 and alpha finite, got rank {rank}, "
                               f"alpha {alpha}")
-    base = {n[len("base."):]: t for n, t in tensors.items() if n.startswith("base.")}
     names = {n for n in tensors if not n.startswith("base.")}
     projs = sorted({parsed[0] for parsed in map(parse_param_name, names) if parsed})
     if projs and scheme not in ADAPTERS:
         raise CheckpointError(f"adapter tensors under unknown scheme {scheme!r}")
     adapters = {p: ADAPTERS[scheme].from_params(p, tensors, rank, alpha) for p in projs}
-    extra = names - {name for name, _ in all_params(adapters)}
+    extra = names - {n for p, a in adapters.items() for n, _ in a.named_params(p)}
     if extra:
         raise CheckpointError(f"tensor {min(extra)!r} is not part of a {scheme} adapter")
     for proj, adapter in adapters.items():
         _check_shapes(adapter.named_params(proj), rank)
-    return meta, adapters, base
+    return meta, adapters, tensors
 
 
 def _parse(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -117,8 +117,9 @@ def parse_checkpoint_submodules(adapter_id: str,
 def breakdown(checkpoints: list[tuple[str, dict[str, np.ndarray]]]) -> EmbeddingReport:
     """Distance/embedding analysis across >= 2 adapter checkpoints.
 
-    `checkpoints` pairs an id with a dict of named adapter tensors (see
-    adapters.all_params). All submodules must flatten to one common
+    `checkpoints` pairs an id with a checkpoint's tensors by name, as
+    adapters.read_checkpoint returns them; names that are not an adapter's A
+    or B (Wg, base.*) are skipped. All submodules must flatten to one common
     length (true whenever the adapted matrices are square, as here).
     """
     if len(checkpoints) < 2:

@@ -76,10 +76,11 @@ def _config(path) -> trainer.TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _note(f"training scheme={cfg.scheme} rank={cfg.rank} steps={cfg.steps} seed={cfg.seed}")
-    model, _, report = trainer.run_from_config(cfg)
+    model, data = trainer.build_from_config(cfg)
+    report = trainer.train(model, data, cfg)
+    out_dir = Path(args.out)  # made only once there is a run to write
+    out_dir.mkdir(parents=True, exist_ok=True)
     trainer.model_checkpoint(out_dir / "checkpoint.txt", model, cfg)
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     summary = {"config": json.loads(json.dumps(cfg.__dict__)), **report.summary()}
@@ -91,9 +92,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args.config)
-    checkpoint = ad_mod.read_checkpoint(args.checkpoint)
+    meta, _, tensors = ad_mod.read_checkpoint(args.checkpoint)
     model, data = trainer.build_from_config(cfg)
-    trainer.restore_into_model(model, cfg, *checkpoint)
+    trainer.restore_into_model(model, cfg, meta, tensors)
     loss, acc, gates = trainer.evaluate(model, data)
     _out({"loss": loss, "acc": acc,
           "gates": {k: list(map(float, v)) for k, v in gates.items()}})
@@ -169,10 +170,8 @@ def cmd_analyze(args) -> int:
     labels = [Path(path).stem for path in args.checkpoints]
     if len(set(labels)) < len(labels):  # run/checkpoint.txt vs run_b/checkpoint.txt
         labels = [str(Path(path).with_suffix("")) for path in args.checkpoints]
-    loaded = []
-    for label, path in zip(labels, args.checkpoints):
-        _, adapters, _ = ad_mod.read_checkpoint(path)
-        loaded.append((label, dict(ad_mod.all_params(adapters))))
+    loaded = [(label, ad_mod.read_checkpoint(path)[2])  # every tensor, by name
+              for label, path in zip(labels, args.checkpoints)]
     report = analysis.breakdown(loaded)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,9 @@ Two variants share one weight layout:
 
 Base weights are frozen; only adapters (plus, configurably, the classifier
 head, or everything for the full-fine-tuning baseline) ever receive updates.
-`param_refs` says which, for graphs and runs alike. Every graph ends in the
-cross-entropy of its logits against the batch's labels; `run_graph` replays
-one graph per batch signature.
+`param_refs` says which, for graphs, runs and checkpoints alike. Every graph
+ends in the cross-entropy of its logits against the batch's labels;
+`run_graph` replays one graph per batch signature.
 """
 
 from __future__ import annotations
@@ -226,6 +226,9 @@ def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head")
 
 def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, np.ndarray]:
     """Live arrays behind each trainable leaf name; updates mutate in place.
+    This is also a run's checkpoint, in this order: projections sorted, each
+    in its adapter's named_params order, then the base weights as
+    base.<name>, sorted by name.
 
     trainable: "adapters" | "adapters+head" | "all" | "none".
     """
@@ -234,13 +237,11 @@ def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, n
     refs: dict[str, np.ndarray] = {}
     if trainable == "none":
         return refs
-    for proj, ad in model.adapters.items():
-        refs.update(ad.named_params(proj))
-    if trainable == "all":
-        for name, w in model.weights.items():
-            refs[f"base.{name}"] = w
-    elif trainable == "adapters+head" and "head" in model.weights:
-        refs["base.head"] = model.weights["head"]
+    for proj in sorted(model.adapters):
+        refs.update(model.adapters[proj].named_params(proj))
+    base = model.weights if trainable == "all" else (
+        ["head"] if trainable == "adapters+head" and "head" in model.weights else [])
+    refs.update((f"base.{name}", model.weights[name]) for name in sorted(base))
     return refs
 
 

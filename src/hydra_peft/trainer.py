@@ -229,7 +229,7 @@ def _tokens_per_sample(model: ToyModel, data: Dataset) -> int:
 def _adapter_flops(model: ToyModel, tokens_processed: int) -> int:
     """2 FLOPs per MAC, backward costed at twice forward, adapter branches only:
     one MAC per adapter parameter per token."""
-    macs = sum(arr.size for _, arr in ad_mod.all_params(model.adapters)) * tokens_processed
+    macs = sum(arr.size for arr in tm.param_refs(model, "adapters").values()) * tokens_processed
     return 6 * macs
 
 
@@ -287,21 +287,9 @@ def _checkpoint_meta(cfg: TrainConfig) -> dict[str, str]:
             "seed": str(cfg.seed)}
 
 
-def _checkpoint_base(model: ToyModel, cfg: TrainConfig) -> dict[str, np.ndarray]:
-    """The base weights a run under cfg trains, by name, so its checkpoint carries them."""
-    refs = tm.param_refs(model, _trainable(cfg))
-    return {name.removeprefix("base."): refs[name] for name in sorted(refs)
-            if name.startswith("base.")}
-
-
-def _shapes(adapters, base: dict[str, np.ndarray]) -> dict[str, tuple[int, ...]]:
-    named = ad_mod.all_params(adapters) + [(f"base.{n}", w) for n, w in base.items()]
-    return {name: arr.shape for name, arr in named}
-
-
 def model_checkpoint(path, model: ToyModel, cfg: TrainConfig) -> None:
-    ad_mod.write_checkpoint(path, _checkpoint_meta(cfg), model.adapters,
-                            _checkpoint_base(model, cfg))
+    """Write what a run under cfg trains: param_refs, as is and in its order."""
+    ad_mod.write_checkpoint(path, _checkpoint_meta(cfg), tm.param_refs(model, _trainable(cfg)))
 
 
 # -- corpus-backed training --------------------------------------------------
@@ -405,16 +393,10 @@ def build_from_config(cfg: TrainConfig):
     return model, data
 
 
-def run_from_config(cfg: TrainConfig):
-    """build_from_config plus the training run; returns (model, data, report)."""
-    model, data = build_from_config(cfg)
-    report = train(model, data, cfg)
-    return model, data, report
-
-
 def restore_into_model(model: ToyModel, cfg: TrainConfig, meta: dict[str, str],
-                       adapters: dict, base: dict[str, np.ndarray]) -> None:
-    """Install what adapters.read_checkpoint returned into a model freshly
+                       tensors: dict[str, np.ndarray]) -> None:
+    """Check the metadata adapters.read_checkpoint returned against cfg, then
+    copy its tensors, in place, into the param_refs arrays of a model freshly
     built from cfg. A checkpoint written under a different scheme, rank,
     alpha, seed, expert count or model shape is a UsageError."""
     want_meta = _checkpoint_meta(cfg)
@@ -422,15 +404,15 @@ def restore_into_model(model: ToyModel, cfg: TrainConfig, meta: dict[str, str],
         if key not in meta or parse(meta[key]) != parse(want_meta[key]):
             raise UsageError(f"checkpoint has {key} {meta.get(key)}, the config "
                              f"{want_meta[key]}")
-    want = _shapes(model.adapters, _checkpoint_base(model, cfg))
-    got = _shapes(adapters, base)
+    refs = tm.param_refs(model, _trainable(cfg))
+    want = {name: arr.shape for name, arr in refs.items()}
+    got = {name: arr.shape for name, arr in tensors.items()}
     differ = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
     if differ:
         raise UsageError(f"checkpoint and config (experts={cfg.experts}, d_model="
                          f"{cfg.d_model}) disagree on the presence or shape of {differ}")
-    model.adapters.update(adapters)
-    for name, arr in base.items():
-        model.weights[name][:] = arr
+    for name, arr in refs.items():
+        arr[...] = tensors[name]
 
 
 # -- synthetic task fixtures ------------------------------------------------
@@ -569,6 +551,15 @@ def pretrain_base(model: ToyModel, data: Dataset, steps: int, lr: float, seed: i
 
 # -- harness: one small adapter per task vs one pooled adapter --------------
 
+
+def _check_harness_cfg(cfg: TrainConfig) -> None:
+    """cfg must be valid and name lora, the adapter every harness attaches."""
+    cfg.validate()
+    if cfg.scheme != "lora":
+        raise UsageError(f"the harnesses train lora adapters; cfg.scheme must be 'lora', "
+                         f"got {cfg.scheme!r}")
+
+
 OBS1 = TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2, batch_size=16,
                    pretrain_steps=60, pretrain_lr=0.1)
 
@@ -581,7 +572,7 @@ def run_observation1(seed: int, n_tasks: int = 2, cfg: TrainConfig = OBS1,
     n_tasks, so both arms share the base, the update scale, every other
     setting, the trainable-parameter count and the step total. The heads
     win when their mean eval loss, weighted by eval rows, is the lower."""
-    cfg.validate()
+    _check_harness_cfg(cfg)
     if n_tasks < 2:
         raise UsageError(f"need >= 2 tasks, got {n_tasks}")
     if cfg.rank % n_tasks or cfg.steps % n_tasks:
@@ -630,7 +621,7 @@ def run_observation2(seed: int, n_tasks: int = 3, cfg: TrainConfig = OBS2,
     identical_tasks=True is the control: every "task" trains on task 0's
     data (only batch order differs), so both divergences should be small.
     """
-    cfg.validate()
+    _check_harness_cfg(cfg)
     if n_tasks < 2:
         raise UsageError(f"need >= 2 tasks, got {n_tasks}")
     data = component_data(seed, level=n_tasks, max_levels=n_tasks,
@@ -679,7 +670,7 @@ def run_heterogeneity(seed: int, cfg: TrainConfig = HET,
     tuning wins when its gap at the most mixed level exceeds the gap at the
     least mixed one.
     """
-    cfg.validate()
+    _check_harness_cfg(cfg)
     if sorted(levels) != list(levels):
         raise UsageError("levels must be ordered ascending")
     rows = []

@@ -201,6 +201,9 @@ def test_param_count_rejects_bad_inputs():
         ad.param_count("lora", r=0, n=1, **DIMS)
     with pytest.raises(UsageError):
         ad.param_count("lora", 4096, 4096, 8, 1, 2, 32, 0)
+    # a rank attach refuses is not counted either
+    with pytest.raises(UsageError, match=r"rank 9 outside \[1, min\(4, 6\)\]"):
+        ad.param_count("hydra", 4, 6, 9, 2, 1, 1, 10)
 
 
 def test_adapter_branch_macs_match_formula(monkeypatch):
@@ -256,7 +259,9 @@ def test_hydra_expert_products_do_not_grow_with_experts(monkeypatch):
 def _save(path, scheme, adapter, proj="adapter", **base):
     meta = {"scheme": scheme, "rank": str(adapter.rank), "alpha": repr(adapter.alpha),
             "seed": "42"}
-    ad.write_checkpoint(path, meta, {proj: adapter}, base)
+    tensors = dict(adapter.named_params(proj))
+    tensors.update((f"base.{name}", w) for name, w in base.items())
+    ad.write_checkpoint(path, meta, tensors)
 
 
 @pytest.mark.parametrize("scheme", ["lora", "hydra"])
@@ -268,7 +273,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, scheme):
     path = tmp_path / "ck.txt"
     head = SeededRng(7).normal(6).reshape(2, 3)
     _save(path, scheme, adapter, proj="v_proj", head=head)
-    meta, loaded, base = ad.read_checkpoint(path)
+    meta, loaded, tensors = ad.read_checkpoint(path)
     assert meta == {"scheme": scheme, "rank": "2", "alpha": "2.0", "seed": "42"}
     assert list(loaded) == ["v_proj"]
     assert type(loaded["v_proj"]) is type(adapter)
@@ -277,10 +282,12 @@ def test_checkpoint_round_trip_bitwise(tmp_path, scheme):
     for (n1, t1), (n2, t2) in pairs:
         assert n1 == n2
         assert t1.tobytes() == t2.tobytes()
-    assert list(base) == ["head"] and base["head"].tobytes() == head.tobytes()
+    # every tensor under its full name, in file order
+    assert list(tensors) == [n for n, _ in adapter.named_params("v_proj")] + ["base.head"]
+    assert tensors["base.head"].tobytes() == head.tobytes()
     # writing what was read gives the same bytes
     again = tmp_path / "again.txt"
-    ad.write_checkpoint(again, meta, loaded, base)
+    ad.write_checkpoint(again, meta, tensors)
     assert again.read_bytes() == path.read_bytes()
 
 

@@ -119,14 +119,23 @@ def test_train_checkpoint_round_trip(tmp_path, corpus_file, capsys):
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
     path = tmp_path / "run" / "checkpoint.txt"
-    meta, adapters, base = ad.read_checkpoint(path)
+    meta, adapters, tensors = ad.read_checkpoint(path)
     assert meta == {"scheme": "hydra", "rank": "3", "alpha": "3.0", "seed": "5"}
     assert sorted(adapters) == ["q_proj", "v_proj"]
     assert all(len(a.experts) == 3 for a in adapters.values())
-    assert list(base) == ["head"]
+    assert [n for n in tensors if n.startswith("base.")] == ["base.head"]
     again = tmp_path / "again.txt"
-    ad.write_checkpoint(again, meta, adapters, base)
+    ad.write_checkpoint(again, meta, tensors)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_failed_train_leaves_no_out_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_train_cfg(tmp_path / "missing.jsonl")))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert "missing.jsonl" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_train_rejects_zero_steps(tmp_path, corpus_file, capsys):
@@ -198,7 +207,7 @@ def test_train_zero_lr_flat_curve(tmp_path, corpus_file, capsys):
 
 def _save(path, scheme, adapter):
     ad.write_checkpoint(path, {"scheme": scheme, "rank": str(adapter.rank),
-                               "alpha": repr(adapter.alpha)}, {"adapter": adapter})
+                               "alpha": repr(adapter.alpha)}, dict(adapter.named_params("adapter")))
 
 
 def test_merge_infer_on_trained_checkpoint(tmp_path, capsys):
@@ -526,6 +535,10 @@ MALFORMED = [
      "invariant violation: matmul produced non-finite entries"),
     ("merge-infer: zero trials", _argv("merge-infer", "--checkpoint", None, "--trials", "0"), 1,
      "--trials must be >= 1, got 0"),
+    ("params: rank above min(d, k)",
+     _argv("params", "--scheme", "lora", "--rank", "9", "--d", "4", "--k", "4", "--layers", "1",
+           "--matrices-per-layer", "1", "--base-total", "10"), 1,
+     "usage error: rank 9 outside [1, min(4, 4)]"),
     ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,
      "--seeds must be >= 1, got 0"),
     ("bench: negative seeds", _argv("bench", "--suite", "het", "--seeds", "-2"), 1,

@@ -6,7 +6,7 @@ import pytest
 from hydra_peft import toy_model as tm
 from hydra_peft import trainer as tr
 from hydra_peft import corpus as cp
-from hydra_peft.adapters import LoraAdapter
+from hydra_peft.adapters import LoraAdapter, read_checkpoint, write_checkpoint
 from hydra_peft.errors import ContractError, TrainingAborted, UsageError
 from hydra_peft.linalg import SeededRng
 
@@ -321,14 +321,21 @@ def test_observation1_heads_update_at_the_pooled_scale(monkeypatch):
     assert all(h.scaling == pooled.scaling for h in heads)
 
 
-@pytest.mark.parametrize("harness,cfg", [
-    (tr.run_observation1, tr.OBS1),
-    (tr.run_observation2, tr.OBS2),
-    (tr.run_heterogeneity, tr.HET),
-], ids=["obs1", "obs2", "het"])
-def test_harnesses_reject_an_invalid_config_as_usage(harness, cfg):
-    with pytest.raises(UsageError, match="rank must be >= 1, got 0"):
-        harness(0, cfg=replace(cfg, rank=0))
+_HARNESSES = {"obs1": (tr.run_observation1, tr.OBS1), "obs2": (tr.run_observation2, tr.OBS2),
+              "het": (tr.run_heterogeneity, tr.HET)}
+
+
+@pytest.mark.parametrize("suite,change,match", [
+    *(pytest.param(s, {"rank": 0}, "rank must be >= 1, got 0", id=s) for s in _HARNESSES),
+    # every harness attaches loras; under another scheme train would train
+    # something else (under full, the loras and every base weight)
+    *(pytest.param(s, {"scheme": scheme}, f"cfg.scheme must be 'lora', got '{scheme}'",
+                   id=f"{s}-{scheme}") for scheme in ("full", "hydra") for s in _HARNESSES),
+])
+def test_harnesses_reject_an_invalid_config_as_usage(suite, change, match):
+    harness, cfg = _HARNESSES[suite]
+    with pytest.raises(UsageError, match=match):
+        harness(0, cfg=replace(cfg, **change))
 
 
 def test_observation1_smoke():
@@ -448,28 +455,52 @@ def test_token_dataset_from_non_ascii_corpus():
     assert classes == ["de", "el"]
 
 
-@pytest.mark.parametrize("scheme,train_head,trained", [
-    ("full", True, {"embed", "v_proj", "o_proj", "mlp_in", "mlp_out", "head"}),
-    ("hydra", True, {"head"}),
-    ("lora", False, set()),
-], ids=["full", "hydra-head", "lora-no-head"])
-def test_run_from_config_synthetic_and_checkpoint(tmp_path, scheme, train_head, trained):
+def _trained_run(scheme, train_head=True):
+    """A small synthetic run under scheme: (cfg, trained model, data)."""
     cfg = tr.TrainConfig(scheme=scheme, rank=2, experts=2, steps=15,
                          learning_rate=0.05, batch_size=8, seed=4,
                          pretrain_steps=5, d_model=12, train_head=train_head,
                          dataset={"synthetic": "interference",
                                   "train_per_task": 32, "eval_per_task": 16})
-    model, data, report = tr.run_from_config(cfg)
+    model, data = tr.build_from_config(cfg)
+    tr.train(model, data, cfg)
+    return cfg, model, data
+
+
+@pytest.mark.parametrize("scheme,train_head,trained", [
+    ("full", True, {"embed", "v_proj", "o_proj", "mlp_in", "mlp_out", "head"}),
+    ("hydra", True, {"head"}),
+    ("lora", False, set()),
+], ids=["full", "hydra-head", "lora-no-head"])
+def test_restore_copies_the_checkpoint_into_param_refs(tmp_path, scheme, train_head, trained):
+    cfg, model, data = _trained_run(scheme, train_head)
     assert list(model.adapters) == ([] if scheme == "full" else ["v_proj"])
     path = tmp_path / "ck.txt"
     tr.model_checkpoint(path, model, cfg)
     fresh, _ = tr.build_from_config(cfg)  # the base as training found it
     changed = {n for n, w in model.weights.items() if w.tobytes() != fresh.weights[n].tobytes()}
-    from hydra_peft.adapters import read_checkpoint
-    checkpoint = read_checkpoint(path)
-    assert list(checkpoint[2]) == sorted(changed)  # its base.* tensors, in order
     assert changed == trained
-    tr.restore_into_model(fresh, cfg, *checkpoint)
-    l1, a1, _ = tr.evaluate(model, data)
-    l2, a2, _ = tr.evaluate(fresh, data)
-    assert l1 == l2 and a1 == a2
+    meta, _, tensors = read_checkpoint(path)
+    refs = tm.param_refs(fresh, tr._trainable(cfg))
+    assert list(tensors) == list(refs)  # the file is param_refs, in its order
+    assert [n for n in tensors if n.startswith("base.")] == [f"base.{n}" for n in sorted(changed)]
+    tr.restore_into_model(fresh, cfg, meta, tensors)
+    after = tm.param_refs(fresh, tr._trainable(cfg))
+    assert list(after) == list(refs)
+    for name, arr in after.items():
+        assert arr is refs[name], name  # written in place, never replaced
+        assert arr.tobytes() == tensors[name].tobytes(), name
+    (l1, a1, g1), (l2, a2, g2) = tr.evaluate(fresh, data), tr.evaluate(model, data)
+    assert (l1, a1) == (l2, a2)
+    assert {p: g.tobytes() for p, g in g1.items()} == {p: g.tobytes() for p, g in g2.items()}
+
+
+def test_full_checkpoint_survives_a_read_and_write(tmp_path):
+    cfg, model, _ = _trained_run("full")
+    path = tmp_path / "ck.txt"
+    tr.model_checkpoint(path, model, cfg)
+    meta, _, tensors = read_checkpoint(path)
+    assert list(tensors) == [f"base.{n}" for n in sorted(model.weights)]
+    again = tmp_path / "again.txt"
+    write_checkpoint(again, meta, tensors)
+    assert again.read_bytes() == path.read_bytes()
