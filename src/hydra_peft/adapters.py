@@ -321,6 +321,8 @@ def _parse(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             name, rows, cols = m.group(1), int(m.group(2)), int(m.group(3))
             if name in tensors:
                 raise CheckpointError(f"repeated tensor {name}", off)
+            if rows == 0 or cols == 0:
+                raise CheckpointError(f"tensor {name} has zero size ({rows}x{cols})", off)
             if i + 1 >= len(lines):
                 raise CheckpointError(f"tensor {name} missing data line", off)
             data_off, data_line = lines[i + 1]

@@ -58,7 +58,7 @@ def cmd_cluster(args) -> int:
                                              override=args.k)
     payload = {
         "k_selected": init.n_components,
-        "sse_curve": None if init.curve is None else [[k, s] for k, s in init.curve.points],
+        "sse_curve": None if init.curve is None else [[k, s] for k, s in enumerate(init.curve, 1)],
         "assignments": init.assignments,
     }
     Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
@@ -76,10 +76,13 @@ def _config(path) -> trainer.TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _config(args.config)
+    out_dir = Path(args.out)  # made only once there is a run to write, but checked first
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
     _note(f"training scheme={cfg.scheme} rank={cfg.rank} steps={cfg.steps} seed={cfg.seed}")
     model, data = trainer.build_from_config(cfg)
     report = trainer.train(model, data, cfg)
-    out_dir = Path(args.out)  # made only once there is a run to write
     out_dir.mkdir(parents=True, exist_ok=True)
     trainer.model_checkpoint(out_dir / "checkpoint.txt", model, cfg)
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -201,6 +204,8 @@ def cmd_bench(args) -> int:
     if not raw.isdecimal() or int(raw) < 1:
         raise UsageError(f"HYDRA_PEFT_THREADS must be an integer >= 1, got {raw!r}")
     workers = int(raw)
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise NotADirectoryError(f"--out {args.out} must be a file in an existing directory")
     run = _SUITES[args.suite]
     if workers > 1 and len(seeds) > 1:
         with multiprocessing.Pool(min(workers, len(seeds))) as pool:

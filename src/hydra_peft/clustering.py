@@ -3,7 +3,9 @@
 Lloyd iterations alternate nearest-center assignment with mean updates;
 seeding is k-means++ (deterministic given the seed), empty clusters are
 reseeded at the point currently farthest from its own center, and each k is
-run with several restarts keeping the best SSE.
+run with several restarts keeping the best SSE. k-means needs k <= the number
+of distinct points; the seeding checks it, since that is where a violation
+shows: every point already sits on a chosen center.
 
 The expert count is the knee of the SSE-vs-k curve: after min-max
 normalizing both axes, pick the k whose curve point lies farthest below the
@@ -34,17 +36,6 @@ class KMeansResult:
     sse_history: list[float]     # SSE after each assignment phase
 
 
-@dataclass
-class SseCurve:
-    points: list[tuple[int, float]]   # (k, sse), k ascending
-
-    def ks(self) -> list[int]:
-        return [k for k, _ in self.points]
-
-    def sses(self) -> list[float]:
-        return [s for _, s in self.points]
-
-
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared euclidean distances."""
     diff = x[:, None, :] - centers[None, :, :]
@@ -52,20 +43,18 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _kmeanspp_seed(x: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
+    """k centers from the rows of x; UsageError if fewer than k are distinct."""
     n = x.shape[0]
-    u = rng.uniform(k)  # one draw per center, as an index or a d2-weighted target
+    u = rng.uniform(k)  # one draw per center: an index, then d2-weighted targets
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(uniform_to_int(u[0], n))]
     d2 = ((x - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
-        if total <= 0.0:
-            # all remaining points coincide with a chosen center
-            idx = int(uniform_to_int(u[j], n))
-        else:
-            idx = int(np.searchsorted(np.cumsum(d2), float(u[j]) * total, side="right"))
-            idx = min(idx, n - 1)
-        centers[j] = x[idx]
+        if total <= 0.0:  # every point sits on one of the j centers chosen so far
+            raise UsageError(f"k={k} exceeds the number of distinct points ({j})")
+        idx = int(np.searchsorted(np.cumsum(d2), float(u[j]) * total, side="right"))
+        centers[j] = x[min(idx, n - 1)]
         d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
     return centers
 
@@ -84,10 +73,7 @@ def _assign_with_repair(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
         point_d2 = d2[np.arange(x.shape[0]), assign]
         for j in empties:
             # only steal from clusters that keep at least one member
-            eligible = counts[assign] > 1
-            if not eligible.any():
-                eligible = np.ones_like(eligible)
-            cand = np.where(eligible, point_d2, -np.inf)
+            cand = np.where(counts[assign] > 1, point_d2, -np.inf)
             worst = int(cand.argmax())
             centers[j] = x[worst]
             counts[assign[worst]] -= 1
@@ -100,25 +86,19 @@ def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     centers = centers.copy()
     prev = None
     history: list[float] = []
-    assign = None
-    sse = np.inf
-    for it in range(1, _MAX_ITER + 1):
+    # the pass after the last update only refreshes the assignment, so the
+    # nearest-center condition holds against the final centers
+    for it in range(1, _MAX_ITER + 2):
         assign = _assign_with_repair(x, centers)
         sse = float(((x - centers[assign]) ** 2).sum())
         history.append(sse)
-        if prev is not None and np.array_equal(assign, prev):
-            return centers, assign, sse, it, history
+        if it > _MAX_ITER or (prev is not None and np.array_equal(assign, prev)):
+            return centers, assign, sse, min(it, _MAX_ITER), history
         prev = assign
         for j in range(centers.shape[0]):
             members = x[assign == j]
             if members.shape[0] > 0:
                 centers[j] = members.mean(axis=0)
-    # ran out of iterations: refresh assignment so the nearest-center
-    # condition holds against the final centers
-    assign = _assign_with_repair(x, centers)
-    sse = float(((x - centers[assign]) ** 2).sum())
-    history.append(sse)
-    return centers, assign, sse, _MAX_ITER, history
 
 
 def _distinct_count(x: np.ndarray) -> int:
@@ -130,16 +110,14 @@ def kmeans(vectors: np.ndarray, k: int, seed: int,
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
     `warm_start` optionally adds one extra restart from the given centers
-    (used by sse_curve to keep the curve monotone).
+    (used by sse_curve to keep the curve monotone). A k above the number of
+    distinct points is a UsageError, raised by the k-means++ seeding.
     """
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise UsageError(f"kmeans needs an (n, dim) matrix, got {x.shape}")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    if k > _distinct_count(x):
-        raise UsageError(f"k={k} exceeds the number of distinct points "
-                         f"({_distinct_count(x)})")
     rng = SeededRng(seed).derive("kmeans", k)
     seedings = [_kmeanspp_seed(x, k, rng.derive("restart", r)) for r in range(_RESTARTS)]
     if warm_start is not None:
@@ -153,19 +131,12 @@ def kmeans(vectors: np.ndarray, k: int, seed: int,
     return best
 
 
-def _worst_fit_center(x: np.ndarray, result: KMeansResult) -> np.ndarray:
-    d2 = ((x - result.centers[result.assignments]) ** 2).sum(axis=1)
-    return x[int(d2.argmax())]
+def sse_curve(vectors: np.ndarray, k_max: int, seed: int) -> list[KMeansResult]:
+    """The best clustering for each k = 1..k_max, the one for k at index k - 1.
 
-
-def sse_curve(vectors: np.ndarray, k_max: int,
-              seed: int) -> tuple[SseCurve, list[KMeansResult]]:
-    """SSE of the best clustering for each k = 1..k_max, and those
-    clusterings (the one for k at index k - 1).
-
-    Each k >= 2 also tries a warm start built from the previous k's solution
-    plus one center at its worst-fit point, which guarantees the curve never
-    increases.
+    Each k >= 2 also tries a warm start: the previous k's centers plus one at
+    its worst-fit point (the one farthest from its own center), which
+    guarantees that SSE never increases with k.
     """
     x = np.asarray(vectors, dtype=np.float64)
     distinct = _distinct_count(x)
@@ -178,43 +149,44 @@ def sse_curve(vectors: np.ndarray, k_max: int,
         warm = None
         if results:
             prev = results[-1]
-            warm = np.vstack([prev.centers, _worst_fit_center(x, prev)])
+            d2 = ((x - prev.centers[prev.assignments]) ** 2).sum(axis=1)
+            warm = np.vstack([prev.centers, x[int(d2.argmax())]])
         results.append(kmeans(x, k, seed, warm_start=warm))
-    return SseCurve(points=[(r.k, r.sse) for r in results]), results
+    return results
 
 
-def elbow_select(curve: SseCurve) -> int:
-    """Knee of the curve: max vertical gap to the endpoint chord after
-    min-max normalizing both axes. Ties and degenerate (flat or linear)
-    curves resolve toward the smallest k."""
-    if len(curve.points) < 3:
-        raise UsageError(f"elbow needs >= 3 curve points, got {len(curve.points)}")
-    ks = np.asarray(curve.ks(), dtype=np.float64)
-    sses = np.asarray(curve.sses(), dtype=np.float64)
-    k_range = ks[-1] - ks[0]
+def elbow_select(sses: list[float]) -> int:
+    """Knee of the SSE curve for k = 1, 2, ..., len(sses): max vertical gap
+    to the endpoint chord after min-max normalizing both axes. Ties and
+    degenerate (flat or linear) curves resolve toward the smallest k."""
+    if len(sses) < 3:
+        raise UsageError(f"elbow needs >= 3 curve points, got {len(sses)}")
+    sses = np.asarray(sses, dtype=np.float64)
     s_range = sses[0] - sses[-1]
     if s_range <= 0.0:
-        return int(ks[0])
-    xn = (ks - ks[0]) / k_range
+        return 1
+    xn = np.arange(len(sses)) / (len(sses) - 1)
     yn = (sses - sses[-1]) / s_range
     chord = 1.0 - xn  # normalized chord from (0, 1) to (1, 0)
     gaps = chord - yn
-    best = int(ks[0])
+    best = 1
     best_gap = 0.0
     for i in range(len(gaps)):
         if gaps[i] > best_gap + 1e-12:
             best_gap = gaps[i]
-            best = int(ks[i])
+            best = i + 1
     if best_gap <= 1e-9:  # numerically linear curve: no knee
-        return int(ks[0])
+        return 1
     return best
 
 
 @dataclass
 class CorpusInit:
+    """The expert count picked for a corpus; `curve` holds the SSEs for
+    k = 1, 2, ... when the elbow picked it, else None."""
     n_components: int
     assignments: dict[str, int]       # doc id -> cluster
-    curve: SseCurve | None            # None unless the elbow picked the count
+    curve: list[float] | None
 
 
 def init_hydra_from_corpus(docs, k_max: int, seed: int,
@@ -238,7 +210,8 @@ def init_hydra_from_corpus(docs, k_max: int, seed: int,
         n = 1
         res = kmeans(x, 1, seed)
     else:
-        curve, results = sse_curve(x, min(k_max, distinct), seed)
+        results = sse_curve(x, min(k_max, distinct), seed)
+        curve = [r.sse for r in results]
         n = elbow_select(curve)
         res = results[n - 1]
     return CorpusInit(n_components=n,

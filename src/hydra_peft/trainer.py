@@ -378,8 +378,9 @@ def build_from_config(cfg: TrainConfig):
             if want == "int" and v < low:
                 raise UsageError(f"synthetic dataset {kind!r}: {name} must be >= {low}, got {v!r}")
         data = makers[kind](*call.args, **call.kwargs)
-        classes = sorted(set(int(v) for v in data.train_labels))
-        model = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, len(classes),
+        # a few train rows may miss a class that eval rows have
+        n_classes = 1 + int(max(data.train_labels.max(), data.eval_labels.max()))
+        model = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, n_classes,
                                seed=SeededRng(cfg.seed).derive("model").seed,
                                hidden=cfg.hidden)
 
@@ -656,14 +657,16 @@ def _restrict_to_task(data: Dataset, task: int) -> Dataset:
 
 # -- harness: full fine-tuning vs adapter across mixing levels ---------------
 
-# het rows read only each arm's final eval, so train records no earlier one
+# het rows read only each arm's final eval, so train records no earlier one;
+# both arms start from the untrained base
 HET = TrainConfig(scheme="lora", rank=6, steps=800, learning_rate=0.01, optimizer="adam",
-                  batch_size=24, eval_interval=800)
+                  batch_size=24, eval_interval=800, pretrain_steps=0)
 
 
 def run_heterogeneity(seed: int, cfg: TrainConfig = HET,
                       levels: tuple[int, ...] = (1, 2, 4)) -> dict:
-    """FFT vs rank-limited adapter per mixing level, both arms from cfg.
+    """FFT vs rank-limited adapter per mixing level, both arms from cfg and
+    from one base, pretrained for cfg.pretrain_steps on that level's data.
 
     Each row carries metric = -eval loss for both arms (higher is better)
     and gap = fft_metric - peft_metric; accuracies ride along. Full fine-
@@ -681,6 +684,7 @@ def run_heterogeneity(seed: int, cfg: TrainConfig = HET,
 
         fft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed,
                              hidden=cfg.hidden)
+        pretrain_base(fft, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
         peft = tm.clone_model(fft)
         fft_cfg = replace(cfg, scheme="full", seed=SeededRng(seed).derive("fft", level).seed)
         fft_rep = train(fft, data, fft_cfg)

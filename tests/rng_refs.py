@@ -42,19 +42,15 @@ def synth_corpus_ref(n_components, docs_per_component, disjointness, seed, doc_l
 
 
 def kmeanspp_seed_ref(x: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
-    """k-means++ with one draw per center: an index for the first center and
-    whenever every point sits on a center, else a d2-weighted target."""
+    """k-means++ with one draw per center: an index for the first center,
+    then a d2-weighted target. x needs at least k distinct points."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(1, n)[0])]
     d2 = ((x - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(1, n)[0])
-        else:
-            target = float(rng.uniform(1)[0]) * total
-            idx = min(int(np.searchsorted(np.cumsum(d2), target, side="right")), n - 1)
+        target = float(rng.uniform(1)[0]) * d2.sum()
+        idx = min(int(np.searchsorted(np.cumsum(d2), target, side="right")), n - 1)
         centers[j] = x[idx]
         d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
     return centers

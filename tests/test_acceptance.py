@@ -151,8 +151,8 @@ def test_criterion_5_clustering_pipeline():
             docs = cp.synth_corpus(3, 50, 0.8, seed=seed)
             model = cp.tfidf_fit(docs)
             x = cp.tfidf_matrix(model, docs)
-            curve, results = cl.sse_curve(x, 8, seed)
-            hits += cl.elbow_select(curve) == 3
+            results = cl.sse_curve(x, 8, seed)
+            hits += cl.elbow_select([r.sse for r in results]) == 3
             for res in results:
                 h = res.sse_history
                 assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from hydra_peft import adapters as ad
+from hydra_peft import cli
 from hydra_peft import corpus as cp
+from hydra_peft import trainer as tr
 from hydra_peft.cli import main
 from hydra_peft.linalg import SeededRng
 
@@ -136,6 +138,43 @@ def test_failed_train_leaves_no_out_dir(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
     assert "missing.jsonl" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_unusable_train_out_fails_before_building(tmp_path, corpus_file, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(tr, "build_from_config", built.append)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_train_cfg(corpus_file)))
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out in (afile, afile / "sub"):
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"{afile} is not a directory" in capsys.readouterr().err
+    assert built == []
+    assert afile.read_text() == "x"
+
+
+def test_unusable_bench_out_fails_before_any_seed(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli._SUITES, "obs2", ran.append)
+    for out in (tmp_path / "nodir" / "x.json", tmp_path):
+        assert main(["bench", "--suite", "obs2", "--seeds", "2", "--out", str(out)]) == 2
+        assert "must be a file in an existing directory" in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("train_per_task", [1, 2, 3])
+def test_synthetic_config_with_few_train_rows_trains_and_evals(tmp_path, capsys,
+                                                                train_per_task):
+    # a few train rows miss classes that the eval rows have
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"steps": 4, "dataset": {
+        "synthetic": "interference", "train_per_task": train_per_task, "eval_per_task": 16}}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["eval", "--config", str(cfg_path),
+                 "--checkpoint", str(out / "checkpoint.txt")]) == 0
 
 
 def test_train_rejects_zero_steps(tmp_path, corpus_file, capsys):
@@ -511,6 +550,14 @@ MALFORMED = [
     ("checkpoint: hydra experts with other B rows",
      _hydra_checkpoint("b_rows", experts=[np.zeros((4, 2)), np.zeros((5, 2))]), 2,
      "tensor adapter.B1 has shape (5, 2), but adapter.B0 has 4 rows"),
+    # a zero-size tensor's data line is empty, last in the file (Wg) or not
+    ("checkpoint: Wg with no columns",
+     _hydra_checkpoint("wg_empty", experts=[], w_gate=np.zeros((2, 0))), 2,
+     "tensor adapter.Wg has zero size (2x0)"),
+    ("checkpoint: B with no rows", _hydra_checkpoint("b_empty", experts=[np.zeros((0, 2))] * 2),
+     2, "tensor adapter.B0 has zero size (0x2)"),
+    ("checkpoint: A with no columns", _hydra_checkpoint("a_empty", a_shared=np.zeros((2, 0))), 2,
+     "tensor adapter.A has zero size (2x0)"),
     ("merge-infer: unparseable input", _merge_input("input.json", "[1, 2,"), 2, "input.json"),
     ("merge-infer: NaN input", _merge_input("nan.json", "[NaN" + ", 1" * 11 + "]"), 2,
      "nan.json: input vector has non-finite entries"),

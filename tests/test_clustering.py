@@ -1,4 +1,9 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +51,26 @@ def test_planted_blobs_recovered():
 
 def test_k_exceeding_distinct_points_rejected():
     x = np.array([[1.0, 2.0]] * 5 + [[3.0, 4.0]] * 5)
-    with pytest.raises(UsageError):
+    message = "k=3 exceeds the number of distinct points (2)"
+    with pytest.raises(UsageError, match=re.escape(message)):
         cl.kmeans(x, 3, seed=0)
     assert cl.kmeans(x, 2, seed=0).sse == 0.0
+
+
+def test_points_whose_distance_underflows_are_rejected_at_once():
+    # np.unique sees two points, but their squared distance is 0.0; in a
+    # subprocess, so that a hang fails the test instead of stalling the suite
+    code = ("import numpy as np\n"
+            "from hydra_peft import clustering as cl\n"
+            "from hydra_peft.errors import UsageError\n"
+            "try:\n"
+            "    cl.kmeans(np.array([[0.0], [1e-200]]), 2, seed=0)\n"
+            "except UsageError as e:\n"
+            "    print(e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.stdout == "k=2 exceeds the number of distinct points (1)\n", proc.stderr
 
 
 def test_identical_points_sse_zero():
@@ -76,10 +98,10 @@ def test_lloyd_iterations_never_increase_sse():
 def test_sse_curve_monotone():
     rng = SeededRng(23)
     x = rng.normal(50 * 3).reshape(50, 3)
-    curve, results = cl.sse_curve(x, 8, seed=2)
-    sses = curve.sses()
+    results = cl.sse_curve(x, 8, seed=2)
+    sses = [r.sse for r in results]
     assert all(sses[i + 1] <= sses[i] + 1e-9 for i in range(len(sses) - 1))
-    assert [(r.k, r.sse) for r in results] == curve.points
+    assert [r.k for r in results] == list(range(1, 9))
 
 
 def test_sse_curve_validates_k_max():
@@ -91,32 +113,27 @@ def test_sse_curve_validates_k_max():
 
 
 def test_elbow_hand_curve():
-    curve = cl.SseCurve(points=[(1, 100.0), (2, 40.0), (3, 12.0), (4, 10.0),
-                                (5, 9.0), (6, 8.5)])
-    assert cl.elbow_select(curve) == 3
+    assert cl.elbow_select([100.0, 40.0, 12.0, 10.0, 9.0, 8.5]) == 3
 
 
 def test_elbow_linear_curve_degenerates_to_one():
-    curve = cl.SseCurve(points=[(k, 100.0 - 10.0 * k) for k in range(1, 7)])
-    assert cl.elbow_select(curve) == 1
+    assert cl.elbow_select([100.0 - 10.0 * k for k in range(1, 7)]) == 1
 
 
 def test_elbow_flat_curve_degenerates_to_one():
-    curve = cl.SseCurve(points=[(k, 5.0) for k in range(1, 5)])
-    assert cl.elbow_select(curve) == 1
+    assert cl.elbow_select([5.0] * 4) == 1
 
 
 def test_elbow_scale_invariant():
-    pts = [(1, 100.0), (2, 40.0), (3, 12.0), (4, 10.0), (5, 9.0), (6, 8.5)]
-    base = cl.elbow_select(cl.SseCurve(points=pts))
+    sses = [100.0, 40.0, 12.0, 10.0, 9.0, 8.5]
+    base = cl.elbow_select(sses)
     for c in (1e-6, 3.0, 1e9):
-        scaled = cl.SseCurve(points=[(k, c * s) for k, s in pts])
-        assert cl.elbow_select(scaled) == base
+        assert cl.elbow_select([c * s for s in sses]) == base
 
 
 def test_elbow_needs_three_points():
     with pytest.raises(UsageError):
-        cl.elbow_select(cl.SseCurve(points=[(1, 5.0), (2, 1.0)]))
+        cl.elbow_select([5.0, 1.0])
 
 
 def test_planted_corpus_pipeline_selects_three():
@@ -124,8 +141,17 @@ def test_planted_corpus_pipeline_selects_three():
     init = cl.init_hydra_from_corpus(docs, k_max=8, seed=11)
     assert init.n_components == 3
     assert set(init.assignments) == {d.id for d in docs}
-    sses = init.curve.sses()
+    sses = init.curve
     assert all(sses[i + 1] <= sses[i] + 1e-9 for i in range(len(sses) - 1))
+
+
+def test_corpus_init_counts_distinct_points_at_most_twice(monkeypatch):
+    calls = []
+    count = cl._distinct_count
+    monkeypatch.setattr(cl, "_distinct_count", lambda x: calls.append(x) or count(x))
+    init = cl.init_hydra_from_corpus(cp.synth_corpus(4, 20, 0.8, seed=2), k_max=8, seed=2)
+    assert len(calls) <= 2
+    assert len(init.curve) == 8
 
 
 def test_override_wins_over_curve():

@@ -7,6 +7,7 @@ rounded float operations, so they hold on any machine.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hydra_peft import cli
 from hydra_peft import clustering as cl
 from hydra_peft import corpus as cp
 from hydra_peft import linalg
+from hydra_peft.errors import UsageError
 from hydra_peft.linalg import SeededRng
 from rng_refs import kmeanspp_seed_ref, shuffle_ref, synth_corpus_ref
 
@@ -112,18 +114,25 @@ def test_synth_corpus_block_matches_per_draw_loop(seed, monkeypatch):
 
 
 def _kmeanspp_cases(seed):
+    """(points, distinct point count, k values up to and past that count)"""
     x = SeededRng(seed).derive("points").normal(24).reshape(8, 3)
     x[4:] = x[0]  # repeated points: later draws can land on chosen centers
-    yield x, (1, 2, 5)
-    yield np.zeros((1, 2)), (1, 3)                        # n = 1: every draw is an index
-    yield np.array([[0.0, 0.0], [1.0, 1.0]] * 3), (1, 4)  # total d2 = 0 after two centers
+    yield x, 4, (1, 2, 4, 5)
+    yield np.zeros((1, 2)), 1, (1, 3)                        # n = 1: one center only
+    yield np.array([[0.0, 0.0], [1.0, 1.0]] * 3), 2, (1, 2, 4)  # total d2 = 0 after two centers
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kmeanspp_block_matches_per_draw_loop(seed):
-    for x, ks in _kmeanspp_cases(seed):
+    for x, distinct, ks in _kmeanspp_cases(seed):
         for k in ks:
             lib, ref = SeededRng(seed).derive("pp", k), SeededRng(seed).derive("pp", k)
+            if k > distinct:
+                message = f"k={k} exceeds the number of distinct points ({distinct})"
+                with pytest.raises(UsageError, match=re.escape(message)):
+                    cl._kmeanspp_seed(x, k, lib)
+                assert lib._counter == k
+                continue
             got, want = cl._kmeanspp_seed(x, k, lib), kmeanspp_seed_ref(x, k, ref)
             assert got.tobytes() == want.tobytes()
             assert lib._counter == ref._counter == k

@@ -338,6 +338,24 @@ def test_harnesses_reject_an_invalid_config_as_usage(suite, change, match):
         harness(0, cfg=replace(cfg, **change))
 
 
+def test_heterogeneity_pretrains_each_levels_shared_base_once(monkeypatch):
+    cfg = replace(tr.HET, steps=3, eval_interval=3, pretrain_steps=2)
+    calls = []
+    train = tr.train
+
+    def spy(model, data, cfg):
+        calls.append((model, cfg.scheme, cfg.steps, model.weights["v_proj"].copy()))
+        return train(model, data, cfg)
+
+    monkeypatch.setattr(tr, "train", spy)
+    tr.run_heterogeneity(0, cfg=cfg, levels=(1, 2))
+    assert [c[1:3] for c in calls] == [("full", 2), ("full", 3), ("lora", 3)] * 2
+    for pretrain, fft, peft in zip(calls[0::3], calls[1::3], calls[2::3]):
+        assert fft[0] is pretrain[0]
+        assert not np.array_equal(fft[3], pretrain[3])  # pretraining moved the base
+        assert np.array_equal(peft[3], fft[3])  # and the adapter arm starts from it
+
+
 def test_observation1_smoke():
     cfg = tr.TrainConfig(scheme="lora", rank=8, steps=60, learning_rate=0.2,
                          batch_size=8, pretrain_steps=20, pretrain_lr=0.1)
