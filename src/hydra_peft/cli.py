@@ -1,6 +1,7 @@
 """Command-line surface for the whole pipeline.
 
-Subcommands: cluster, train, eval, params, merge-infer, analyze, bench.
+Subcommands: cluster, train, eval, params, merge-infer, analyze, bench (which
+runs one of the suites in experiments.SUITES).
 Machine-readable results go to stdout; progress/diagnostics to stderr.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
@@ -27,6 +28,7 @@ from . import adapters as ad_mod
 from . import analysis
 from . import clustering
 from . import corpus as corpus_mod
+from . import experiments
 from . import trainer
 from .autodiff import Tape
 from .errors import (CheckpointError, ContractError, InvariantError, ParseError,
@@ -49,10 +51,16 @@ def _note(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+def _check_out_file(path) -> None:
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise NotADirectoryError(f"--out {path} must be a file in an existing directory")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_cluster(args) -> int:
+    _check_out_file(args.out)
     docs = corpus_mod.load_jsonl(args.corpus)
     init = clustering.init_hydra_from_corpus(docs, k_max=args.k_max, seed=args.seed,
                                              override=args.k)
@@ -188,14 +196,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# -- bench suites ------------------------------------------------------------
-
-
-# one seed's row, with its "win" flag, per suite
-_SUITES = {"obs1": trainer.run_observation1, "obs2": trainer.run_observation2,
-           "het": trainer.run_heterogeneity}
-
-
 def cmd_bench(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
@@ -204,9 +204,9 @@ def cmd_bench(args) -> int:
     if not raw.isdecimal() or int(raw) < 1:
         raise UsageError(f"HYDRA_PEFT_THREADS must be an integer >= 1, got {raw!r}")
     workers = int(raw)
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        raise NotADirectoryError(f"--out {args.out} must be a file in an existing directory")
-    run = _SUITES[args.suite]
+    if args.out:
+        _check_out_file(args.out)
+    run = experiments.SUITES[args.suite]
     if workers > 1 and len(seeds) > 1:
         with multiprocessing.Pool(min(workers, len(seeds))) as pool:
             # one seed per task: map's default chunks of two give one of two
@@ -276,7 +276,7 @@ def build_parser() -> _Parser:
     a.set_defaults(func=cmd_analyze)
 
     b = sub.add_parser("bench", help="run a statistical suite over seeds")
-    b.add_argument("--suite", required=True, choices=tuple(_SUITES))
+    b.add_argument("--suite", required=True, choices=tuple(experiments.SUITES))
     b.add_argument("--seeds", type=int, default=10)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bench)

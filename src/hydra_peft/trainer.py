@@ -1,26 +1,10 @@
-"""Fine-tuning loop plus the three statistical experiment harnesses.
+"""Fine-tuning loop, its config, the synthetic task fixtures, checkpoint glue.
 
 Training freezes all base weights and updates adapter parameters (and,
 configurably, the classifier head; the "full" scheme updates everything and
 serves as the full-fine-tuning baseline). Every run is deterministic given
 its config seed: batch order, adapter init, and data synthesis all flow from
 that one seed.
-
-The harnesses replicate, at desk scale, three findings that `bench` counts
-as seed-majority statistics. Each runs one seed under the protocol config
-that sits beside it (OBS1, OBS2, HET), builds every arm from that one config,
-and returns that seed's row, with its own "win" flag:
-
-* run_observation1 -- one lora per task, each trained and evaluated on its
-  own task, vs one lora trained on the pooled tasks, on a corpus whose tasks
-  conflict (same inputs, different label rules); the per-task loras split
-  the pooled one's rank and steps, so both arms have the same budget.
-* run_observation2 -- one adapter trained per task from a shared frozen
-  base and shared init; measures how far the down-projections (A) drift
-  apart versus the up-projections (B), scale-normalized.
-* run_heterogeneity -- full fine-tuning vs a rank-limited adapter across
-  corpora mixing 1..L planted components; emits the performance gap per
-  mixing level.
 """
 
 from __future__ import annotations
@@ -28,12 +12,11 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adapters as ad_mod
-from .analysis import group_divergence
 from . import corpus as corpus_mod
 from . import toy_model as tm
 from .errors import InvariantError, TrainingAborted, UsageError
@@ -48,7 +31,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _EVAL_FRACTION = 0.25   # share of a corpus's documents held out for eval
-_HARNESS_CLASSES = 4    # label count of every harness fixture
 # rejection draws xor_component_data may spend per kept row; the default
 # margin keeps about 1 draw in 3, margin 2 about 1 in 250, margin 4 1 in 25,000
 _XOR_DRAWS_PER_ROW = 1000
@@ -548,159 +530,3 @@ def pretrain_base(model: ToyModel, data: Dataset, steps: int, lr: float, seed: i
     cfg = TrainConfig(scheme="full", steps=steps, learning_rate=lr, seed=seed,
                       batch_size=32, eval_interval=max(steps, 1))
     train(model, data, cfg)
-
-
-# -- harness: one small adapter per task vs one pooled adapter --------------
-
-
-def _check_harness_cfg(cfg: TrainConfig) -> None:
-    """cfg must be valid and name lora, the adapter every harness attaches."""
-    cfg.validate()
-    if cfg.scheme != "lora":
-        raise UsageError(f"the harnesses train lora adapters; cfg.scheme must be 'lora', "
-                         f"got {cfg.scheme!r}")
-
-
-OBS1 = TrainConfig(scheme="lora", rank=8, steps=240, learning_rate=0.2, batch_size=16,
-                   pretrain_steps=60, pretrain_lr=0.1)
-
-
-def run_observation1(seed: int, n_tasks: int = 2, cfg: TrainConfig = OBS1,
-                     identical_tasks: bool = False) -> dict:
-    """One adapter under cfg trained on the pooled tasks vs one lora per
-    task, trained and evaluated on that task alone, on the n_tasks-task
-    conflict fixture. Each head is cfg with rank, steps and alpha divided by
-    n_tasks, so both arms share the base, the update scale, every other
-    setting, the trainable-parameter count and the step total. The heads
-    win when their mean eval loss, weighted by eval rows, is the lower."""
-    _check_harness_cfg(cfg)
-    if n_tasks < 2:
-        raise UsageError(f"need >= 2 tasks, got {n_tasks}")
-    if cfg.rank % n_tasks or cfg.steps % n_tasks:
-        raise UsageError(f"cfg.rank ({cfg.rank}) and cfg.steps ({cfg.steps}) must "
-                         f"split evenly among {n_tasks} tasks")
-    data = interference_data(seed, n_tasks=n_tasks, classes=_HARNESS_CLASSES,
-                             identical_tasks=identical_tasks)
-    base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
-                          seed=SeededRng(seed).derive("base").seed, hidden=cfg.hidden)
-    pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
-
-    single = tm.clone_model(base)
-    tm.attach(single, "v_proj", "lora", cfg.rank,
-              seed=SeededRng(seed).derive("attach-single").seed, alpha=cfg.alpha)
-    loss_single = train(single, data, replace(cfg, seed=seed, train_head=False)).final_loss
-
-    head_cfg = replace(cfg, rank=cfg.rank // n_tasks, steps=cfg.steps // n_tasks,
-                       alpha=None if cfg.alpha is None else cfg.alpha / n_tasks,
-                       train_head=False)
-    losses, weights = [], []
-    for t in range(n_tasks):
-        head = tm.clone_model(base)
-        tm.attach(head, "v_proj", "lora", head_cfg.rank,
-                  seed=SeededRng(seed).derive("attach-split", t).seed, alpha=head_cfg.alpha)
-        task_data = _restrict_to_task(data, t)
-        run_cfg = replace(head_cfg, seed=SeededRng(seed).derive("split-run", t).seed)
-        losses.append(train(head, task_data, run_cfg).final_loss)
-        weights.append(len(task_data.eval_inputs))
-    loss_split = float(np.average(losses, weights=weights))
-    return {"seed": seed, "loss_single": loss_single, "loss_split": loss_split,
-            "win": bool(loss_split < loss_single)}
-
-
-# -- harness: drift of A vs B across per-task adapters -----------------------
-
-OBS2 = TrainConfig(scheme="lora", rank=4, steps=250, learning_rate=0.15, batch_size=16)
-
-
-def run_observation2(seed: int, n_tasks: int = 3, cfg: TrainConfig = OBS2,
-                     identical_tasks: bool = False) -> dict:
-    """Train one plain adapter per task from a shared base and a shared A
-    init; report how much further apart the B matrices end up than the A
-    matrices (distances scale-normalized per group). B wins when it drifted
-    further: ratio = D_B / D_A > 1.
-
-    identical_tasks=True is the control: every "task" trains on task 0's
-    data (only batch order differs), so both divergences should be small.
-    """
-    _check_harness_cfg(cfg)
-    if n_tasks < 2:
-        raise UsageError(f"need >= 2 tasks, got {n_tasks}")
-    data = component_data(seed, level=n_tasks, max_levels=n_tasks,
-                          block=6, shared=4, classes=_HARNESS_CLASSES)
-    base = tm.dense_model(data.train_inputs.shape[1], cfg.d_model, _HARNESS_CLASSES,
-                          seed=SeededRng(seed).derive("base").seed, hidden=cfg.hidden)
-    pretrain_base(base, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
-    a_mats, b_mats = [], []
-    for t in range(n_tasks):
-        model = tm.clone_model(base)
-        # one shared init seed: every task's A starts identical
-        tm.attach(model, "v_proj", "lora", cfg.rank,
-                  seed=SeededRng(seed).derive("attach-shared").seed, alpha=cfg.alpha)
-        task_data = _restrict_to_task(data, 0 if identical_tasks else t)
-        train(model, task_data, replace(cfg, seed=SeededRng(seed).derive("run", t).seed,
-                                        train_head=False))
-        head = model.adapters["v_proj"]
-        a_mats.append(head.a.copy())
-        b_mats.append(head.b.copy())
-    d_a = group_divergence(a_mats)
-    d_b = group_divergence(b_mats)
-    ratio = d_b / max(d_a, 1e-12)
-    return {"seed": seed, "d_a": d_a, "d_b": d_b, "ratio": ratio, "win": bool(ratio > 1.0)}
-
-
-def _restrict_to_task(data: Dataset, task: int) -> Dataset:
-    tr = data.train_tasks == task
-    ev = data.eval_tasks == task
-    return Dataset(train_inputs=data.train_inputs[tr], train_labels=data.train_labels[tr],
-                   eval_inputs=data.eval_inputs[ev], eval_labels=data.eval_labels[ev])
-
-
-# -- harness: full fine-tuning vs adapter across mixing levels ---------------
-
-# het rows read only each arm's final eval, so train records no earlier one;
-# both arms start from the untrained base
-HET = TrainConfig(scheme="lora", rank=6, steps=800, learning_rate=0.01, optimizer="adam",
-                  batch_size=24, eval_interval=800, pretrain_steps=0)
-
-
-def run_heterogeneity(seed: int, cfg: TrainConfig = HET,
-                      levels: tuple[int, ...] = (1, 2, 4)) -> dict:
-    """FFT vs rank-limited adapter per mixing level, both arms from cfg and
-    from one base, pretrained for cfg.pretrain_steps on that level's data.
-
-    Each row carries metric = -eval loss for both arms (higher is better)
-    and gap = fft_metric - peft_metric; accuracies ride along. Full fine-
-    tuning wins when its gap at the most mixed level exceeds the gap at the
-    least mixed one.
-    """
-    _check_harness_cfg(cfg)
-    if sorted(levels) != list(levels):
-        raise UsageError("levels must be ordered ascending")
-    rows = []
-    base_seed = SeededRng(seed).derive("het-base").seed
-    for level in levels:
-        data = xor_component_data(seed, level=level, max_levels=max(levels))
-        feat = data.train_inputs.shape[1]
-
-        fft = tm.dense_model(feat, cfg.d_model, _HARNESS_CLASSES, seed=base_seed,
-                             hidden=cfg.hidden)
-        pretrain_base(fft, data, steps=cfg.pretrain_steps, lr=cfg.pretrain_lr, seed=seed)
-        peft = tm.clone_model(fft)
-        fft_cfg = replace(cfg, scheme="full", seed=SeededRng(seed).derive("fft", level).seed)
-        fft_rep = train(fft, data, fft_cfg)
-
-        tm.attach(peft, "v_proj", "lora", cfg.rank,
-                  seed=SeededRng(seed).derive("attach", level).seed, alpha=cfg.alpha)
-        peft_cfg = replace(cfg, scheme="lora", seed=SeededRng(seed).derive("peft", level).seed)
-        peft_rep = train(peft, data, peft_cfg)
-
-        fft_metric = -fft_rep.final_loss
-        peft_metric = -peft_rep.final_loss
-        rows.append({
-            "level": level,
-            "fft_metric": fft_metric, "peft_metric": peft_metric,
-            "gap": fft_metric - peft_metric,
-            "fft_loss": fft_rep.final_loss, "peft_loss": peft_rep.final_loss,
-            "fft_acc": fft_rep.final_acc, "peft_acc": peft_rep.final_acc,
-        })
-    return {"seed": seed, "rows": rows, "win": bool(rows[-1]["gap"] > rows[0]["gap"])}

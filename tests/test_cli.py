@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from hydra_peft import adapters as ad
-from hydra_peft import cli
+from hydra_peft import clustering
 from hydra_peft import corpus as cp
+from hydra_peft import experiments
 from hydra_peft import trainer as tr
 from hydra_peft.cli import main
 from hydra_peft.linalg import SeededRng
@@ -154,12 +155,16 @@ def test_unusable_train_out_fails_before_building(tmp_path, corpus_file, capsys,
     assert afile.read_text() == "x"
 
 
-def test_unusable_bench_out_fails_before_any_seed(tmp_path, capsys, monkeypatch):
+def test_unusable_bench_out_fails_before_any_seed(tmp_path, corpus_file, capsys, monkeypatch):
+    # and cluster's --out, before any clustering
     ran = []
-    monkeypatch.setitem(cli._SUITES, "obs2", ran.append)
-    for out in (tmp_path / "nodir" / "x.json", tmp_path):
-        assert main(["bench", "--suite", "obs2", "--seeds", "2", "--out", str(out)]) == 2
-        assert "must be a file in an existing directory" in capsys.readouterr().err
+    monkeypatch.setitem(experiments.SUITES, "obs2", ran.append)
+    monkeypatch.setattr(clustering, "init_hydra_from_corpus", lambda *a, **kw: ran.append(a))
+    for command in (["bench", "--suite", "obs2", "--seeds", "2"],
+                    ["cluster", "--corpus", str(corpus_file)]):
+        for out in (tmp_path / "nodir" / "x.json", tmp_path):
+            assert main([*command, "--out", str(out)]) == 2
+            assert "must be a file in an existing directory" in capsys.readouterr().err
     assert ran == []
     assert not (tmp_path / "nodir").exists()
 

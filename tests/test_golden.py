@@ -1,8 +1,8 @@
 """Golden byte test: SHA-256 of the pipeline's deterministic outputs.
 
-The hashes pin the exact bytes that `cluster`, `train` and `bench --suite
-obs1` write, so a change that moves them by accident fails Tier-1. A change
-that moves them on purpose records the new hashes here and says so.
+The hashes pin the exact bytes that `cluster`, `train` and `bench` (every
+suite, one seed) write, so a change that moves them by accident fails Tier-1.
+A change that moves them on purpose records the new hashes here and says so.
 
 The bytes go through numpy's transcendental functions (`exp`, `log`, `sin`,
 `cos`), whose results can differ by an ulp between CPU dispatch targets, so
@@ -60,6 +60,10 @@ GOLDEN = {
             "d40dbd512aa4cf07d34807b18db9664047664bd927943dddedb8de29bebb9bfd",
         "obs1.json":
             "a1533eb66e6eb0c91a73c35a71ba3bb4022139316aa257aee4bad657d2dda7c4",
+        "obs2.json":
+            "5dab15c03bdc729abc487e9cfd1b7d9ede585792ecf8c6622dfaf0e1762e2a3e",
+        "het.json":
+            "e4fa26dc774901d7c8e3c39be8ab377e546098bca814288cb00e792cbace0086",
     },
 }
 
@@ -141,8 +145,9 @@ def test_token_train_with_padded_and_unpadded_batches_bytes(golden, tmp_path, mo
     _check(golden, outputs)
 
 
-def test_bench_obs1_bytes(golden, tmp_path, monkeypatch):
+@pytest.mark.parametrize("suite", ["obs1", "obs2", "het"])
+def test_bench_bytes(golden, tmp_path, monkeypatch, suite):
     monkeypatch.setenv("HYDRA_PEFT_THREADS", "1")
-    out = tmp_path / "obs1.json"
-    _cli("bench", "--suite", "obs1", "--seeds", "1", "--out", str(out))
-    _check(golden, {"obs1.json": out.read_bytes()})
+    out = tmp_path / f"{suite}.json"
+    _cli("bench", "--suite", suite, "--seeds", "1", "--out", str(out))
+    _check(golden, {f"{suite}.json": out.read_bytes()})
