@@ -4,9 +4,9 @@ A Tape is a re-runnable straight-line program: building an op computes it
 immediately, `forward()` recomputes every node from the current leaf values
 (`forward(slot)` only those that depend on the leaf at `slot`), and
 `backward()` walks the node list in exact reverse. A float64 leaf aliases
-the array it was given, so trainer.train re-runs one tape per batch
-signature: parameter leaves see the optimizer's in-place updates and
-`set_value` writes each batch into its leaves. The op set is closed on
+the array it was given, so trainer.train re-runs one tape on every step:
+parameter leaves see the optimizer's in-place updates and `set_value`
+writes each batch into its leaves. The op set is closed on
 purpose, so every backward rule is hand-auditable: matmul (a b or a b^T, per
 row block if grouped; several equal b^T stacked into one product, so hydra's
 experts run as one node while each stays a leaf of its own), expert_mix (the

@@ -56,6 +56,13 @@ def _check_out_file(path) -> None:
         raise NotADirectoryError(f"--out {path} must be a file in an existing directory")
 
 
+def _check_out_dir(path) -> None:
+    """--out is made later, but its nearest existing path must be a directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {path}: {existing} is not a directory")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -83,11 +90,9 @@ def _config(path) -> trainer.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)  # made only once there is a run to write
     cfg = _config(args.config)
-    out_dir = Path(args.out)  # made only once there is a run to write, but checked first
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+    out_dir = Path(args.out)
     _note(f"training scheme={cfg.scheme} rank={cfg.rank} steps={cfg.steps} seed={cfg.seed}")
     model, data = trainer.build_from_config(cfg)
     report = trainer.train(model, data, cfg)
@@ -178,6 +183,7 @@ def cmd_merge_infer(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_out_dir(args.out)
     labels = [Path(path).stem for path in args.checkpoints]
     if len(set(labels)) < len(labels):  # run/checkpoint.txt vs run_b/checkpoint.txt
         labels = [str(Path(path).with_suffix("")) for path in args.checkpoints]

@@ -194,6 +194,10 @@ def init_hydra_from_corpus(docs, k_max: int, seed: int,
     """Pick the expert count for a corpus (elbow of the tf-idf SSE curve,
     unless a developer-specified override is given). Assignments are
     diagnostic only; routing is learned during training."""
+    if override is None and k_max < 3:
+        raise UsageError(f"k_max must be >= 3 for an elbow, got {k_max}")
+    if override is not None and override < 1:
+        raise UsageError(f"override must be >= 1, got {override}")
     if not docs:
         raise UsageError("corpus is empty")
     model = corpus_mod.tfidf_fit(docs)
@@ -201,8 +205,6 @@ def init_hydra_from_corpus(docs, k_max: int, seed: int,
     distinct = _distinct_count(x)
     curve = None
     if override is not None:
-        if override < 1:
-            raise UsageError(f"override must be >= 1, got {override}")
         n = override
         res = kmeans(x, min(n, distinct), seed)
     elif distinct < 3:

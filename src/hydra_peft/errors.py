@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, runtime/IO failures -> 2,
-InvariantError -> 3.
+cli.main's exit codes: UsageError -> 1; OSError, ParseError, CheckpointError,
+TrainingAborted, ShapeError, ContractError and MemoryError -> 2; InvariantError -> 3.
 """
 
 

@@ -16,7 +16,7 @@ Base weights are frozen; only adapters (plus, configurably, the classifier
 head, or everything for the full-fine-tuning baseline) ever receive updates.
 `param_refs` says which, for graphs, runs and checkpoints alike. Every graph
 ends in the cross-entropy of its logits against the batch's labels;
-`run_graph` replays one graph per batch signature.
+`replay` reruns a graph on another batch of the shape it was built for.
 """
 
 from __future__ import annotations
@@ -129,23 +129,19 @@ class ModelGraph:
     gate_slots: dict[str, int]
     feeds: dict[str, int]  # batch_leaves role -> the leaf it fills
 
-    @property
-    def kept_rows(self) -> np.ndarray | slice:
-        """Rows of the gate slots that are not padding, from the pool mask leaf."""
-        pool = self.feeds.get("pool")
-        return slice(None) if pool is None else self.tape.value(pool).reshape(-1) > 0
-
     def gate_means(self) -> dict[str, np.ndarray]:
-        """Mean router weights per expert, averaged over the kept rows."""
-        kept = self.kept_rows
+        """Mean router weights per expert, averaged over the rows that are not
+        padding (by the pool mask leaf; every row of a dense graph)."""
+        pool = self.feeds.get("pool")
+        kept = slice(None) if pool is None else self.tape.value(pool).reshape(-1) > 0
         return {proj: self.tape.value(s)[kept].mean(axis=0)
                 for proj, s in self.gate_slots.items()}
 
 
 def batch_leaves(model: ToyModel, batch: Batch) -> dict[str, np.ndarray]:
     """The checked values a batch puts into a graph's leaves, by role: "x" or
-    "tokens", "pool" and "pad" (token masks; "pad" only if there is padding),
-    and "labels". Built and replayed graphs both read batches here."""
+    "tokens", "pool" and "pad" (token masks; "pad" is all zeros where no row
+    is padded), and "labels". Built and replayed graphs both read batches here."""
     leaves: dict[str, np.ndarray] = {}
     if model.mode == "dense":
         leaves["x"] = np.asarray(batch.inputs, dtype=np.float64)
@@ -160,8 +156,8 @@ def batch_leaves(model: ToyModel, batch: Batch) -> dict[str, np.ndarray]:
             raise ContractError("a token sample is all padding")
         leaves["tokens"] = tokens.reshape(-1)
         leaves["pool"] = keep.astype(np.float64)
-        if not keep.all():  # without padding the graph adds no mask
-            leaves["pad"] = np.where(np.repeat(keep, tokens.shape[1], 0), 0, -np.inf)
+        # adding +0.0 at most turns a -0.0 score into +0.0, which softmax cannot tell apart
+        leaves["pad"] = np.where(np.repeat(keep, tokens.shape[1], 0), 0, -np.inf)
     else:
         raise UsageError(f"unknown model mode {model.mode!r}")
 
@@ -179,19 +175,14 @@ def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head")
     leaves = batch_leaves(model, batch)
     tape = Tape()
     feeds = {role: tape.input(value) for role, value in leaves.items()}
-    slots: dict[str, int] = {}
+    # both modes use every base weight
+    slots = {name: tape.input(w, name=f"base.{name}", trainable=f"base.{name}" in refs)
+             for name, w in model.weights.items()}
     gates: dict[str, int] = {}
-
-    def weight(name: str) -> int:
-        """The leaf of a base weight, registered once per tape on first use."""
-        if name not in slots:
-            slots[name] = tape.input(model.weights[name], name=f"base.{name}",
-                                     trainable=f"base.{name}" in refs)
-        return slots[name]
 
     def linear(x: int, name: str) -> int:
         """x W^T for a base weight, plus the update of an adapter attached there."""
-        out = tape.matmul(x, weight(name), transpose_b=True)
+        out = tape.matmul(x, slots[name], transpose_b=True)
         ad = model.adapters.get(name)
         if ad is None:
             return out
@@ -210,12 +201,10 @@ def build_graph(model: ToyModel, batch: Batch, trainable: str = "adapters+head")
         logits = linear(x3, "head")
     else:  # tokens: one graph over all B*T rows; attention and pooling act per sample
         n = len(batch.inputs)
-        x = tape.gather_rows(weight("embed"), feeds["tokens"])
+        x = tape.gather_rows(slots["embed"], feeds["tokens"])
         q, kk, v = (linear(x, name) for name in ("q_proj", "k_proj", "v_proj"))
-        scores = tape.scale(tape.matmul(q, kk, groups=n, transpose_b=True),
-                            1.0 / np.sqrt(model.d_model))
-        if "pad" in feeds:
-            scores = tape.add(scores, feeds["pad"])
+        scores = tape.add(tape.scale(tape.matmul(q, kk, groups=n, transpose_b=True),
+                                     1.0 / np.sqrt(model.d_model)), feeds["pad"])
         x2 = tape.add(x, linear(tape.matmul(tape.softmax_rows(scores), v, groups=n), "o_proj"))
         x3 = tape.add(x2, linear(tape.relu(linear(x2, "mlp_in")), "mlp_out"))
         logits = linear(tape.group_mean(x3, feeds["pool"]), "head")
@@ -245,17 +234,11 @@ def param_refs(model: ToyModel, trainable: str = "adapters+head") -> dict[str, n
     return refs
 
 
-def run_graph(graphs: dict, model: ToyModel, batch: Batch, trainable: str) -> ModelGraph:
-    """The batch's graph from the cache `graphs`, run forward: built on the
-    first use of its signature (input shape, leaf roles), then replayed for
-    later batches."""
+def replay(graph: ModelGraph, model: ToyModel, batch: Batch) -> None:
+    """Rerun a built graph on another batch of its shape; a rejected batch writes no leaf."""
     leaves = batch_leaves(model, batch)
-    key = (batch.inputs.shape, tuple(leaves))
-    graph = graphs.get(key)
-    if graph is None:
-        graph = graphs[key] = build_graph(model, batch, trainable)
-    else:
-        for role, slot in graph.feeds.items():
-            graph.tape.set_value(slot, leaves[role])
-        graph.tape.forward()
-    return graph
+    if any(leaves[role].shape != graph.tape.value(s).shape for role, s in graph.feeds.items()):
+        raise ShapeError(f"a batch of shape {batch.inputs.shape} does not fit this graph")
+    for role, slot in graph.feeds.items():
+        graph.tape.set_value(slot, leaves[role])
+    graph.tape.forward()

@@ -42,6 +42,16 @@ _INT_FIELDS = {"rank": 1, "experts": 1, "steps": 1, "batch_size": 1, "seed": Non
 _FLOAT_FIELDS = {"learning_rate": 0, "pretrain_lr": 0, "alpha": None}
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's dict; a key given twice is a UsageError, not the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise UsageError(f"repeated config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 @dataclass
 class TrainConfig:
     scheme: str = "lora"
@@ -87,13 +97,12 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise UsageError(f"config is not valid JSON: {e.msg}") from e
         if not isinstance(obj, dict):
             raise UsageError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         return cls(**obj).validate()
@@ -204,10 +213,6 @@ def _gate_row(gates: dict[str, np.ndarray]) -> list[float]:
     return [float(v) for v in stacked.mean(axis=0)]
 
 
-def _tokens_per_sample(model: ToyModel, data: Dataset) -> int:
-    return data.train_inputs.shape[1] if model.mode == "tokens" else 1
-
-
 def _adapter_flops(model: ToyModel, tokens_processed: int) -> int:
     """2 FLOPs per MAC, backward costed at twice forward, adapter branches only:
     one MAC per adapter parameter per token."""
@@ -223,7 +228,7 @@ def _trainable(cfg: TrainConfig) -> str:
 
 
 def train(model: ToyModel, data: Dataset, cfg: TrainConfig) -> TrainReport:
-    """Optimize the model's trainable parameters on the dataset."""
+    """Optimize the model's trainable parameters: one graph, built on step 1, then replayed."""
     trainable = _trainable(cfg)
     rng = SeededRng(cfg.seed).derive("train-loop")
     rows = []
@@ -237,14 +242,17 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig) -> TrainReport:
     refs = tm.param_refs(model, trainable)
     n_params = sum(a.size for a in refs.values())
     opt = _Optimizer(refs, cfg.learning_rate, cfg.optimizer)
-    graphs: dict[tuple, tm.ModelGraph] = {}
+    graph = None
     for step in range(1, cfg.steps + 1):
         batch = data.train_batch(rng.integers(cfg.batch_size, data.n_train()))
         try:
             # divergence shows up as non-finite values below; numpy's own
             # overflow warnings on the way there are just noise
             with np.errstate(all="ignore"):
-                graph = tm.run_graph(graphs, model, batch, trainable)
+                if graph is None:  # every batch has the first one's shape
+                    graph = tm.build_graph(model, batch, trainable)
+                else:
+                    tm.replay(graph, model, batch)
                 loss_val = float(graph.tape.value(graph.loss_slot))
                 if not np.isfinite(loss_val):
                     raise TrainingAborted(step, f"loss became {loss_val}")
@@ -256,10 +264,10 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig) -> TrainReport:
             record(step)
 
     final = rows[-1]
-    gate_usage = final["gates"] if final["gates"] else None
-    tokens = cfg.steps * cfg.batch_size * _tokens_per_sample(model, data)
+    tokens = cfg.steps * cfg.batch_size * (
+        data.train_inputs.shape[1] if model.mode == "tokens" else 1)
     return TrainReport(rows=rows, final_loss=final["loss"], final_acc=final["acc"],
-                       trainable_params=n_params, gate_usage=gate_usage,
+                       trainable_params=n_params, gate_usage=final["gates"] or None,
                        flop_tally=_adapter_flops(model, tokens), seed=cfg.seed)
 
 

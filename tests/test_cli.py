@@ -155,6 +155,35 @@ def test_unusable_train_out_fails_before_building(tmp_path, corpus_file, capsys,
     assert afile.read_text() == "x"
 
 
+def test_unusable_analyze_out_fails_before_reading(tmp_path, capsys, monkeypatch):
+    read = []
+    monkeypatch.setattr(ad, "read_checkpoint", read.append)
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out in (afile, afile / "sub"):
+        assert main(["analyze", "--checkpoints", str(tmp_path / "c.txt"), "--out", str(out)]) == 2
+        assert f"{afile} is not a directory" in capsys.readouterr().err
+    assert read == []
+    assert afile.read_text() == "x"
+
+
+def test_bad_cluster_flags_fail_before_tfidf(tmp_path, capsys, monkeypatch):
+    # a two-document corpus has too few distinct vectors for a curve, so
+    # --k-max 0 used to pass there and fail on larger corpora
+    path = tmp_path / "two.jsonl"
+    cp.save_jsonl(path, [cp.Document("a", "red fox"), cp.Document("b", "blue jay")])
+    fitted = []
+    monkeypatch.setattr(cp, "tfidf_fit", fitted.append)
+    for flags, message in ((["--k-max", "0"], "k_max must be >= 3 for an elbow, got 0"),
+                           (["--k-max", "2"], "k_max must be >= 3 for an elbow, got 2"),
+                           (["--k", "0"], "override must be >= 1, got 0")):
+        out = tmp_path / "o.json"
+        assert main(["cluster", "--corpus", str(path), *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert fitted == []
+
+
 def test_unusable_bench_out_fails_before_any_seed(tmp_path, corpus_file, capsys, monkeypatch):
     # and cluster's --out, before any clustering
     ran = []
@@ -475,6 +504,31 @@ def _with_meta(line, bad):
     return _edited_checkpoint("merge-infer", lambda t: t.replace(f"{line}\n", f"{bad}\n"))
 
 
+def _analyze_out(*under):
+    """analyze the fixture's checkpoint with --out a file, or a path under one"""
+    def make(root, cfg, ckpt):
+        (root / "afile").write_text("x")
+        return ["analyze", "--checkpoints", str(ckpt), "--out", str(root.joinpath("afile", *under))]
+    return make
+
+
+def _cluster(*flags):
+    """cluster the fixture's corpus with extra flags"""
+    def make(root, cfg, ckpt):
+        return ["cluster", "--corpus", cfg["dataset"]["corpus"], *flags,
+                "--out", str(root / "clusters.json")]
+    return make
+
+
+def _repeated_key(text):
+    """train on the fixture's config with text spliced in after its opening brace"""
+    def make(root, cfg, ckpt):
+        path = root / "repeated.json"
+        path.write_text("{" + text + ", " + json.dumps(cfg)[1:])
+        return ["train", "--config", str(path), "--out", str(root / "out_repeated")]
+    return make
+
+
 def _argv(*argv):
     return lambda root, cfg, ckpt: [str(ckpt) if a is None else a for a in argv]
 
@@ -591,6 +645,15 @@ MALFORMED = [
      _argv("params", "--scheme", "lora", "--rank", "9", "--d", "4", "--k", "4", "--layers", "1",
            "--matrices-per-layer", "1", "--base-total", "10"), 1,
      "usage error: rank 9 outside [1, min(4, 4)]"),
+    ("config: repeated key", _repeated_key('"rank": 2'), 1, "repeated config key 'rank'"),
+    ("config: repeated dataset key",
+     _repeated_key('"dataset": {"corpus": "a.jsonl", "corpus": "b.jsonl"}'), 1,
+     "repeated config key 'corpus'"),
+    ("analyze: --out a file", _analyze_out(), 2, "afile is not a directory"),
+    ("analyze: --out under a file", _analyze_out("sub"), 2, "afile is not a directory"),
+    ("cluster: --k-max 2", _cluster("--k-max", "2"), 1, "k_max must be >= 3 for an elbow, got 2"),
+    ("cluster: --k-max 0", _cluster("--k-max", "0"), 1, "k_max must be >= 3 for an elbow, got 0"),
+    ("cluster: --k 0", _cluster("--k", "0"), 1, "override must be >= 1, got 0"),
     ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,
      "--seeds must be >= 1, got 0"),
     ("bench: negative seeds", _argv("bench", "--suite", "het", "--seeds", "-2"), 1,

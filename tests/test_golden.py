@@ -124,7 +124,7 @@ def test_dense_hydra_train_bytes(golden, tmp_path, monkeypatch):
 def test_token_train_with_padded_and_unpadded_batches_bytes(golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # documents of 3 to 13 words against seq_len 8: some batches hold only
-    # full-length rows (no pad mask), others pad some rows
+    # full-length rows (an all-zero pad mask), others pad some rows
     docs = [cp.Document(id=f"d{i}", task=f"t{i % 3}",
                         text=" ".join(f"w{(i * 7 + j) % 19}t{i % 3}" for j in range(3 + i % 11)))
             for i in range(48)]
@@ -133,7 +133,7 @@ def test_token_train_with_padded_and_unpadded_batches_bytes(golden, tmp_path, mo
 
     def spy(model, batch):
         leaves = batch_leaves(model, batch)
-        padded.add("pad" in leaves)
+        padded.add(not leaves["pool"].all())
         return leaves
 
     monkeypatch.setattr(tm, "batch_leaves", spy)

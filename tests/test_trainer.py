@@ -5,7 +5,7 @@ from hydra_peft import toy_model as tm
 from hydra_peft import trainer as tr
 from hydra_peft import corpus as cp
 from hydra_peft.adapters import read_checkpoint, write_checkpoint
-from hydra_peft.errors import ContractError, TrainingAborted, UsageError
+from hydra_peft.errors import ContractError, ShapeError, TrainingAborted, UsageError
 from hydra_peft.linalg import SeededRng
 
 
@@ -187,7 +187,7 @@ def _dense_case(scheme, n=1):
 
 def _token_case():
     # every other document is cut to 3 of its 6 tokens, so batches of 2 come
-    # both padded and unpadded: two graph signatures
+    # both padded and unpadded, and all replay the step-1 graph
     docs = cp.synth_corpus(2, 12, 0.8, seed=5, doc_len=6)
     docs = [cp.Document(d.id, " ".join(d.text.split()[: 3 if i % 2 else 6]), d.task)
             for i, d in enumerate(docs)]
@@ -200,13 +200,13 @@ def _token_case():
     return model, data, cfg
 
 
-@pytest.mark.parametrize("case,graphs", [
-    (lambda: _dense_case("lora"), 1),
-    (lambda: _dense_case("hydra", n=3), 1),
-    (lambda: _dense_case("full"), 1),
-    (_token_case, 2),
+@pytest.mark.parametrize("case", [
+    lambda: _dense_case("lora"),
+    lambda: _dense_case("hydra", n=3),
+    lambda: _dense_case("full"),
+    _token_case,
 ], ids=["lora", "hydra", "full", "tokens-padded-and-not"])
-def test_replayed_training_matches_rebuilding_every_step(case, graphs, monkeypatch):
+def test_replayed_training_matches_rebuilding_every_step(case, monkeypatch):
     model, data, cfg = case()
     oracle = tm.clone_model(model)
     built = []
@@ -216,7 +216,7 @@ def test_replayed_training_matches_rebuilding_every_step(case, graphs, monkeypat
     n_evals = len(rep.rows)
     monkeypatch.setattr(tm, "build_graph", build)
     rows = _rebuilt_train(oracle, data, cfg)
-    assert len(built) - n_evals == graphs  # one build per signature, the rest replays
+    assert len(built) - n_evals == 1  # one build on step 1, the rest replays
     assert repr(rep.rows) == repr(rows)
     assert _weight_bytes(model) == _weight_bytes(oracle)
     names = tm.param_refs(model, "all")
@@ -225,13 +225,40 @@ def test_replayed_training_matches_rebuilding_every_step(case, graphs, monkeypat
         assert names[name].tobytes() == arr.tobytes(), name
 
 
-def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
+def _replay_token_model():
     model = tm.token_model(6, 8, 3, seed=0)
-    tm.attach(model, "q_proj", "hydra", 2, seed=1, n=2)
-    graphs = {}
+    for proj in model.attachment_points():
+        tm.attach(model, proj, "hydra", 2, seed=1, n=2)
+    return model
+
+
+def _graph_bytes(graph):
+    """Loss, logits, gate means and every backward gradient of a graph, as bytes."""
+    tape = graph.tape
+    out = {"loss": tape.value(graph.loss_slot).tobytes(),
+           "logits": tape.value(graph.logits_slot).tobytes()}
+    out.update((f"gate {k}", v.tobytes()) for k, v in graph.gate_means().items())
+    out.update((f"grad {k}", v.tobytes()) for k, v in tape.backward(graph.loss_slot).items())
+    return out
+
+
+def test_replay_across_padding_matches_a_fresh_build():
+    model = _replay_token_model()
+    unpadded = tm.Batch(inputs=np.array([[1, 2, 3], [3, 4, 5]]), labels=np.array([0, 2]))
+    padded = tm.Batch(inputs=np.array([[5, 1, 0], [2, 0, 0]]), labels=np.array([1, 0]))
+    graph = tm.build_graph(model, unpadded)
+    assert not tm.batch_leaves(model, unpadded)["pad"].any()  # the mask is all zeros
+    for batch in (padded, unpadded):
+        tm.replay(graph, model, batch)
+        assert _graph_bytes(graph) == _graph_bytes(tm.build_graph(model, batch))
+
+
+def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
+    model = _replay_token_model()
     good = tm.Batch(inputs=np.array([[1, 2, 0], [3, 4, 5]]), labels=np.array([0, 2]))
-    tm.run_graph(graphs, model, good, "adapters+head")
-    bad = {  # each has the good batch's signature: shape (2, 3), padded
+    graph = tm.build_graph(model, good)
+    loss = graph.tape.value(graph.loss_slot).tobytes()
+    bad = {  # each has the good batch's shape (2, 3)
         "token id out of vocabulary range": ([[1, 2, 0], [3, 4, 6]], [0, 2]),
         "a token sample is all padding": ([[1, 2, 0], [0, 0, 0]], [0, 2]),
         "label out of class range": ([[1, 2, 0], [3, 4, 5]], [0, 3]),
@@ -241,14 +268,16 @@ def test_replayed_step_rejects_bad_batches_like_a_fresh_build():
         with pytest.raises(ContractError, match=message):
             tm.build_graph(model, batch)
         with pytest.raises(ContractError, match=message):
-            tm.run_graph(graphs, model, batch, "adapters+head")
-    assert len(graphs) == 1
-    # the good batch's shape without padding: a graph of its own, with no pad mask
-    unpadded = tm.Batch(inputs=np.array([[1, 2, 3], [3, 4, 5]]), labels=np.array([0, 2]))
-    graph = tm.run_graph(graphs, model, unpadded, "adapters+head")
-    fresh = tm.build_graph(model, unpadded)
-    assert len(graphs) == 2 and "pad" not in graph.feeds
-    assert graph.tape.value(graph.loss_slot) == fresh.tape.value(fresh.loss_slot)
+            tm.replay(graph, model, batch)
+        graph.tape.forward()
+        assert graph.tape.value(graph.loss_slot).tobytes() == loss
+    # a valid batch of shape (3, 2): as many token ids as the graph's, other masks
+    other = tm.Batch(inputs=np.array([[1, 2], [3, 0], [4, 5]]), labels=np.array([0, 1, 2]))
+    tm.build_graph(model, other)
+    with pytest.raises(ShapeError, match=r"a batch of shape \(3, 2\) does not fit"):
+        tm.replay(graph, model, other)
+    graph.tape.forward()
+    assert graph.tape.value(graph.loss_slot).tobytes() == loss
 
 
 def test_report_csv_shape():
