@@ -26,9 +26,6 @@ class Submodule:
     index: str         # expert index, "" for plain pairs
     matrix: np.ndarray
 
-    def label(self) -> str:
-        return f"{self.adapter_id}:{self.proj}.{self.role}{self.index}"
-
 
 @dataclass
 class EmbeddingReport:
@@ -102,18 +99,6 @@ def _power_top2(x: np.ndarray) -> np.ndarray:
     return np.stack([center @ comps[0], center @ comps[1]], axis=1)
 
 
-def parse_checkpoint_submodules(adapter_id: str,
-                                tensors: dict[str, np.ndarray]) -> list[Submodule]:
-    """Pull A/B submodules out of checkpoint tensors (router and base
-    weights are not part of the A-vs-B story and are skipped)."""
-    subs = []
-    for name, arr in tensors.items():
-        parsed = ad_mod.parse_param_name(name)
-        if parsed and parsed[1] in ("A", "B"):
-            subs.append(Submodule(adapter_id, *parsed, arr))
-    return subs
-
-
 def breakdown(checkpoints: list[tuple[str, dict[str, np.ndarray]]]) -> EmbeddingReport:
     """Distance/embedding analysis across >= 2 adapter checkpoints.
 
@@ -126,10 +111,13 @@ def breakdown(checkpoints: list[tuple[str, dict[str, np.ndarray]]]) -> Embedding
         raise UsageError(f"breakdown needs >= 2 checkpoints, got {len(checkpoints)}")
     subs: list[Submodule] = []
     for adapter_id, tensors in checkpoints:
-        got = parse_checkpoint_submodules(adapter_id, tensors)
-        if not got:
+        before = len(subs)
+        for name, arr in tensors.items():
+            parsed = ad_mod.parse_param_name(name)
+            if parsed and parsed[1] in ("A", "B"):
+                subs.append(Submodule(adapter_id, *parsed, arr))
+        if len(subs) == before:
             raise UsageError(f"checkpoint {adapter_id!r} has no adapter submodules")
-        subs.extend(got)
     sizes = {s.matrix.size for s in subs}
     if len(sizes) != 1:
         raise UsageError(f"submodules do not share a flattened size: {sorted(sizes)}")
@@ -153,7 +141,7 @@ def breakdown(checkpoints: list[tuple[str, dict[str, np.ndarray]]]) -> Embedding
     d_b = float(np.mean(d_bs)) if d_bs else 0.0
     degenerate = d_a < 1e-12 and d_b < 1e-12
     ratio = 1.0 if degenerate else d_b / max(d_a, 1e-12)
-    return EmbeddingReport(labels=[s.label() for s in subs],
+    return EmbeddingReport(labels=[f"{s.adapter_id}:{s.proj}.{s.role}{s.index}" for s in subs],
                            roles=[s.role for s in subs],
                            distances=dists, coords=_power_top2(flat),
                            d_a=d_a, d_b=d_b, ratio=ratio, degenerate=degenerate)

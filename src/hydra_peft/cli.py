@@ -68,6 +68,7 @@ def _check_out_dir(path) -> None:
 
 def cmd_cluster(args) -> int:
     _check_out_file(args.out)
+    clustering.check_selection(args.k_max, args.k)
     docs = corpus_mod.load_jsonl(args.corpus)
     init = clustering.init_hydra_from_corpus(docs, k_max=args.k_max, seed=args.seed,
                                              override=args.k)
@@ -184,6 +185,8 @@ def cmd_merge_infer(args) -> int:
 
 def cmd_analyze(args) -> int:
     _check_out_dir(args.out)
+    if len(args.checkpoints) < 2:
+        raise UsageError(f"analyze needs >= 2 --checkpoints, got {len(args.checkpoints)}")
     labels = [Path(path).stem for path in args.checkpoints]
     if len(set(labels)) < len(labels):  # run/checkpoint.txt vs run_b/checkpoint.txt
         labels = [str(Path(path).with_suffix("")) for path in args.checkpoints]

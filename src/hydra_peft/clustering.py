@@ -189,15 +189,21 @@ class CorpusInit:
     curve: list[float] | None
 
 
+def check_selection(k_max: int, override: int | None) -> None:
+    """UsageError unless the override is >= 1, or, without one, k_max is >= 3,
+    the fewest curve points an elbow needs."""
+    if override is None and k_max < 3:
+        raise UsageError(f"k_max must be >= 3 for an elbow, got {k_max}")
+    if override is not None and override < 1:
+        raise UsageError(f"override must be >= 1, got {override}")
+
+
 def init_hydra_from_corpus(docs, k_max: int, seed: int,
                            override: int | None = None) -> CorpusInit:
     """Pick the expert count for a corpus (elbow of the tf-idf SSE curve,
     unless a developer-specified override is given). Assignments are
     diagnostic only; routing is learned during training."""
-    if override is None and k_max < 3:
-        raise UsageError(f"k_max must be >= 3 for an elbow, got {k_max}")
-    if override is not None and override < 1:
-        raise UsageError(f"override must be >= 1, got {override}")
+    check_selection(k_max, override)
     if not docs:
         raise UsageError("corpus is empty")
     model = corpus_mod.tfidf_fit(docs)

@@ -37,18 +37,20 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def validate_corpus(docs: list[Document]) -> list[Document]:
-    seen = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise ParseError(f"duplicate document id {doc.id!r}")
-        seen.add(doc.id)
-    return docs
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object's dict; a key given twice is a ParseError, not the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError(f"repeated key {repeated!r}")
+    return obj
 
 
 def load_jsonl(path) -> list[Document]:
-    """One JSON object per line with fields id, text, optional task."""
+    """One JSON object per line with fields id, text, optional task; ids are unique."""
     docs = []
+    seen = set()
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = list(f)
@@ -58,9 +60,11 @@ def load_jsonl(path) -> list[Document]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
+        except ParseError as e:
+            raise ParseError(f"{path}: line {lineno}: {e}") from e
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise ParseError(f"{path}: line {lineno}: need 'id' and 'text' fields")
         doc_id, text, task = obj["id"], obj["text"], obj.get("task")
@@ -72,8 +76,12 @@ def load_jsonl(path) -> list[Document]:
         if task is not None and not isinstance(task, str):
             raise ParseError(f"{path}: line {lineno}: task must be a string or null, "
                              f"got {task!r}")
-        docs.append(Document(id=str(doc_id), text=text, task=task))
-    return validate_corpus(docs)
+        doc = Document(id=str(doc_id), text=text, task=task)
+        if doc.id in seen:
+            raise ParseError(f"duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+        docs.append(doc)
+    return docs
 
 
 def save_jsonl(path, docs: list[Document]) -> None:
@@ -89,9 +97,6 @@ def save_jsonl(path, docs: list[Document]) -> None:
 class TfIdfModel:
     vocabulary: dict[str, int]   # term -> column, sorted lexicographically
     idf: np.ndarray
-
-    def dim(self) -> int:
-        return len(self.vocabulary)
 
 
 def tfidf_fit(docs: list[Document]) -> TfIdfModel:
@@ -110,7 +115,7 @@ def tfidf_fit(docs: list[Document]) -> TfIdfModel:
 
 def tfidf_transform(model: TfIdfModel, doc: Document | str) -> np.ndarray:
     text = doc.text if isinstance(doc, Document) else doc
-    vec = np.zeros(model.dim())
+    vec = np.zeros(len(model.vocabulary))
     for term, count in Counter(tokenize(text)).items():
         col = model.vocabulary.get(term)
         if col is not None:

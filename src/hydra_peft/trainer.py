@@ -156,11 +156,6 @@ class Dataset:
     def train_batch(self, idx: np.ndarray) -> Batch:
         return Batch(self.train_inputs[idx], self.train_labels[idx])
 
-    def eval_batch(self, mask: np.ndarray | None = None) -> Batch:
-        if mask is None:
-            mask = np.ones(self.eval_inputs.shape[0], dtype=bool)
-        return Batch(self.eval_inputs[mask], self.eval_labels[mask])
-
 
 class _Optimizer:
     """SGD / Adam over live parameter arrays (updates mutate in place).
@@ -200,7 +195,8 @@ class _Optimizer:
 
 def evaluate(model: ToyModel, data: Dataset, mask: np.ndarray | None = None):
     """(loss, accuracy, gate means) on the eval split."""
-    batch = data.eval_batch(mask)
+    batch = (Batch(data.eval_inputs, data.eval_labels) if mask is None
+             else Batch(data.eval_inputs[mask], data.eval_labels[mask]))
     graph = tm.build_graph(model, batch, trainable="none")
     acc = float((graph.tape.value(graph.logits_slot).argmax(axis=1) == batch.labels).mean())
     return float(graph.tape.value(graph.loss_slot)), acc, graph.gate_means()
@@ -232,36 +228,33 @@ def train(model: ToyModel, data: Dataset, cfg: TrainConfig) -> TrainReport:
     trainable = _trainable(cfg)
     rng = SeededRng(cfg.seed).derive("train-loop")
     rows = []
-
-    def record(step):
-        loss, acc, gates = evaluate(model, data)
-        rows.append({"step": step, "loss": loss, "acc": acc, "gates": _gate_row(gates)})
-        return rows[-1]
-
-    record(0)
     refs = tm.param_refs(model, trainable)
     n_params = sum(a.size for a in refs.values())
     opt = _Optimizer(refs, cfg.learning_rate, cfg.optimizer)
     graph = None
-    for step in range(1, cfg.steps + 1):
-        batch = data.train_batch(rng.integers(cfg.batch_size, data.n_train()))
-        try:
-            # divergence shows up as non-finite values below; numpy's own
-            # overflow warnings on the way there are just noise
-            with np.errstate(all="ignore"):
-                if graph is None:  # every batch has the first one's shape
-                    graph = tm.build_graph(model, batch, trainable)
-                else:
-                    tm.replay(graph, model, batch)
-                loss_val = float(graph.tape.value(graph.loss_slot))
-                if not np.isfinite(loss_val):
-                    raise TrainingAborted(step, f"loss became {loss_val}")
-                grads = graph.tape.backward(graph.loss_slot)
-        except InvariantError as e:
-            raise TrainingAborted(step, str(e)) from e
-        opt.step(grads)
-        if step % cfg.eval_interval == 0 or step == cfg.steps:
-            record(step)
+    try:
+        # divergence shows up as non-finite values below; numpy's own
+        # overflow warnings on the way there are just noise
+        with np.errstate(all="ignore"):
+            for step in range(cfg.steps + 1):  # step 0 only evaluates
+                if step > 0:
+                    batch = data.train_batch(rng.integers(cfg.batch_size, data.n_train()))
+                    if graph is None:  # every batch has the first one's shape
+                        graph = tm.build_graph(model, batch, trainable)
+                    else:
+                        tm.replay(graph, model, batch)
+                    loss_val = float(graph.tape.value(graph.loss_slot))
+                    if not np.isfinite(loss_val):
+                        raise TrainingAborted(step, f"loss became {loss_val}")
+                    opt.step(graph.tape.backward(graph.loss_slot))
+                if step % cfg.eval_interval == 0 or step == cfg.steps:
+                    loss, acc, gates = evaluate(model, data)
+                    if not np.isfinite(loss):
+                        raise TrainingAborted(step, f"eval loss became {loss}")
+                    rows.append({"step": step, "loss": loss, "acc": acc,
+                                 "gates": _gate_row(gates)})
+    except InvariantError as e:
+        raise TrainingAborted(step, str(e)) from e
 
     final = rows[-1]
     tokens = cfg.steps * cfg.batch_size * (

@@ -4,7 +4,7 @@ import pytest
 from hydra_peft import adapters as ad
 from hydra_peft import linalg
 from hydra_peft.autodiff import Tape
-from hydra_peft.errors import CheckpointError, InvariantError, UsageError
+from hydra_peft.errors import CheckpointError, InvariantError, ShapeError, UsageError
 from hydra_peft.linalg import SeededRng
 
 from adapter_refs import linear_forward, lora_ref
@@ -337,6 +337,13 @@ def test_checkpoint_bad_hex(tmp_path):
         ad.read_checkpoint(path)
 
 
+def test_checkpoint_writer_rejects_a_1d_tensor(tmp_path):
+    path = tmp_path / "ck.txt"
+    with pytest.raises(ShapeError, match=r"must be 2-D, adapter.A has \(3,\)"):
+        ad.write_checkpoint(path, {"scheme": "lora"}, {"adapter.A": np.zeros(3)})
+    assert not path.exists()
+
+
 def _repeat_tensor(text, name):
     """text with a second copy of tensor name's header and data lines after the first"""
     lines = text.split("\n")
@@ -358,6 +365,13 @@ def _repeat_tensor(text, name):
     (lambda t: t.replace("rank: 2\n", "rank: 7\nrank: 2\n"),
      r"repeated metadata key 'rank' \(byte offset 47\)"),
     (lambda t: _repeat_tensor(t, "adapter.A"), r"repeated tensor adapter.A \(byte offset \d+\)"),
+    (lambda t: t.replace("scheme: hydra", "scheme: hydré"), r"not ascii text \(byte offset 37\)"),
+    (lambda t: "", r"empty checkpoint \(byte offset 0\)"),
+    (lambda t: t.replace("hydra-peft-checkpoint", "hydra-checkpoint"),
+     r"bad header 'hydra-checkpoint v1' \(byte offset 0\)"),
+    # the last tensor, base.head, starts at byte 661; its data line is cut
+    (lambda t: t[:t.rindex("\n", 0, -1) + 1], r"base.head missing data line \(byte offset 661\)"),
+    (lambda t: t.replace("rank: 2\n", "rank 2\n"), r"unparseable line 'rank 2' \(byte offset 39\)"),
 ])
 def test_checkpoint_reader_rejects_inconsistent_files(tmp_path, edit, match):
     path = tmp_path / "ck.txt"

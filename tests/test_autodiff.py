@@ -137,6 +137,32 @@ def test_grad_check_gather_rows():
     assert report.max_rel_error <= 1e-6
 
 
+def test_grad_check_samples_32_coordinates_of_a_large_parameter(monkeypatch):
+    rng = SeededRng(41)
+    t = Tape()
+    w_value = rng.normal(50).reshape(10, 5)
+    w = t.input(w_value, name="w", trainable=True)
+    logits = t.matmul(t.input(rng.normal(15).reshape(3, 5)), w, transpose_b=True)
+    loss = t.cross_entropy(logits, t.input(np.array([0, 4, 9])))
+    before = [node.value.tobytes() for node in t._nodes]
+    perturbed = []
+    set_value = t.set_value
+
+    def spy(slot, value):
+        if value is not w_value:
+            perturbed.extend(np.flatnonzero(value != w_value).tolist())
+        set_value(slot, value)
+
+    monkeypatch.setattr(t, "set_value", spy)
+    report = grad_check(t, loss, SeededRng(5))
+    assert len(perturbed) == 64  # each coordinate once up, once down
+    assert len(set(perturbed)) == 32
+    assert report.max_rel_error <= 1e-6
+    assert grad_check(t, loss, SeededRng(5)) == report
+    assert t.value(w) is w_value
+    assert [node.value.tobytes() for node in t._nodes] == before
+
+
 def test_grad_check_eps_domain():
     t, loss = _random_graph(0)
     with pytest.raises(ContractError):

@@ -184,6 +184,24 @@ def test_bad_cluster_flags_fail_before_tfidf(tmp_path, capsys, monkeypatch):
     assert fitted == []
 
 
+def test_usage_errors_fail_before_reading_any_file(tmp_path, capsys, monkeypatch):
+    read = []
+    monkeypatch.setattr(ad, "read_checkpoint", read.append)
+    monkeypatch.setattr(cp, "load_jsonl", read.append)
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    for argv, message in (
+            (["analyze", "--checkpoints", missing, "--out", out],
+             "analyze needs >= 2 --checkpoints, got 1"),
+            (["cluster", "--corpus", missing, "--k-max", "2", "--out", out],
+             "k_max must be >= 3 for an elbow, got 2"),
+            (["cluster", "--corpus", missing, "--k", "0", "--out", out],
+             "override must be >= 1, got 0")):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+    assert read == []
+    assert not Path(out).exists()
+
+
 def test_unusable_bench_out_fails_before_any_seed(tmp_path, corpus_file, capsys, monkeypatch):
     # and cluster's --out, before any clustering
     ran = []
@@ -520,6 +538,25 @@ def _cluster(*flags):
     return make
 
 
+def _cluster_on(name, text, *flags):
+    """cluster a corpus file holding text (None: no such file) with extra flags"""
+    def make(root, cfg, ckpt):
+        if text is not None:
+            (root / name).write_text(text)
+        return ["cluster", "--corpus", str(root / name), *flags,
+                "--out", str(root / "clusters.json")]
+    return make
+
+
+def _train_with(name, **overrides):
+    """train on the fixture's config with several fields overridden"""
+    def make(root, cfg, ckpt):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps({**cfg, **overrides}))
+        return ["train", "--config", str(path), "--out", str(root / f"out_{name}")]
+    return make
+
+
 def _repeated_key(text):
     """train on the fixture's config with text spliced in after its opening brace"""
     def make(root, cfg, ckpt):
@@ -654,6 +691,26 @@ MALFORMED = [
     ("cluster: --k-max 2", _cluster("--k-max", "2"), 1, "k_max must be >= 3 for an elbow, got 2"),
     ("cluster: --k-max 0", _cluster("--k-max", "0"), 1, "k_max must be >= 3 for an elbow, got 0"),
     ("cluster: --k 0", _cluster("--k", "0"), 1, "override must be >= 1, got 0"),
+    ("cluster: --k-max 2 on a corpus line without text",
+     _cluster_on("no_text.jsonl", '{"id": "a"}\n', "--k-max", "2"), 1,
+     "k_max must be >= 3 for an elbow, got 2"),
+    ("cluster: --k 0 on a missing corpus", _cluster_on("missing.jsonl", None, "--k", "0"), 1,
+     "override must be >= 1, got 0"),
+    ("cluster: a corpus line repeating a key",
+     _cluster_on("repeated_key.jsonl",
+                 '{"id": "a", "text": "red fox", "task": "t0", "id": "b"}\n'), 2,
+     "repeated_key.jsonl: line 1: repeated key 'id'"),
+    ("analyze: one missing checkpoint",
+     lambda root, cfg, ckpt: ["analyze", "--checkpoints", str(root / "nope.txt"),
+                              "--out", str(root / "an")], 1,
+     "analyze needs >= 2 --checkpoints, got 1"),
+    # the update overflows; the evaluation after it is the first to see it
+    ("train: divergence first seen in the last eval",
+     _train_with("diverge_last", learning_rate=1e200, steps=1), 2,
+     "error: step 1: matmul produced non-finite entries"),
+    ("train: divergence first seen in an interval eval",
+     _train_with("diverge_interval", learning_rate=1e200, steps=3, eval_interval=1), 2,
+     "error: step 1: matmul produced non-finite entries"),
     ("bench: zero seeds", _argv("bench", "--suite", "obs1", "--seeds", "0"), 1,
      "--seeds must be >= 1, got 0"),
     ("bench: negative seeds", _argv("bench", "--suite", "het", "--seeds", "-2"), 1,
@@ -664,7 +721,10 @@ MALFORMED = [
 @pytest.mark.parametrize("make,code,message", [c[1:] for c in MALFORMED],
                          ids=[c[0] for c in MALFORMED])
 def test_malformed_input_exit_codes(trained, make, code, message):
-    proc = _run_cli(make(*trained))
+    argv = make(*trained)
+    proc = _run_cli(argv)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    if argv[0] == "train":  # a failed run writes no run directory
+        assert not Path(argv[argv.index("--out") + 1]).exists()

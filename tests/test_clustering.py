@@ -73,6 +73,14 @@ def test_points_whose_distance_underflows_are_rejected_at_once():
     assert proc.stdout == "k=2 exceeds the number of distinct points (1)\n", proc.stderr
 
 
+def test_empty_cluster_is_reseeded_at_the_worst_fit_point():
+    # nothing is nearest to center 2; x[1] sits farthest from its own center
+    x = np.array([[0.0], [1.0], [10.0], [11.0]])
+    centers = np.array([[0.0], [10.0], [100.0]])
+    assert cl._assign_with_repair(x, centers).tolist() == [0, 2, 1, 1]
+    assert centers.tolist() == [[0.0], [10.0], [1.0]]
+
+
 def test_identical_points_sse_zero():
     x = np.ones((12, 3))
     res = cl.kmeans(x, 1, seed=0)

@@ -166,6 +166,8 @@ def test_jsonl_unknown_fields_ignored(tmp_path):
     ('{"id": [1], "text": "y"}', "id must be a string or an integer"),
     ('{"id": 1.5, "text": "y"}', "id must be a string or an integer"),
     ('{"id": true, "text": "y"}', "id must be a string or an integer"),
+    ('{"id": "b", "text": "y", "task": "t0", "id": "c"}', "repeated key 'id'"),
+    ('{"id": "b", "text": "y", "extra": {"k": 1, "k": 2}}', "repeated key 'k'"),
 ])
 def test_jsonl_field_of_wrong_type_names_line(tmp_path, line, message):
     path = tmp_path / "c.jsonl"

@@ -136,6 +136,29 @@ def test_gradient_overflow_aborts_before_any_update():
     assert _weight_bytes(model) == before
 
 
+@pytest.mark.parametrize("overflowing,step,message", [
+    ("train", 1, "step 1: loss became inf"), ("eval", 0, "step 0: eval loss became inf")])
+def test_non_finite_loss_aborts_before_any_update(overflowing, step, message):
+    # embed and head[:, 0] = (1, -1) give a row (x, 0) the logits (x, -x): at
+    # x = 1e308 every product is finite, but the cross-entropy of class 1 is inf
+    model = tm.dense_model(2, 2, 2, seed=0, hidden=2)
+    for w in model.weights.values():
+        w[:] = 0.0
+    model.weights["embed"][:] = np.eye(2)
+    model.weights["head"][:, 0] = (1.0, -1.0)
+    rows = {"train": np.ones((4, 2)), "eval": np.ones((4, 2))}
+    rows[overflowing][:, 0] = 1e308
+    labels = np.ones(4, dtype=np.int64)
+    data = tr.Dataset(train_inputs=rows["train"], train_labels=labels,
+                      eval_inputs=rows["eval"], eval_labels=labels)
+    before = _weight_bytes(model)
+    cfg = tr.TrainConfig(scheme="full", steps=3, learning_rate=0.1, batch_size=4, seed=0)
+    with pytest.raises(TrainingAborted, match=message) as err:
+        tr.train(model, data, cfg)
+    assert err.value.step == step
+    assert _weight_bytes(model) == before
+
+
 def _rebuilt_train(model, data, cfg):
     """The training loop before graphs were replayed: a fresh graph every
     step and a per-array optimizer. Returns the report rows."""
