@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CheckpointError, InvariantError, ShapeError, UsageError
+from .errors import CheckpointError, ShapeError, UsageError
 
 ROUTER_INIT_SCALE = 0.01
 
 
 def _check_rank(d: int, k: int, r: int) -> None:
     if r < 1 or r > min(d, k):
-        raise InvariantError(f"rank {r} outside [1, min({d}, {k})]")
+        raise UsageError(f"rank {r} outside [1, min({d}, {k})]")
 
 
 # -- parameter names -------------------------------------------------------
@@ -127,7 +127,7 @@ class HydraAdapter:
              alpha: float | None = None) -> "HydraAdapter":
         _check_rank(d, k, r)
         if n_experts < 1:
-            raise InvariantError(f"hydra needs >= 1 expert, got {n_experts}")
+            raise UsageError(f"hydra needs >= 1 expert, got {n_experts}")
         a = linalg.kaiming_uniform(r, k, rng.derive("a"))
         experts = [np.zeros((d, r)) for _ in range(n_experts)]
         w_gate = linalg.kaiming_uniform(r, n_experts, rng.derive("gate")) * ROUTER_INIT_SCALE
@@ -213,8 +213,7 @@ def param_count(scheme: str, d: int, k: int, r: int, n: int,
                     ("matrices_per_layer", matrices_per_layer), ("layers", layers)]:
         if v < 1:
             raise UsageError(f"{name} must be >= 1, got {v}")
-    if r > min(d, k):  # the rank attach would refuse
-        raise UsageError(f"rank {r} outside [1, min({d}, {k})]")
+    _check_rank(d, k, r)  # the rank attach would refuse
     if base_total <= 0:
         raise UsageError(f"base_total must be positive, got {base_total}")
     total = params_per_matrix(scheme, d, k, r, n) * matrices_per_layer * layers

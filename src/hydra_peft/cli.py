@@ -6,7 +6,8 @@ Machine-readable results go to stdout; progress/diagnostics to stderr.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
 failure (missing or unparseable files, aborted training, an array too large
-to allocate), 3 violated numerical invariant.
+to allocate or to size: an OSError, MemoryError, TrainingAborted or any other
+ValueError), 3 violated numerical invariant.
 
 All randomness flows from explicit --seed flags or the config seed; reruns
 with identical inputs write byte-identical outputs. HYDRA_PEFT_THREADS caps
@@ -31,8 +32,7 @@ from . import corpus as corpus_mod
 from . import experiments
 from . import trainer
 from .autodiff import Tape
-from .errors import (CheckpointError, ContractError, InvariantError, ParseError,
-                     ShapeError, TrainingAborted, UsageError)
+from .errors import InvariantError, ParseError, TrainingAborted, UsageError
 from .linalg import SeededRng
 
 
@@ -150,7 +150,7 @@ def cmd_merge_infer(args) -> int:
     given = None
     if args.input is not None:
         try:
-            raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
+            raw = corpus_mod.parse_json(Path(args.input).read_text(encoding="utf-8"))
             if not isinstance(raw, list) or any(type(v) not in (int, float) for v in raw):
                 raise TypeError("every entry must be a JSON number")
             given = np.asarray(raw, dtype=np.float64)
@@ -303,8 +303,7 @@ def main(argv=None) -> int:
     except InvariantError as e:
         _note(f"invariant violation: {e}")
         return 3
-    except (OSError, ParseError, CheckpointError, TrainingAborted, ShapeError,
-            ContractError, MemoryError) as e:
+    except (OSError, ValueError, TrainingAborted, MemoryError) as e:
         _note(f"error: {e}")
         return 2
 

@@ -136,14 +136,13 @@ def sse_curve(vectors: np.ndarray, k_max: int, seed: int) -> list[KMeansResult]:
 
     Each k >= 2 also tries a warm start: the previous k's centers plus one at
     its worst-fit point (the one farthest from its own center), which
-    guarantees that SSE never increases with k.
+    guarantees that SSE never increases with k. A k_max above the number of
+    distinct points is a UsageError, raised by the k-means++ seeding at the
+    first k past that number.
     """
     x = np.asarray(vectors, dtype=np.float64)
-    distinct = _distinct_count(x)
     if k_max < 2:
         raise UsageError(f"k_max must be >= 2, got {k_max}")
-    if k_max > distinct:
-        raise UsageError(f"k_max={k_max} exceeds distinct point count ({distinct})")
     results = []
     for k in range(1, k_max + 1):
         warm = None
@@ -204,8 +203,6 @@ def init_hydra_from_corpus(docs, k_max: int, seed: int,
     unless a developer-specified override is given). Assignments are
     diagnostic only; routing is learned during training."""
     check_selection(k_max, override)
-    if not docs:
-        raise UsageError("corpus is empty")
     model = corpus_mod.tfidf_fit(docs)
     x = corpus_mod.tfidf_matrix(model, docs)
     distinct = _distinct_count(x)

@@ -47,6 +47,16 @@ def _unique_keys(pairs: list[tuple]) -> dict:
     return obj
 
 
+def parse_json(text: str):
+    """json.loads with _unique_keys; bad or too deeply nested JSON is a ParseError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON ({e.msg})") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
+
+
 def load_jsonl(path) -> list[Document]:
     """One JSON object per line with fields id, text, optional task; ids are unique."""
     docs = []
@@ -60,9 +70,7 @@ def load_jsonl(path) -> list[Document]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
+            obj = parse_json(line)
         except ParseError as e:
             raise ParseError(f"{path}: line {lineno}: {e}") from e
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
@@ -78,7 +86,7 @@ def load_jsonl(path) -> list[Document]:
                              f"got {task!r}")
         doc = Document(id=str(doc_id), text=text, task=task)
         if doc.id in seen:
-            raise ParseError(f"duplicate document id {doc.id!r}")
+            raise ParseError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
         seen.add(doc.id)
         docs.append(doc)
     return docs

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-cli.main's exit codes: UsageError -> 1; OSError, ParseError, CheckpointError,
-TrainingAborted, ShapeError, ContractError and MemoryError -> 2; InvariantError -> 3.
+cli.main's exit codes: UsageError -> 1; InvariantError -> 3; OSError, MemoryError,
+TrainingAborted and every other ValueError (ParseError, CheckpointError, ShapeError,
+ContractError, numpy's error for an array too large to size) -> 2.
 """
 
 

@@ -10,7 +10,6 @@ that one seed.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import adapters as ad_mod
 from . import corpus as corpus_mod
 from . import toy_model as tm
-from .errors import InvariantError, TrainingAborted, UsageError
+from .errors import InvariantError, ParseError, TrainingAborted, UsageError
 from .linalg import SeededRng
 from .toy_model import Batch, ToyModel
 
@@ -40,16 +39,6 @@ _INT_FIELDS = {"rank": 1, "experts": 1, "steps": 1, "batch_size": 1, "seed": Non
                "eval_interval": 1, "d_model": 1, "hidden": 1, "seq_len": 1,
                "pretrain_steps": 0}
 _FLOAT_FIELDS = {"learning_rate": 0, "pretrain_lr": 0, "alpha": None}
-
-
-def _unique_keys(pairs: list[tuple]) -> dict:
-    """A JSON object's dict; a key given twice is a UsageError, not the last value."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise UsageError(f"repeated config key {key!r}")
-        obj[key] = value
-    return obj
 
 
 @dataclass
@@ -97,9 +86,9 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         try:
-            obj = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config is not valid JSON: {e.msg}") from e
+            obj = corpus_mod.parse_json(text)
+        except ParseError as e:
+            raise UsageError(f"config: {e}") from e
         if not isinstance(obj, dict):
             raise UsageError("config must be a JSON object")
         unknown = set(obj) - set(cls.__dataclass_fields__)

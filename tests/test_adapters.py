@@ -4,7 +4,7 @@ import pytest
 from hydra_peft import adapters as ad
 from hydra_peft import linalg
 from hydra_peft.autodiff import Tape
-from hydra_peft.errors import CheckpointError, InvariantError, ShapeError, UsageError
+from hydra_peft.errors import CheckpointError, ShapeError, UsageError
 from hydra_peft.linalg import SeededRng
 
 from adapter_refs import linear_forward, lora_ref
@@ -170,11 +170,11 @@ def test_merge_of_equal_experts_is_that_expert():
 
 
 def test_rank_bounds_enforced():
-    with pytest.raises(InvariantError):
+    with pytest.raises(UsageError):
         ad.LoraAdapter.init(4, 3, 4, SeededRng(0))
-    with pytest.raises(InvariantError):
+    with pytest.raises(UsageError):
         ad.LoraAdapter.init(4, 3, 0, SeededRng(0))
-    with pytest.raises(InvariantError):
+    with pytest.raises(UsageError):
         ad.HydraAdapter.init(4, 4, 2, 0, SeededRng(0))
 
 

@@ -76,6 +76,9 @@ def test_pca_preserves_distances_of_planar_data():
     want = np.sqrt(((coords2[:, None] - coords2[None, :]) ** 2).sum(axis=2))
     got = np.sqrt(((emb[:, None] - emb[None, :]) ** 2).sum(axis=2))
     assert np.abs(want - got).max() < 1e-6
+    # identical rows have no principal direction: every one embeds at the origin
+    same = analysis._power_top2(np.tile(points[:1], (3, 1)))
+    assert same.shape == (3, 2) and not same.any()
 
 
 def test_group_divergence_scale_normalized():
@@ -84,6 +87,7 @@ def test_group_divergence_scale_normalized():
     base = analysis.group_divergence([m1, m2])
     scaled = analysis.group_divergence([10 * m1, 10 * m2])
     assert base == pytest.approx(scaled, rel=1e-12)
+    assert analysis.group_divergence([m1]) == 0.0
 
 
 def test_cost_reference_ratio_is_half():

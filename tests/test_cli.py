@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -461,10 +462,11 @@ def _edited_checkpoint(command, edit):
     return make
 
 
-def _drop_tensor(text, name):
+def _tensor_copies(text, name, copies):
+    """checkpoint text with tensor name's header and data lines given copies times"""
     lines = text.split("\n")
     i = lines.index(next(line for line in lines if line.startswith(f"tensor {name} ")))
-    return "\n".join(lines[:i] + lines[i + 2:])
+    return "\n".join(lines[:i] + lines[i:i + 2] * copies + lines[i + 2:])
 
 
 def _corpus_with_empty_doc(root, cfg, ckpt):
@@ -522,12 +524,25 @@ def _with_meta(line, bad):
     return _edited_checkpoint("merge-infer", lambda t: t.replace(f"{line}\n", f"{bad}\n"))
 
 
-def _analyze_out(*under):
-    """analyze the fixture's checkpoint with --out a file, or a path under one"""
+def _out_at(command, *under):
+    """command on the fixture's files with --out a regular file, or a path under one"""
     def make(root, cfg, ckpt):
         (root / "afile").write_text("x")
-        return ["analyze", "--checkpoints", str(ckpt), "--out", str(root.joinpath("afile", *under))]
+        head = {"analyze": ["analyze", "--checkpoints", str(ckpt)],
+                "train": ["train", "--config", str(root / "cfg.json")],
+                "cluster": ["cluster", "--corpus", cfg["dataset"]["corpus"]],
+                "bench": ["bench", "--suite", "obs1", "--seeds", "1"]}[command]
+        return [*head, "--out", str(root.joinpath("afile", *under))]
     return make
+
+
+def _analyze_full_run(root, cfg, ckpt):
+    """analyze a full fine-tuning run's checkpoint, which holds only base.* tensors,
+    next to the fixture's"""
+    (root / "full.json").write_text(json.dumps({**cfg, "scheme": "full", "steps": 1}))
+    assert main(["train", "--config", str(root / "full.json"), "--out", str(root / "full")]) == 0
+    return ["analyze", "--checkpoints", str(root / "full" / "checkpoint.txt"), str(ckpt),
+            "--out", str(root / "an_full")]
 
 
 def _cluster(*flags):
@@ -557,17 +572,25 @@ def _train_with(name, **overrides):
     return make
 
 
-def _repeated_key(text):
+def _config_text(text):
     """train on the fixture's config with text spliced in after its opening brace"""
     def make(root, cfg, ckpt):
-        path = root / "repeated.json"
+        path = root / "spliced.json"
         path.write_text("{" + text + ", " + json.dumps(cfg)[1:])
-        return ["train", "--config", str(path), "--out", str(root / "out_repeated")]
+        return ["train", "--config", str(path), "--out", str(root / "out_spliced")]
     return make
 
 
 def _argv(*argv):
     return lambda root, cfg, ckpt: [str(ckpt) if a is None else a for a in argv]
+
+
+def _env(make, **env):
+    """make's argv, run with env added to the CLI's environment"""
+    return lambda root, cfg, ckpt: (make(root, cfg, ckpt), env)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
 
 
 MALFORMED = [
@@ -607,6 +630,15 @@ MALFORMED = [
     # far beyond any address space, so the first allocation fails at once
     ("d_model too large to allocate", _bad_config("d_model", 10**13), 2,
      "error: Unable to allocate"),
+    # so large that numpy cannot even size the array
+    ("d_model too large to size",
+     _train_with("huge_d_model", d_model=10**18, dataset={"synthetic": "interference"}), 2,
+     "error: Maximum allowed size exceeded"),
+    ("corpus seq_len too large to size", _train_with("huge_seq_len", seq_len=10**18), 2,
+     "error: array is too big"),
+    ("xor-components margin that keeps no samples",
+     _bad_config("dataset", {"synthetic": "xor-components", "level": 1, "margin": 100.0}), 1,
+     "margin 100.0 rejects nearly every sample"),
     ("corpus spec with a model option", _corpus_spec(seq_len=12), 1,
      "a corpus dataset takes no other keys, got ['seq_len']"),
     ("corpus spec with a synthetic spec", _corpus_spec(synthetic="components", level=2), 1,
@@ -625,8 +657,12 @@ MALFORMED = [
      _edited_checkpoint("merge-infer", lambda t: t.replace("scheme: hydra\n", "")), 2,
      "missing metadata line 'scheme'"),
     ("eval: missing tensor",
-     _edited_checkpoint("eval", lambda t: _drop_tensor(t, "v_proj.B1")), 2,
+     _edited_checkpoint("eval", lambda t: _tensor_copies(t, "v_proj.B1", 0)), 2,
      "missing tensor v_proj.B1"),
+    ("merge-infer: repeated tensor",
+     _edited_checkpoint("merge-infer", lambda t: _tensor_copies(t, "v_proj.B1", 2)), 2,
+     "repeated tensor v_proj.B1"),
+    ("analyze: a full-scheme checkpoint", _analyze_full_run, 1, "has no adapter submodules"),
     ("checkpoint: zero rank", _with_meta("rank: 3", "rank: 0"), 2, "got rank 0, alpha 3.0"),
     ("checkpoint: negative rank", _with_meta("rank: 3", "rank: -2"), 2, "got rank -2"),
     ("checkpoint: infinite alpha", _with_meta("alpha: 3.0", "alpha: inf"), 2, "alpha inf"),
@@ -655,6 +691,8 @@ MALFORMED = [
     ("checkpoint: A with no columns", _hydra_checkpoint("a_empty", a_shared=np.zeros((2, 0))), 2,
      "tensor adapter.A has zero size (2x0)"),
     ("merge-infer: unparseable input", _merge_input("input.json", "[1, 2,"), 2, "input.json"),
+    ("merge-infer: input nested 100,000 deep", _merge_input("deep.json", DEEP), 2,
+     "deep.json: not a JSON list of numbers (JSON nested too deeply)"),
     ("merge-infer: NaN input", _merge_input("nan.json", "[NaN" + ", 1" * 11 + "]"), 2,
      "nan.json: input vector has non-finite entries"),
     ("merge-infer: infinite input", _merge_input("inf.json", "[1" + ", Infinity" * 11 + "]"), 2,
@@ -682,12 +720,19 @@ MALFORMED = [
      _argv("params", "--scheme", "lora", "--rank", "9", "--d", "4", "--k", "4", "--layers", "1",
            "--matrices-per-layer", "1", "--base-total", "10"), 1,
      "usage error: rank 9 outside [1, min(4, 4)]"),
-    ("config: repeated key", _repeated_key('"rank": 2'), 1, "repeated config key 'rank'"),
+    ("config: repeated key", _config_text('"rank": 2'), 1, "config: repeated key 'rank'"),
     ("config: repeated dataset key",
-     _repeated_key('"dataset": {"corpus": "a.jsonl", "corpus": "b.jsonl"}'), 1,
-     "repeated config key 'corpus'"),
-    ("analyze: --out a file", _analyze_out(), 2, "afile is not a directory"),
-    ("analyze: --out under a file", _analyze_out("sub"), 2, "afile is not a directory"),
+     _config_text('"dataset": {"corpus": "a.jsonl", "corpus": "b.jsonl"}'), 1,
+     "config: repeated key 'corpus'"),
+    ("config: a value nested 100,000 deep", _config_text('"rank": ' + DEEP), 1,
+     "usage error: config: JSON nested too deeply"),
+    ("analyze: --out a file", _out_at("analyze"), 2, "afile is not a directory"),
+    ("analyze: --out under a file", _out_at("analyze", "sub"), 2, "afile is not a directory"),
+    ("train: --out under a file", _out_at("train", "sub"), 2, "afile is not a directory"),
+    ("cluster: --out under a file", _out_at("cluster", "c.json"), 2,
+     "must be a file in an existing directory"),
+    ("bench: --out under a file", _out_at("bench", "b.json"), 2,
+     "must be a file in an existing directory"),
     ("cluster: --k-max 2", _cluster("--k-max", "2"), 1, "k_max must be >= 3 for an elbow, got 2"),
     ("cluster: --k-max 0", _cluster("--k-max", "0"), 1, "k_max must be >= 3 for an elbow, got 0"),
     ("cluster: --k 0", _cluster("--k", "0"), 1, "override must be >= 1, got 0"),
@@ -700,6 +745,23 @@ MALFORMED = [
      _cluster_on("repeated_key.jsonl",
                  '{"id": "a", "text": "red fox", "task": "t0", "id": "b"}\n'), 2,
      "repeated_key.jsonl: line 1: repeated key 'id'"),
+    ("cluster: a corpus line nested 100,000 deep",
+     _cluster_on("deep.jsonl", '{"id": "a", "text": "x", "task": ' + DEEP + "}\n"), 2,
+     "deep.jsonl: line 1: JSON nested too deeply"),
+    ("cluster: a corpus line whose text is not a string",
+     _cluster_on("null_text.jsonl", '{"id": "a", "text": null}\n'), 2,
+     "null_text.jsonl: line 1: text must be a string, got None"),
+    ("cluster: a corpus line whose task is a number",
+     _cluster_on("int_task.jsonl", '{"id": "a", "text": "x", "task": 2}\n'), 2,
+     "int_task.jsonl: line 1: task must be a string or null, got 2"),
+    ("cluster: a corpus line whose id is a list",
+     _cluster_on("list_id.jsonl", '{"id": [1], "text": "x"}\n'), 2,
+     "list_id.jsonl: line 1: id must be a string or an integer, got [1]"),
+    ("cluster: a repeated document id",
+     _cluster_on("dup_id.jsonl", '{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n'), 2,
+     "dup_id.jsonl: line 2: duplicate document id 'a'"),
+    ("cluster: a missing corpus", _cluster_on("absent.jsonl", None), 2,
+     "No such file or directory"),
     ("analyze: one missing checkpoint",
      lambda root, cfg, ckpt: ["analyze", "--checkpoints", str(root / "nope.txt"),
                               "--out", str(root / "an")], 1,
@@ -715,16 +777,33 @@ MALFORMED = [
      "--seeds must be >= 1, got 0"),
     ("bench: negative seeds", _argv("bench", "--suite", "het", "--seeds", "-2"), 1,
      "--seeds must be >= 1, got -2"),
+    ("bench: HYDRA_PEFT_THREADS=0",
+     _env(_argv("bench", "--suite", "het", "--seeds", "1"), HYDRA_PEFT_THREADS="0"), 1,
+     "HYDRA_PEFT_THREADS must be an integer >= 1, got '0'"),
 ]
 
 
 @pytest.mark.parametrize("make,code,message", [c[1:] for c in MALFORMED],
                          ids=[c[0] for c in MALFORMED])
 def test_malformed_input_exit_codes(trained, make, code, message):
-    argv = make(*trained)
-    proc = _run_cli(argv)
+    argv, env = make(*trained), {}
+    if isinstance(argv, tuple):  # argv and an environment to add
+        argv, env = argv
+    proc = _run_cli(argv, **env)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     if argv[0] == "train":  # a failed run writes no run directory
         assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_readme_exit_code_table_lists_every_malformed_case():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    assert lines[:2] == ["| input | exit | case |", "| --- | --- | --- |"]
+    # every row names a case by its id, in backticks, and no case twice
+    cases = [re.fullmatch(r"\| [^|]+ \| (\d) \| `([^`|]+)` \|", line).groups()
+             for line in lines[2:]]
+    assert len(cases) == len(set(cases))
+    assert {(case, int(code)) for code, case in cases} == {(c[0], c[2]) for c in MALFORMED}

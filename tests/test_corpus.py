@@ -168,6 +168,9 @@ def test_jsonl_unknown_fields_ignored(tmp_path):
     ('{"id": true, "text": "y"}', "id must be a string or an integer"),
     ('{"id": "b", "text": "y", "task": "t0", "id": "c"}', "repeated key 'id'"),
     ('{"id": "b", "text": "y", "extra": {"k": 1, "k": 2}}', "repeated key 'k'"),
+    ('{"id": "a", "text": "y"}', "duplicate document id 'a'"),
+    pytest.param('{"id": "b", "text": "y", "task": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "JSON nested too deeply", id="task nested 100,000 deep"),
 ])
 def test_jsonl_field_of_wrong_type_names_line(tmp_path, line, message):
     path = tmp_path / "c.jsonl"

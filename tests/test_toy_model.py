@@ -3,7 +3,7 @@ import pytest
 
 from hydra_peft import toy_model as tm
 from hydra_peft.autodiff import grad_check
-from hydra_peft.errors import ContractError, InvariantError, ShapeError, UsageError
+from hydra_peft.errors import ContractError, ShapeError, UsageError
 from hydra_peft.linalg import SeededRng
 
 from adapter_refs import hydra_ref, linear_forward, lora_ref
@@ -65,7 +65,7 @@ def test_attach_errors():
         tm.attach(model, "nonexistent", "lora", 2, seed=0)
     with pytest.raises(UsageError):
         tm.attach(model, "q_proj", "lora", 2, seed=0)  # dense mode adapts v only
-    with pytest.raises(InvariantError):
+    with pytest.raises(UsageError):
         tm.attach(model, "v_proj", "lora", 9, seed=0)  # rank > min(d, k)
     with pytest.raises(UsageError):
         tm.attach(model, "v_proj", "dora", 2, seed=0)
