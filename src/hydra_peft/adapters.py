@@ -128,9 +128,11 @@ class HydraAdapter:
         _check_rank(d, k, r)
         if n_experts < 1:
             raise UsageError(f"hydra needs >= 1 expert, got {n_experts}")
+        # the router first: an expert count too large to size fails in its
+        # one r·N draw, before N zero experts are built one at a time
+        w_gate = linalg.kaiming_uniform(r, n_experts, rng.derive("gate")) * ROUTER_INIT_SCALE
         a = linalg.kaiming_uniform(r, k, rng.derive("a"))
         experts = [np.zeros((d, r)) for _ in range(n_experts)]
-        w_gate = linalg.kaiming_uniform(r, n_experts, rng.derive("gate")) * ROUTER_INIT_SCALE
         return cls(a_shared=a, experts=experts, w_gate=w_gate, rank=r,
                    alpha=float(alpha if alpha is not None else r))
 

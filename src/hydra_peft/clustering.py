@@ -7,6 +7,11 @@ run with several restarts keeping the best SSE. k-means needs k <= the number
 of distinct points; the seeding checks it, since that is where a violation
 shows: every point already sits on a chosen center.
 
+Assignment forms the point-to-center distances one center at a time, with
+no (n, k, d) temporary. Each point's squared differences are summed in the
+order of the broadcast form ((x[:, None] - centers[None]) ** 2).sum(axis=2),
+and tests/test_clustering.py holds every distance to that form's bytes.
+
 The expert count is the knee of the SSE-vs-k curve: after min-max
 normalizing both axes, pick the k whose curve point lies farthest below the
 chord joining the curve's endpoints.
@@ -37,9 +42,15 @@ class KMeansResult:
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared euclidean distances."""
-    diff = x[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """(n, k) squared euclidean distances, one center's column at a time in
+    one C-ordered (n, d) scratch, so each row sums over a contiguous axis."""
+    out = np.empty((x.shape[0], centers.shape[0]))
+    diff = np.empty(x.shape)
+    for j in range(centers.shape[0]):
+        np.subtract(x, centers[j], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=out[:, j])
+    return out
 
 
 def _kmeanspp_seed(x: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:

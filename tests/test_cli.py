@@ -636,6 +636,9 @@ MALFORMED = [
      "error: Maximum allowed size exceeded"),
     ("corpus seq_len too large to size", _train_with("huge_seq_len", seq_len=10**18), 2,
      "error: array is too big"),
+    # the router's r·N draw is sized before any expert is built
+    ("expert count too large to size", _bad_config("experts", 10**18), 2,
+     "error: array is too big"),
     ("xor-components margin that keeps no samples",
      _bad_config("dataset", {"synthetic": "xor-components", "level": 1, "margin": 100.0}), 1,
      "margin 100.0 rejects nearly every sample"),

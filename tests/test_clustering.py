@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,31 @@ def _blobs(seed, centers, per=30, spread=0.15):
         pts.append(c + spread * rng.normal(per * c.size).reshape(per, c.size))
         labels += [i] * per
     return np.concatenate(pts), np.asarray(labels)
+
+
+@pytest.mark.parametrize("d", [1, 8, 9, 128, 129, 300])  # on and around pairwise-sum blocks
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 8), (250, 1), (250, 8)])
+def test_sq_dists_has_the_bytes_of_the_broadcast_form(n, k, d):
+    rng = SeededRng(n * 1000 + k * 100 + d)
+    scale = 10.0 ** (rng.integers(n * d + k * d, 13) - 6)  # mixed magnitudes
+    v = rng.normal(n * d + k * d) * scale
+    v[rng.uniform(v.size) < 0.1] = -0.0
+    x, c = v[:n * d].reshape(n, d), v[n * d:].reshape(k, d)
+    want = ((x[:, None] - c[None]) ** 2).sum(axis=2)  # at most 250·8·300·8 B = 4.8 MB
+    assert cl._sq_dists(x, c).tobytes() == want.tobytes()
+
+
+def test_sq_dists_makes_no_n_k_d_temporary():
+    n, k, d = 250, 8, 60
+    rng = SeededRng(3)
+    x, c = rng.normal(n * d).reshape(n, d), rng.normal(k * d).reshape(k, d)
+    tracemalloc.start()
+    try:
+        cl._sq_dists(x, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * 8 / 2
 
 
 def test_k1_center_is_mean_and_sse_is_total_deviation():
@@ -153,12 +179,12 @@ def test_planted_corpus_pipeline_selects_three():
     assert all(sses[i + 1] <= sses[i] + 1e-9 for i in range(len(sses) - 1))
 
 
-def test_corpus_init_counts_distinct_points_at_most_twice(monkeypatch):
+def test_corpus_init_counts_distinct_points_once(monkeypatch):
     calls = []
     count = cl._distinct_count
     monkeypatch.setattr(cl, "_distinct_count", lambda x: calls.append(x) or count(x))
     init = cl.init_hydra_from_corpus(cp.synth_corpus(4, 20, 0.8, seed=2), k_max=8, seed=2)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert len(init.curve) == 8
 
 

@@ -40,6 +40,8 @@ GOLDEN = {
     "numpy 2.4.6 / x86_64 / X86_V3 X86_V4 AVX512_ICL AVX512_SPR": {
         "pipeline/cluster.json":
             "f6cdf187a571091374f876cebbf9499d9c86a6d4c015ba4a9ee7ba3231c0e677",
+        "cluster-k8.json":
+            "c54e615517f952d37ccbcf874e8bcd73a08fb998d9124e342e697663803f6a0f",
         "pipeline/checkpoint.txt":
             "555472210313a5a3549f7a0ae0473ef66fc73b30b4c82ec83dfa1a3d8c46ab1a",
         "pipeline/report.csv":
@@ -109,6 +111,15 @@ def test_criterion_10_pipeline_bytes(golden, tmp_path, monkeypatch):
         "batch_size": 8, "seed": 12, "eval_interval": 25, "d_model": 12, "seq_len": 8,
         "pretrain_steps": 10, "dataset": {"corpus": "corpus.jsonl"}}))
     _check(golden, outputs)
+
+
+def test_cluster_k_max_8_bytes(golden, tmp_path, monkeypatch):
+    # 250 docs and k up to 8: the most work per assignment pass of any golden run
+    monkeypatch.chdir(tmp_path)
+    cp.save_jsonl("corpus.jsonl", cp.synth_corpus(5, 50, 0.8, seed=5))
+    _cli("cluster", "--corpus", "corpus.jsonl", "--k-max", "8", "--seed", "3",
+         "--out", "cluster.json")
+    _check(golden, {"cluster-k8.json": Path("cluster.json").read_bytes()})
 
 
 def test_dense_hydra_train_bytes(golden, tmp_path, monkeypatch):
