@@ -11,6 +11,10 @@ Assignment forms the point-to-center distances one center at a time, with
 no (n, k, d) temporary. Each point's squared differences are summed in the
 order of the broadcast form ((x[:, None] - centers[None]) ** 2).sum(axis=2),
 and tests/test_clustering.py holds every distance to that form's bytes.
+One Lloyd run keeps its (n, k) distances and, after the first pass, forms a
+cluster's mean and column again only if a point left or joined it or it was
+reseeded: the same members in the same row order give a full recompute's
+bytes, which test_lloyd_matches_the_full_recompute_reference checks.
 
 The expert count is the knee of the SSE-vs-k curve: after min-max
 normalizing both axes, pick the k whose curve point lies farthest below the
@@ -41,12 +45,14 @@ class KMeansResult:
     sse_history: list[float]     # SSE after each assignment phase
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None,
+              cols: np.ndarray | None = None) -> np.ndarray:
     """(n, k) squared euclidean distances, one center's column at a time in
-    one C-ordered (n, d) scratch, so each row sums over a contiguous axis."""
-    out = np.empty((x.shape[0], centers.shape[0]))
+    one C-ordered (n, d) scratch, so each row sums over a contiguous axis.
+    Given `out`, only its `cols` (all by default) are formed again."""
+    out = np.empty((x.shape[0], centers.shape[0])) if out is None else out
     diff = np.empty(x.shape)
-    for j in range(centers.shape[0]):
+    for j in range(centers.shape[0]) if cols is None else cols:
         np.subtract(x, centers[j], out=diff)
         np.multiply(diff, diff, out=diff)
         np.add.reduce(diff, axis=1, out=out[:, j])
@@ -70,17 +76,25 @@ def _kmeanspp_seed(x: np.ndarray, k: int, rng: SeededRng) -> np.ndarray:
     return centers
 
 
-def _assign_with_repair(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign_with_repair(x: np.ndarray, centers: np.ndarray, d2: np.ndarray | None = None,
+                        stale: np.ndarray | None = None) -> np.ndarray:
     """Nearest-center assignment; empty clusters get reseeded at the worst-fit
-    point (the one farthest from its own assigned center)."""
+    point (the one farthest from its own assigned center). Of `d2`, kept
+    between calls, only the columns `stale` marks (all of a new matrix) are
+    formed again; on return `stale` marks the reseeded clusters."""
     k = centers.shape[0]
+    if d2 is None:
+        d2, stale = np.empty((x.shape[0], k)), np.ones(k, dtype=bool)
+    refresh = np.flatnonzero(stale)
+    stale[:] = False
     while True:
-        d2 = _sq_dists(x, centers)
+        _sq_dists(x, centers, d2, refresh)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             return assign
+        stale[empties] = True
         point_d2 = d2[np.arange(x.shape[0]), assign]
         for j in empties:
             # only steal from clusters that keep at least one member
@@ -91,25 +105,30 @@ def _assign_with_repair(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
             counts[j] += 1
             point_d2[worst] = 0.0
             assign[worst] = j
+        refresh = empties
 
 
 def _lloyd(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
     centers = centers.copy()
+    d2, stale = np.empty((len(x), len(centers))), np.ones(len(centers), dtype=bool)
     prev = None
     history: list[float] = []
     # the pass after the last update only refreshes the assignment, so the
     # nearest-center condition holds against the final centers
     for it in range(1, _MAX_ITER + 2):
-        assign = _assign_with_repair(x, centers)
+        assign = _assign_with_repair(x, centers, d2, stale)
         sse = float(((x - centers[assign]) ** 2).sum())
         history.append(sse)
         if it > _MAX_ITER or (prev is not None and np.array_equal(assign, prev)):
             return centers, assign, sse, min(it, _MAX_ITER), history
+        if prev is None:
+            stale[:] = True
+        else:  # the clusters a point left or joined; the rest keep their mean
+            moved = assign != prev
+            stale[assign[moved]] = stale[prev[moved]] = True
         prev = assign
-        for j in range(centers.shape[0]):
-            members = x[assign == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
+        for j in np.flatnonzero(stale):  # no cluster is empty after the repair
+            centers[j] = x[assign == j].mean(axis=0)
 
 
 def _distinct_count(x: np.ndarray) -> int:
@@ -129,6 +148,8 @@ def kmeans(vectors: np.ndarray, k: int, seed: int,
         raise UsageError(f"kmeans needs an (n, dim) matrix, got {x.shape}")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
+    if warm_start is not None and np.shape(warm_start) != (k, x.shape[1]):
+        raise UsageError(f"warm_start must be ({k}, {x.shape[1]}), got {np.shape(warm_start)}")
     rng = SeededRng(seed).derive("kmeans", k)
     seedings = [_kmeanspp_seed(x, k, rng.derive("restart", r)) for r in range(_RESTARTS)]
     if warm_start is not None:

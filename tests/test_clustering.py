@@ -14,6 +14,8 @@ from hydra_peft import corpus as cp
 from hydra_peft.errors import UsageError
 from hydra_peft.linalg import SeededRng
 
+from kmeans_refs import lloyd_ref
+
 
 def _blobs(seed, centers, per=30, spread=0.15):
     rng = SeededRng(seed)
@@ -48,6 +50,78 @@ def test_sq_dists_makes_no_n_k_d_temporary():
     finally:
         tracemalloc.stop()
     assert peak < n * k * d * 8 / 2
+
+
+def _tfidf(components, disjointness, seed):
+    docs = cp.synth_corpus(components, 50, disjointness, seed=seed)
+    return cp.tfidf_matrix(cp.tfidf_fit(docs), docs)
+
+
+def _record_refreshes(monkeypatch, limit=10_000):
+    """Wrap clustering._sq_dists and list the columns each call forms. A call
+    past `limit` fails, so a repair loop that never refreshes ends the test."""
+    calls = []
+    sq_dists = cl._sq_dists
+
+    def recorded(x, centers, out=None, cols=None):
+        assert len(calls) < limit, "the assignment never settles"
+        calls.append(list(range(centers.shape[0])) if cols is None else [int(j) for j in cols])
+        return sq_dists(x, centers, out, cols)
+
+    monkeypatch.setattr(cl, "_sq_dists", recorded)
+    return calls
+
+
+def _assert_same_run(got, want):
+    centers, assign, sse, iters, history = got
+    assert centers.tobytes() == want[0].tobytes()
+    assert assign.tobytes() == want[1].tobytes()
+    assert (sse, iters, history) == tuple(want[2:])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lloyd_matches_the_full_recompute_reference(k, monkeypatch):
+    _record_refreshes(monkeypatch)
+    for components, disjointness, seed in [(3, 0.8, 1), (5, 0.3, 2)]:
+        x = _tfidf(components, disjointness, seed)
+        rng = SeededRng(seed).derive("kmeans", k)
+        for r in range(4):
+            centers0 = cl._kmeanspp_seed(x, k, rng.derive("restart", r))
+            _assert_same_run(cl._lloyd(x, centers0), lloyd_ref(x, centers0))
+
+
+def test_lloyd_reseeds_after_the_first_update_like_the_reference(monkeypatch):
+    # the first update moves center 2 to (3, 4), where every point has a
+    # nearer center: it is reseeded, and the last pass reuses column 0
+    x = np.array([[7.0, 7.0], [4.0, 8.0], [1.0, 2.0], [1.0, 0.0], [5.0, 8.0], [1.0, 3.0]])
+    centers0 = np.array([[8.0, 3.0], [0.0, 5.0], [4.0, 3.0]])
+    calls = _record_refreshes(monkeypatch)
+    got = cl._lloyd(x, centers0)
+    assert calls == [[0, 1, 2], [0, 1, 2], [2], [0, 1, 2], [1, 2]]
+    _assert_same_run(got, lloyd_ref(x, centers0))
+
+
+def test_lloyd_forms_only_the_columns_of_changed_clusters(monkeypatch):
+    x, k = _tfidf(5, 0.3, 1), 8
+    calls = _record_refreshes(monkeypatch)
+    rng = SeededRng(0).derive("kmeans", k)
+    passes = 0
+    for r in range(cl._RESTARTS):
+        centers0 = cl._kmeanspp_seed(x, k, rng.derive("restart", r))
+        got = cl._lloyd(x, centers0)
+        assert got[3] == lloyd_ref(x, centers0)[3]
+        passes += len(got[4])
+    assert sum(map(len, calls)) < k * passes
+
+
+def test_warm_start_of_another_shape_is_rejected_before_lloyd(monkeypatch):
+    x = SeededRng(2).normal(40 * 3).reshape(40, 3)
+    runs = []
+    monkeypatch.setattr(cl, "_lloyd", lambda x, c: runs.append(c))
+    for shape in [(5, 3), (3, 4)]:
+        with pytest.raises(UsageError, match=re.escape(f"warm_start must be (3, 3), got {shape}")):
+            cl.kmeans(x, 3, seed=0, warm_start=np.zeros(shape))
+    assert runs == []
 
 
 def test_k1_center_is_mean_and_sse_is_total_deviation():
