@@ -4,12 +4,11 @@ All numeric state is float64. Matrix products accumulate in a fixed order
 (each entry sums its products over the contraction index, ascending, from
 +0.0) so that repeated runs produce bit-identical results; nothing here
 calls into BLAS. `matmul` converts both operands to the output dtype, so every
-product is formed in that dtype, and picks one of three kernels by shape; all
-give the same bytes: a broadcast-and-reduce, whose products `np.einsum` writes
-in passes of a bounded buffer laid out so numpy's inner loop runs over the
-longer side of the output; the same einsum-and-reduce over blocks of rows of a
-2-D output too large for a pass to hold enough of the contraction index, each
-block holding all of it; and a loop over the contraction index for the rest.
+product is formed in that dtype, and contracts them with one `np.einsum` call
+whose iterator keeps the contraction index outermost, so each pass over it
+adds one rounded product into every output entry. This assumes numpy's
+einsum rounds each product before the add, as its x86-64 baseline build does;
+where its loop fuses multiply and add (aarch64 NEON), the bytes differ.
 
 Randomness comes from a counter-based splitmix64 generator: draw i under
 seed s is a pure integer hash of (s, i), which makes seeds portable across
@@ -117,19 +116,6 @@ class SeededRng:
         return out
 
 
-# Largest product buffer, in elements, one pass of the broadcast kernel or
-# one row block builds. Above it the buffer costs more in memory traffic and
-# peak RSS than the k-loop saves.
-_BROADCAST_MAX_ELEMS = 1 << 16
-# Fewest products per output entry a pass must hold when k needs more than
-# one pass. Measured on shapes with k >= 2 passes: at 8 per pass the k-loop
-# was as fast or up to 35 % faster (512x16, 256x32, 128x64 outputs); from 10
-# per pass the passes tied or won, 2-5x at 16x16 outputs (256 per pass).
-# Row blocks, which take 2-D shapes below it, ran 0.88-1.45x the passes'
-# time at 10-32 per pass (375x16 to 128x32 outputs).
-_MIN_PASS_SLICES = 10
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with fixed accumulation order over the shared index.
 
@@ -137,77 +123,49 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (G, k, n), converted first to the output dtype (float64, or longdouble
     when an operand is), so float32 and integer operands multiply in float64.
     Every output entry is ((0.0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ..., k
-    ascending, whichever of three kernels runs and whatever G is:
+    ascending, whatever the shape, the layout and G are.
 
-    - broadcast-and-reduce, when the output has size >= 2 entries and either
-      all of k fits one pass or a pass holds c = _BROADCAST_MAX_ELEMS // size
-      >= _MIN_PASS_SLICES products per entry. Each pass writes its products
-      to slices 1.. of a C-contiguous (c + 1, [G,] m, n) buffer with
-      np.einsum, one rounded product per entry (it writes a -0.0 product as
-      +0.0, which no sum from +0.0 can tell apart); einsum's inner loop walks
-      the second operand's last axis, so that operand is made contiguous
-      first. The first pass reduces the products over axis 0 from +0.0; each
-      later pass puts the running sum (never -0.0) in slice 0 and reduces
-      from there. With that axis outermost numpy adds whole output-sized
-      slices one after another. Any other layout (or a 1-entry output) can
-      put k on the inner loop, where numpy switches to pairwise summation and
-      the bytes change. When n < m the buffer holds out^T, as
-      (c + 1, [G,] n, m), so numpy's inner loop runs over the longer side;
-      the result is copied back to C order, because row reductions
-      downstream can sum in another order on other layouts.
-    - row blocks, for a 2-D output too large for _MIN_PASS_SLICES per pass
-      with n >= 2 and n * k <= _BROADCAST_MAX_ELEMS: the fewest blocks of at
-      most _BROADCAST_MAX_ELEMS // (n * k) rows, r rows each (the last may be
-      shorter) with r as small as that count allows, write all k products
-      per entry to one (k, r, n) buffer, allocated once per call, and reduce
-      them over axis 0 from +0.0 into their rows of the result. Never
-      transposed: at n = 24..72 that measured slower.
-    - everything else (k == 0; n == 1, which includes a 1-entry output and
-      where this loop beat row blocks; n * k over the cap; or a stack too
-      large for passes): a loop over k adding rank-1 updates into zeros.
+    One np.einsum call forms the product, with order="F" and neither `out`
+    nor `optimize` (so nothing reaches tensordot or BLAS). Under a forced F
+    order its iterator walks the output axes first-fastest and keeps the
+    summed index k outermost: each pass over k adds one rounded product into
+    every entry of a +0.0 output. The row operand is made F-contiguous first,
+    so the inner loop runs down a whole contiguous output column; when
+    n > m the kernel forms out^T = b^T a^T, so that loop runs over the longer
+    side, and the F-ordered out^T already is out in C order. Stacks put i
+    first in the output labels. The result is C-contiguous, because row
+    reductions downstream can sum in another order on other layouts.
+
+    An output of fewer than 2 entries keeps a loop over k: in a 1-entry
+    output k would be einsum's inner loop, which numpy sums with several
+    accumulators. The product must be rounded before the add, as numpy's
+    x86-64 baseline einsum rounds it; a build whose einsum fuses
+    multiply-add gives other bytes.
     """
     a, b = np.asarray(a), np.asarray(b)
     if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    k, n = b.shape[-2:]
+    m, n = a.shape[-2], b.shape[-1]
     out_shape = a.shape[:-1] + (n,)
-    size = math.prod(out_shape)
     dtype = np.result_type(a, b, np.float64)
-    # products in the output dtype, whichever kernel forms them
+    # products in the output dtype
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-    c = k if size * k <= _BROADCAST_MAX_ELEMS else _BROADCAST_MAX_ELEMS // size
-    with np.errstate(all="ignore"):  # finiteness is checked explicitly below
-        if size >= 2 and k >= 1 and (c == k or c >= _MIN_PASS_SLICES):
-            # (k, [G,] m) and (k, [G,] n) views of the operands
-            rows, cols = (a.transpose(2, 0, 1), b.transpose(1, 0, 2)) if a.ndim == 3 else (a.T, b)
-            shape, flip = out_shape, n < out_shape[-2]
-            if flip:
-                rows, cols, shape = cols, rows, out_shape[:-2] + (n, out_shape[-2])
-            cols = np.ascontiguousarray(cols)  # einsum's inner loop walks its last axis
-            spec = "kgi,kgj->kgij" if a.ndim == 3 else "ki,kj->kij"
-            buf = np.empty((c + 1, *shape), dtype)
-            out = np.add.reduce(np.einsum(spec, rows[:c], cols[:c], out=buf[1:]), axis=0, initial=0.0)
-            for k0 in range(c, k, c):
-                w = min(c, k - k0)
-                buf[0] = out
-                np.einsum(spec, rows[k0 : k0 + w], cols[k0 : k0 + w], out=buf[1 : w + 1])
-                out = np.add.reduce(buf[: w + 1], axis=0)
-            if flip:
-                out = np.ascontiguousarray(out.swapaxes(-1, -2))
-        elif a.ndim == 2 and out_shape[0] and n >= 2 and 1 <= k <= _BROADCAST_MAX_ELEMS // n:
-            blocks = -(-out_shape[0] // (_BROADCAST_MAX_ELEMS // (n * k)))
-            r = -(-out_shape[0] // blocks)  # rows per block, as even as that count allows
-            b = np.ascontiguousarray(b)  # einsum's inner loop walks its last axis
-            buf, out = np.empty((k, r, n), dtype), np.empty(out_shape, dtype)
-            for i0 in range(0, out_shape[0], r):
-                rows = a[i0 : i0 + r]
-                part = np.einsum("ik,kj->kij", rows, b, out=buf[:, : len(rows)])
-                np.add.reduce(part, axis=0, initial=0.0, out=out[i0 : i0 + r])
-        else:
-            out = np.zeros(out_shape, dtype=dtype)
-            for i in range(k):
+    if math.prod(out_shape) < 2:
+        out = np.zeros(out_shape, dtype=dtype)
+        with np.errstate(all="ignore"):  # finiteness is checked explicitly below
+            for i in range(a.shape[-1]):
                 out += a[..., i : i + 1] * b[..., i : i + 1, :]
+    else:
+        flip = n > m
+        rows, cols = (b.swapaxes(-1, -2), a.swapaxes(-1, -2)) if flip else (a, b)
+        if a.ndim == 2:
+            out = np.einsum("ik,kj->ij", np.asfortranarray(rows), cols, order="F")
+            out = out.T if flip else np.ascontiguousarray(out)
+        else:
+            rows = np.asfortranarray(rows.transpose(1, 0, 2))  # (i, g, k)
+            out = np.einsum("igk,gkj->igj", rows, cols, order="F")
+            out = np.ascontiguousarray(out.transpose(1, 2, 0) if flip else out.transpose(1, 0, 2))
     if not np.isfinite(out).all():
         raise InvariantError("matmul produced non-finite entries")
     return out

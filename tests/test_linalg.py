@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from hydra_peft import linalg
 from hydra_peft.errors import ContractError, InvariantError, ShapeError
 from hydra_peft.autodiff import Tape
-from hydra_peft.linalg import SeededRng, kaiming_uniform, matmul
+from hydra_peft.linalg import SeededRng, kaiming_uniform, matmul, uniform_to_int
 
 
 # published splitmix64 outputs for seed 0
@@ -133,29 +132,22 @@ def _assert_identical(got, want):
 
 
 _SPECIALS = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, 1.0, -1.0])
-_CAP = linalg._BROADCAST_MAX_ELEMS
-_MIN_PASS = linalg._MIN_PASS_SLICES
-# A pass holds _CAP // (m*n) products per entry: for a 16 x 16 output k = 256
-# fills one pass exactly, 257 needs a second, 512 fills two and 513 a third.
+# Shapes of every kind: 1-entry outputs, one row or one column, either side
+# the longer, empty ones, and k from 0 to 513.
 _GRID = list(itertools.product([1, 2, 3, 8, 24, 33], [1, 7, 8, 9, 24, 65],
                                [1, 2, 3, 8, 24, 33]))
 _GRID += [(16, 256, 16), (16, 257, 16), (16, 512, 16), (16, 513, 16), (64, 24, 48),
           (0, 3, 4), (3, 0, 4)]
-# thin outputs, n < m (out^T is formed) and n > m, in one pass and in several
+# thin outputs, n < m and n > m (out^T is formed)
 _GRID += [(80, 16, 4), (4, 16, 80), (768, 24, 4), (4, 24, 768), (320, 40, 16),
           (16, 40, 320), (48, 7, 24), (24, 7, 48)]
-# row blocks: outputs too large for _MIN_PASS products per pass, just below
-# and on the width where passes take over
-_GRID += [(_CAP // (_MIN_PASS - 1) // 16 + 1, 30, 16),
-          (16, 30, _CAP // (_MIN_PASS - 1) // 16 + 1), (_CAP // _MIN_PASS // 16, 30, 16)]
-# the evaluate products either way round, in the fewest blocks of at most
-# _CAP // (n*k) rows: 768 rows at n*k = 24*48 take 14 blocks, 13 of 55 rows
-# and one of 53; 91 rows at 80*80 take 10, 9 of 10 rows and one of 1
+# outputs of several thousand entries, and the evaluate products either way
+# round
+_GRID += [(456, 30, 16), (16, 30, 456), (409, 30, 16)]
 _GRID += [(768, 24, 48), (48, 24, 768), (768, 48, 24), (24, 48, 768), (768, 26, 24),
           (24, 26, 768), (4000, 24, 2), (91, 80, 80)]
-# n*k on the cap (blocks of one row) and just over it, where the k-loop stays,
-# as it does for one column (n = 1)
-_GRID += [(26, 256, 256), (26, 257, 256), (_CAP // 8 + 1, 8, 1)]
+# n * k = 2^16 and just over it, and 8,193 rows of one column
+_GRID += [(26, 256, 256), (26, 257, 256), (8193, 8, 1)]
 
 
 def _operands(rng, m, k, n, variant):
@@ -168,18 +160,30 @@ def _operands(rng, m, k, n, variant):
     # entries spread over 12 decades, so a change of summation order shows
     a = (rng.normal(m * k) * 10.0 ** (rng.integers(m * k, 12) - 6)).reshape(m, k)
     b = rng.normal(k * n).reshape(k, n)
-    if variant == "transposed":
-        a, b = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
-    elif variant == "longdouble":
+    if variant == "longdouble":
         a = a.astype(np.longdouble)
     return a, b
 
 
-@pytest.mark.parametrize("variant", ["float64", "transposed", "longdouble", "specials"])
+def _laid_out(a, b, variant):
+    """Views of the operands in the layout the variant names, 2-D or stacked."""
+    if variant == "transposed":  # F order
+        return tuple(np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2) for x in (a, b))
+    if variant == "reversed":  # negative strides along k on both sides, which
+        return a[..., ::-1], b[..., ::-1, :]  # numpy's iterator could flip
+    if variant == "broadcast":  # stride 0 along the rows of a and along k in b
+        return np.broadcast_to(a[..., :1, :], a.shape), np.broadcast_to(b[..., :1, :], b.shape)
+    return a, b
+
+
+_VARIANTS = ["float64", "transposed", "longdouble", "specials", "reversed", "broadcast"]
+
+
+@pytest.mark.parametrize("variant", _VARIANTS)
 def test_matmul_identical_to_loop_oracle(variant):
     rng = SeededRng(17).derive(variant)
     for m, k, n in _GRID:
-        a, b = _operands(rng, m, k, n, variant)
+        a, b = _laid_out(*_operands(rng, m, k, n, variant), variant)
         _assert_identical(matmul(a, b), _loop_matmul(a, b))
 
 
@@ -200,7 +204,7 @@ def _typed(rng, shape, dtype):
 
 _DTYPE_PAIRS = [("float32", "float32"), ("int32", "int32"), ("int64", "int64"),
                 ("float32", "float64"), ("float64", "float32"), ("strided", "strided")]
-# one pass either way round, several passes either way round
+# square, thin either way round, and k = 300 either way round
 _DTYPE_SHAPES = [(24, 24, 24), (80, 16, 4), (4, 16, 80), (16, 300, 16), (32, 300, 8),
                  (8, 300, 32)]
 
@@ -215,23 +219,56 @@ def _dtype_operands(rng, lead, m, k, n, kinds):
 
 @pytest.mark.parametrize("kinds", _DTYPE_PAIRS, ids=["-".join(p) for p in _DTYPE_PAIRS])
 @pytest.mark.parametrize("groups", [None, 3])
-def test_matmul_converts_operands_and_both_kernels_agree(monkeypatch, kinds, groups):
+def test_matmul_converts_operands_and_both_kernels_agree(kinds, groups):
     rng = SeededRng(29).derive(*kinds, groups or 0)
     lead = () if groups is None else (groups,)
-    cases = [_dtype_operands(rng, lead, m, k, n, kinds) for m, k, n in _DTYPE_SHAPES]
-    passes = [matmul(a, b) for a, b in cases]
-    blocks = []
-    for (a, b), (m, k, n) in zip(cases, _DTYPE_SHAPES):
-        # a cap of n*k puts each 2-D product with k < _MIN_PASS * m in one-row blocks
-        monkeypatch.setattr(linalg, "_BROADCAST_MAX_ELEMS", n * k)
-        blocks.append(matmul(a, b))
-    monkeypatch.setattr(linalg, "_BROADCAST_MAX_ELEMS", 0)  # every call takes the k-loop
-    for (a, b), got, blocked in zip(cases, passes, blocks):
+    for m, k, n in _DTYPE_SHAPES:
+        a, b = _dtype_operands(rng, lead, m, k, n, kinds)
+        got = matmul(a, b)
         want = (_converted_loop_matmul(a, b) if groups is None
                 else np.stack([_converted_loop_matmul(x, y) for x, y in zip(a, b)]))
         _assert_identical(got, want)
-        _assert_identical(blocked, got)
-        _assert_identical(matmul(a, b), got)
+        # the einsum's corner entries against the 1-entry k-loop on the same operands
+        x, y = (a, b) if groups is None else (a[:1], b[:1])
+        for i, j in ((0, 0), (m - 1, n - 1)):
+            _assert_identical(matmul(x[..., i : i + 1, :], y[..., j : j + 1]),
+                              got[..., i : i + 1, j : j + 1][: 1 if groups else None])
+
+
+def _stacked_loop_matmul(a, b):
+    """The loop oracle, per group for stacks."""
+    return _loop_matmul(a, b) if a.ndim == 2 else np.stack([_loop_matmul(x, y) for x, y in zip(a, b)])
+
+
+def test_matmul_rounds_each_product_before_the_add():
+    # (1 + 2^-27)(1 - 2^-27) = 1 - 2^-54 rounds to 1.0, so the sum is -1 + 1.0
+    # = +0.0; a fused multiply-add keeps the product exact and gives -2^-54.
+    # The kernel's bytes hold only where numpy's einsum rounds each product, as
+    # its x86-64 baseline build does; where its loop fuses them (aarch64 NEON)
+    # this fails first. Both orientations and a stack.
+    a, b = np.array([[-1.0, 1.0 + 2.0**-27]] * 2), np.array([[1.0], [1.0 - 2.0**-27]])
+    for x, y in ((a, b), (b.T, a.T), (np.stack([a, a]), np.stack([b, b]))):
+        out = matmul(x, y)
+        _assert_identical(out, _stacked_loop_matmul(x, y))
+        assert out.shape[-2:] == x.shape[-2:-1] + y.shape[-1:] and not out.any()
+        assert not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_matmul_seeded_sweep_matches_the_loop_oracle(stacked):
+    # random shapes in both orientations and in C and F layouts, one in four
+    # of them a 1-entry output; k up to 96, and entries over 12 decades, so
+    # any other summation order over k, or several accumulators, shows
+    rng = SeededRng(41).derive(int(stacked))
+    for trial in range(40):
+        g, m, k, n = (int(v) for v in uniform_to_int(rng.uniform(4), np.array([4, 40, 97, 40])))
+        g, m, n = (1, 1, 1) if trial % 4 == 0 else (g + 1, m + 1, n + 1)
+        lead = (g,) if stacked else ()
+        for rows, cols in ((m, n), (n, m)):
+            a, b = _typed(rng, (*lead, rows, k), "float64"), _typed(rng, (*lead, k, cols), "float64")
+            if trial % 2:
+                a, b = (np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2) for x in (a, b))
+            _assert_identical(matmul(a, b), _stacked_loop_matmul(a, b))
 
 
 def test_matmul_all_negative_zero_products_give_positive_zero():
@@ -240,8 +277,8 @@ def test_matmul_all_negative_zero_products_give_positive_zero():
     assert not np.signbit(out).any()
 
 
-# runs of -0.0 products across pass boundaries, both orientations, 2-D and
-# stacked, and across the boundaries of four 50-row blocks
+# long runs of -0.0 products, both orientations, 2-D and stacked, and over
+# 200 rows
 @pytest.mark.parametrize("m, k, n", [(16, 300, 16), (16, 600, 8), (8, 600, 16), (200, 24, 48)])
 def test_matmul_negative_zero_run_across_passes_gives_positive_zero(m, k, n):
     a, b = np.full((m, k), -0.0), np.ones((k, n))
@@ -252,9 +289,9 @@ def test_matmul_negative_zero_run_across_passes_gives_positive_zero(m, k, n):
     assert stacked.flags.c_contiguous and not np.signbit(stacked).any()
 
 
-# only the last product overflows: in the last of 2 or 3 passes for the
-# 16 x 16, 32 x 8 and 8 x 32 outputs
-@pytest.mark.parametrize("m, k, n", [(2, 2, 2), (16, _CAP // 256 + 1, 16), (16, 513, 16),
+# only the last product overflows, for square and thin outputs either way
+# round and for a 1-entry output
+@pytest.mark.parametrize("m, k, n", [(2, 2, 2), (16, 257, 16), (16, 513, 16),
                                      (32, 300, 8), (8, 300, 32), (1, 3, 1)])
 def test_matmul_overflow_raises_like_oracle(m, k, n):
     a, b = np.ones((m, k)), np.ones((k, n))
@@ -265,8 +302,24 @@ def test_matmul_overflow_raises_like_oracle(m, k, n):
         matmul(a, b)
 
 
-# only the last row's products overflow, in the last row block: of 53 rows
-# after 55-row ones, of 1 row after 10-row ones, and of 1 row after 1-row ones
+def test_matmul_overflow_and_inf_times_zero_set_no_floating_point_error():
+    # Only the 1-entry loop runs under np.errstate(all="ignore"): einsum sets
+    # no floating-point error for 1e200 * 1e200 or inf * 0, so under "raise"
+    # both still reach the finiteness check, in either orientation, stacked
+    # and through the loop
+    big_a, big_b = np.full((3, 2), 1e200), np.full((2, 4), 1e200)
+    inf_a, inf_b = np.array([[np.inf, 1.0]] * 3), np.array([[0.0] * 4, [1.0] * 4])
+    cases = []
+    for a, b in ((big_a, big_b), (inf_a, inf_b)):
+        cases += [(a, b), (b.T, a.T), (np.stack([a, a]), np.stack([b, b])), (a[:1], b[:, :1])]
+    with np.errstate(all="raise"):
+        for a, b in cases:
+            with pytest.raises(InvariantError):
+                matmul(a, b)
+
+
+# only the last row's products overflow, in outputs of 6,656 to 36,864
+# entries
 @pytest.mark.parametrize("m, k, n", [(768, 24, 48), (91, 80, 80), (26, 256, 256)])
 def test_matmul_overflow_in_the_last_row_block_raises(m, k, n):
     a, b = np.ones((m, k)), np.ones((k, n))
@@ -277,33 +330,29 @@ def test_matmul_overflow_in_the_last_row_block_raises(m, k, n):
         matmul(a, b)
 
 
-# (G, m, k, n): m = n = 1 stacks, a product on the cap and one just over it,
-# and shapes whose single group is under the cap while the stack is over it
+# (G, m, k, n): m = n = 1 stacks, 2^16 products and just over, 37 groups and
+# empty stacks
 _GROUPED = [(g, m, k, n) for g in (2, 3, 5) for m, k, n in
             [(1, 1, 1), (1, 9, 1), (1, 7, 3), (10, 8, 10), (10, 10, 8), (3, 65, 2)]]
-_GROUPED += [(4, 16, _CAP // 1024, 16), (4, 16, _CAP // 1024 + 1, 16), (37, 16, 16, 16),
-             (2, 0, 3, 4), (2, 3, 0, 4)]
-# several passes (64 products per pass at 4 x 16 x 16), and thin outputs
-# either way round, in one pass and in several
+_GROUPED += [(4, 16, 64, 16), (4, 16, 65, 16), (37, 16, 16, 16), (2, 0, 3, 4), (2, 3, 0, 4)]
+# k = 200, and thin outputs either way round
 _GROUPED += [(4, 16, 200, 16), (3, 40, 30, 4), (3, 4, 30, 40), (4, 64, 40, 8),
              (4, 8, 40, 64), (8, 16, 10, 10)]
 
 
-@pytest.mark.parametrize("variant", ["float64", "transposed", "longdouble", "specials"])
+@pytest.mark.parametrize("variant", _VARIANTS)
 def test_grouped_matmul_identical_to_loop_oracle_per_group(variant):
     rng = SeededRng(23).derive(variant)
     for g, m, k, n in _GROUPED:
         pairs = [_operands(rng, m, k, n, variant) for _ in range(g)]
-        a, b = np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
-        if variant == "transposed":
-            a, b = (np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1) for x in (a, b))
+        a, b = _laid_out(np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]), variant)
         got = matmul(a, b)
         assert got.shape == (g, m, n)
         for i in range(g):
             _assert_identical(got[i], _loop_matmul(a[i], b[i]))
 
 
-@pytest.mark.parametrize("g, m, k, n", [(3, 2, 2, 2), (4, 16, _CAP // 1024 + 1, 16),
+@pytest.mark.parametrize("g, m, k, n", [(3, 2, 2, 2), (4, 16, 65, 16),
                                         (2, 1, 3, 1), (4, 64, 40, 8)])
 def test_grouped_matmul_overflow_raises(g, m, k, n):
     a, b = np.ones((g, m, k)), np.ones((g, k, n))
@@ -311,7 +360,7 @@ def test_grouped_matmul_overflow_raises(g, m, k, n):
     with pytest.raises(InvariantError):
         matmul(a, b)
     a, b = np.ones((g, m, k)), np.ones((g, k, n))
-    a[..., -1] = b[..., -1, :] = 1e300  # only the last product, in the last pass
+    a[..., -1] = b[..., -1, :] = 1e300  # only the last product
     with pytest.raises(InvariantError):
         matmul(a, b)
 

@@ -235,9 +235,8 @@ def test_token_adapter_gradients_match_central_differences(scheme, n, pad_tail):
 @pytest.mark.parametrize("scheme", ["lora", "hydra"])
 @pytest.mark.parametrize("n,t,d", [(2, 10, 8), (8, 10, 8), (37, 10, 8), (37, 16, 16)])
 def test_token_batch_forward_equals_single_sample_forwards(scheme, n, t, d):
-    # (37, 16, 16) puts the batched products over the broadcast kernel's cap,
-    # so the 2-D ones run in row blocks and the stacked attention ones in the
-    # k-loop, where single samples take the broadcast kernel
+    # (37, 16, 16) gives batched products of 592 rows and a 37-group attention
+    # stack, where each single sample's products have 16 rows
     model = _live_token_model(scheme, vocab=20, d=d)
     batch = _live_token_batch(model, n, t, seed=t + n, pad_tail=3)
     graph = tm.build_graph(model, batch, trainable="none")
